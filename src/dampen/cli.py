@@ -1,8 +1,11 @@
 """Experiment and verification command line.
 
 Subcommands: ``percentile``, ``topk``, ``tree``, ``mechanism-compare`` and
-``check``.  Exit codes: 0 success, 1 validation error, 2 check failure,
-3 I/O error.
+``check``.  Exit codes: 0 success, 1 validation or runtime error, 2 check
+failure, 3 I/O error.  Exit code 1 covers invalid input and the library's
+runtime errors (a sensitivity function breaking its declared contract, an
+unmet precondition, an exhausted search budget); each prints a one-line
+``dampen: <reason>`` to stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +15,12 @@ import sys
 
 from . import checks as checks_mod
 from . import harness
-from .core import InvalidInputError
+from .core import (
+    ContractViolationError,
+    InvalidInputError,
+    PreconditionError,
+    SearchBudgetError,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +173,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"dampen: {exc}", file=sys.stderr)
         return 3
-    except InvalidInputError as exc:
+    except (InvalidInputError, ContractViolationError, PreconditionError,
+            SearchBudgetError) as exc:
         print(f"dampen: {exc}", file=sys.stderr)
         return 1
 

@@ -79,14 +79,18 @@ class SensitivityFunction:
     ``declared_admissible`` and ``declared_bounded`` record what the caller
     claims (and what the verification lab can check on small instances);
     mechanisms refuse inputs whose declarations do not meet their
-    hypotheses.  ``monotonicity`` is the declared relationship between
-    ``delta`` and the utility ordering and picks the shift direction used
-    by the shifted mechanism.
+    hypotheses.  ``declared_nondecreasing_in_t`` claims that ``delta`` never
+    shrinks as ``t`` grows; together with ``declared_bounded`` it lets the
+    breakpoint walk stop at the first step equal to the global sensitivity
+    (the walk checks the claim as it goes).  ``monotonicity`` is the
+    declared relationship between ``delta`` and the utility ordering and
+    picks the shift direction used by the shifted mechanism.
     """
 
     eval: Callable[[Any, int, Hashable], float]
     declared_admissible: bool = False
     declared_bounded: bool = False
+    declared_nondecreasing_in_t: bool = False
     monotonicity: str = "none"
     name: str = "delta"
 
@@ -118,6 +122,7 @@ def constant_sensitivity(value: float, name: str = "const") -> SensitivityFuncti
         eval=lambda x, t, r: value,
         declared_admissible=True,
         declared_bounded=True,
+        declared_nondecreasing_in_t=True,
         monotonicity="flat",
         name=name,
     )

@@ -24,9 +24,15 @@ from .sensitivity import NeighborEnumerator, bound_sensitivity
 
 
 class EdgeGraph:
-    """Immutable undirected graph with stable node order and bitset adjacency."""
+    """Immutable undirected graph with stable node order and bitset adjacency.
 
-    __slots__ = ("nodes", "_index", "_adj", "_edges", "_max_degree_bound")
+    The max degree is resolved once at construction, and ego betweenness
+    scores are memoised per instance (see :meth:`ebc_score`), so both live
+    and die with the graph.
+    """
+
+    __slots__ = ("nodes", "_index", "_adj", "_edges", "_max_degree_bound",
+                 "_max_degree", "_ebc_memo")
 
     def __init__(
         self,
@@ -34,22 +40,21 @@ class EdgeGraph:
         edges: Iterable[tuple],
         max_degree_bound: int | None = None,
     ):
-        self.nodes = tuple(nodes)
-        if len(set(self.nodes)) != len(self.nodes):
+        nodes = tuple(nodes)
+        if len(set(nodes)) != len(nodes):
             raise InvalidInputError("duplicate node identifiers")
-        self._index = {v: i for i, v in enumerate(self.nodes)}
-        adj = [0] * len(self.nodes)
+        index = {v: i for i, v in enumerate(nodes)}
+        adj = [0] * len(nodes)
         edge_set = set()
         for u, v in edges:
             if u == v:
                 raise InvalidInputError(f"self-loop at {u!r}")
-            iu, iv = self._index[u], self._index[v]
+            iu, iv = index[u], index[v]
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
             edge_set.add((min(iu, iv), max(iu, iv)))
-        self._adj = tuple(adj)
-        self._edges = frozenset(edge_set)
-        self._max_degree_bound = max_degree_bound
+        EdgeGraph._init_raw(self, nodes, index, tuple(adj),
+                            frozenset(edge_set), max_degree_bound)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -83,9 +88,15 @@ class EdgeGraph:
 
     def max_degree(self) -> int:
         """Configured public max-degree bound, or the observed maximum."""
-        if self._max_degree_bound is not None:
-            return self._max_degree_bound
-        return max((a.bit_count() for a in self._adj), default=0)
+        return self._max_degree
+
+    def ebc_score(self, c) -> float:
+        """``ebc(self, c)``, computed once per node of this graph."""
+        memo = self._ebc_memo
+        value = memo.get(c)
+        if value is None:
+            value = memo[c] = ebc(self, c)
+        return value
 
     def flip_edge(self, u, v) -> "EdgeGraph":
         """Graph at edge distance one: (u, v) removed if present, else added."""
@@ -114,6 +125,11 @@ class EdgeGraph:
         obj._adj = adj
         obj._edges = edges
         obj._max_degree_bound = bound
+        obj._max_degree = (
+            bound if bound is not None
+            else max((a.bit_count() for a in adj), default=0)
+        )
+        obj._ebc_memo = {}
 
     def node_pairs(self) -> int:
         """Number of unordered node pairs; the maximum edge-flip distance."""
@@ -207,29 +223,34 @@ def ebc_oracle(graph: EdgeGraph, c, max_neighborhood: int = 64) -> float:
 
 
 def ebc_scores(graph: EdgeGraph) -> dict:
-    return {v: ebc(graph, v) for v in graph.nodes}
+    return {v: graph.ebc_score(v) for v in graph.nodes}
+
+
+def _degree_bound(d: int) -> float:
+    """``max(d * (d - 1) / 4, d)``, increasing in the degree d."""
+    return max(d * (d - 1) / 4.0, float(d))
 
 
 def global_sensitivity_ebc(graph: EdgeGraph) -> float:
     """Worst-case EBC change from one edge flip:
     ``max(D * (D - 1) / 4, D)`` with D the (public) max degree."""
-    d = graph.max_degree()
-    return max(d * (d - 1) / 4.0, float(d))
+    return _degree_bound(graph.max_degree())
 
 
 def delta_ebc_value(graph: EdgeGraph, t: int, v) -> float:
     """Degree-based sensitivity bound ``max((d+t)(d+t-1)/4, d+t)``."""
-    d = graph.degree(v) + t
-    return max(d * (d - 1) / 4.0, float(d))
+    return _degree_bound(graph.degree(v) + t)
 
 
 def delta_ebc(graph: EdgeGraph | None = None) -> SensitivityFunction:
     """The degree-based EBC sensitivity function (admissible, unbounded,
-    no declared monotonicity; correlation with EBC is checked empirically)."""
+    increasing in t, no declared monotonicity; correlation with EBC is
+    checked empirically)."""
     return SensitivityFunction(
         eval=lambda g, t, v: delta_ebc_value(g, t, v),
         declared_admissible=True,
         declared_bounded=False,
+        declared_nondecreasing_in_t=True,
         monotonicity="none",
         name="delta_ebc",
     )
@@ -238,12 +259,10 @@ def delta_ebc(graph: EdgeGraph | None = None) -> SensitivityFunction:
 def flat_delta_ebc() -> SensitivityFunction:
     """Flattened (node-independent) variant of the degree-based bound."""
     return SensitivityFunction(
-        eval=lambda g, t, v: max(
-            (g.max_degree() + t) * (g.max_degree() + t - 1) / 4.0,
-            float(g.max_degree() + t),
-        ),
+        eval=lambda g, t, v: _degree_bound(g.max_degree() + t),
         declared_admissible=True,
         declared_bounded=False,
+        declared_nondecreasing_in_t=True,
         monotonicity="flat",
         name="flat_delta_ebc",
     )
@@ -261,22 +280,10 @@ def edge_flip_enumerator() -> NeighborEnumerator:
 
 
 def ebc_utility() -> Callable[[EdgeGraph, Hashable], float]:
-    """EBC as a utility function with per-graph score memoization, so brute
-    searches touching many neighbor graphs stay affordable."""
-    cache: dict[EdgeGraph, dict] = {}
-
-    def utility(g: EdgeGraph, v) -> float:
-        scores = cache.get(g)
-        if scores is None:
-            scores = {}
-            cache[g] = scores
-        value = scores.get(v)
-        if value is None:
-            value = ebc(g, v)
-            scores[v] = value
-        return value
-
-    return utility
+    """EBC as a utility function, memoised on each graph instance
+    (:meth:`EdgeGraph.ebc_score`), so repeated runs on one graph score
+    each node once."""
+    return EdgeGraph.ebc_score
 
 
 def ebc_problem(

@@ -26,8 +26,9 @@ from .core import (
     SensitivityFunction,
 )
 
-#: Iteration cap for bracketing a score against an unbounded sensitivity
-#: function; bounded functions switch to a closed-form tail instead.
+#: Iteration cap for bracketing a score against a sensitivity function that
+#: is not declared bounded; bounded functions switch to a closed-form tail
+#: by step ``n`` at the latest.
 MAX_BREAKPOINT_STEPS = 100_000
 
 
@@ -84,8 +85,11 @@ def dampen(
     intervals (a zero sensitivity step) contain no point and are skipped.
     For a bounded ``delta`` every step at ``t >= n`` equals the global
     sensitivity, so scores past ``b(n)`` are resolved in closed form instead
-    of by iteration.  Negative scores go through the mirrored grid, which
-    makes ``dampen(-u) == -dampen(u)`` hold exactly.
+    of by iteration.  A bounded ``delta`` that is also nondecreasing in ``t``
+    is at most GS everywhere, so its first step equal to GS starts the
+    constant tail and the walk stops there; the claim is checked on every
+    step taken.  Negative scores go through the mirrored grid, which makes
+    ``dampen(-u) == -dampen(u)`` hold exactly.
     """
     if not math.isfinite(u_value):
         raise InvalidInputError(f"utility value {u_value!r} is not finite")
@@ -97,10 +101,13 @@ def dampen(
     x = problem.database
     gs = problem.global_sensitivity
     n = problem.database_size
+    bounded = delta.declared_bounded
+    saturates = bounded and delta.declared_nondecreasing_in_t
     b = 0.0
     i = 0
+    previous = 0.0
     while True:
-        if delta.declared_bounded and i >= n:
+        if bounded and i >= n:
             if gs <= 0:
                 raise ContractViolationError(
                     "bounded delta with zero global sensitivity cannot "
@@ -108,12 +115,22 @@ def dampen(
                 )
             return sign * (i + (v - b) / gs)
         width = delta(x, i, r)
+        if saturates:
+            if width < previous or width > gs:
+                raise ContractViolationError(
+                    f"sensitivity function {delta.name} declared bounded and "
+                    f"nondecreasing in t returned {width!r} at t={i} after "
+                    f"{previous!r} (global sensitivity {gs!r})"
+                )
+            if width == gs > 0:
+                return sign * (i + (v - b) / gs)
+            previous = width
         nxt = b + width
         if v < nxt:
             return sign * (i + (v - b) / width)
         b = nxt
         i += 1
-        if i > MAX_BREAKPOINT_STEPS:
+        if not bounded and i > MAX_BREAKPOINT_STEPS:
             raise ContractViolationError(
                 f"no breakpoint interval brackets utility {u_value!r} "
                 f"within {MAX_BREAKPOINT_STEPS} steps"

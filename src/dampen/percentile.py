@@ -309,7 +309,8 @@ def ls_t_percentile(x: NumericVector, q: PercentileQuery, t: int, i: int) -> flo
 
 def ls_percentile_sensitivity(q: PercentileQuery) -> SensitivityFunction:
     """Exact element local sensitivity at distance t as a sensitivity
-    function (admissible; bound with the cap before mechanism use).
+    function (admissible, nondecreasing in t as a running maximum over
+    growing balls; bound with the cap before mechanism use).
 
     Exhaustive over the cap-forcing closure, so the cost grows roughly as
     3^n; intended for vectors of at most a dozen records.  Use
@@ -321,6 +322,7 @@ def ls_percentile_sensitivity(q: PercentileQuery) -> SensitivityFunction:
         eval=lambda x, t, label: ball.value(x, t, label),
         declared_admissible=True,
         declared_bounded=False,
+        declared_nondecreasing_in_t=True,
         monotonicity="none",
         name="ls_percentile",
     )
@@ -375,6 +377,7 @@ def percentile_sensitivity(
     breadth-first oracle); larger ones the recursive candidate pruning,
     which costs O(t) per distance but can undershoot the true value when
     the worst edit touches a third record (see :func:`candidates_ls_t`).
+    Both are running maxima, so both are nondecreasing in t.
     """
     if exact is None:
         exact = len(x) <= EXACT_SENSITIVITY_MAX_RECORDS
@@ -385,6 +388,7 @@ def percentile_sensitivity(
         eval=lambda db, t, label: chain.value(db, t, label),
         declared_admissible=True,
         declared_bounded=False,
+        declared_nondecreasing_in_t=True,
         monotonicity="none",
         name="ls_percentile_pruned",
     )

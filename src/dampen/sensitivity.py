@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from scipy import stats
-
 from .core import (
     InvalidInputError,
     PreconditionError,
@@ -120,7 +118,8 @@ def brute_sensitivity(
     """Exact element local sensitivity packaged as a sensitivity function.
 
     This is the minimum admissible function for the (finite) model described
-    by the enumerator; only usable on tiny instances.  Explorers are cached
+    by the enumerator; only usable on tiny instances.  The distance-t balls
+    are nested, so the value never shrinks as t grows.  Explorers are cached
     per database so dampening walks stay affordable.
     """
     explorers: dict[Hashable, BruteForceExplorer] = {}
@@ -144,6 +143,7 @@ def brute_sensitivity(
         eval=eval_fn,
         declared_admissible=True,
         declared_bounded=False,
+        declared_nondecreasing_in_t=True,
         monotonicity="none",
         name=name,
     )
@@ -159,8 +159,9 @@ def truncated_sensitivity(
     beyond.
 
     Keeps admissibility whenever ``delta`` is admissible and pointwise at
-    most the global sensitivity; the result is bounded by construction.
-    Useful when ``delta`` is an expensive exact local sensitivity.
+    most the global sensitivity; the result is bounded by construction, and
+    nondecreasing in t when ``delta`` is.  Useful when ``delta`` is an
+    expensive exact local sensitivity.
     """
 
     def eval_fn(db, t, r):
@@ -172,6 +173,7 @@ def truncated_sensitivity(
         eval=eval_fn,
         declared_admissible=delta.declared_admissible,
         declared_bounded=True,
+        declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
         monotonicity=delta.monotonicity,
         name=name or f"{delta.name}_trunc{max_t}",
     )
@@ -189,7 +191,8 @@ def bound_sensitivity(
     When ``database_size`` is given the tail is pinned to GS explicitly, so
     the declaration also holds for sensitivity functions whose admissibility
     is merely assumed.  Taking a minimum with a constant preserves the
-    declared monotonicity class.
+    declared monotonicity class, and so does pinning the tail to GS for a
+    ``delta`` that is nondecreasing in t.
     """
     if not delta.declared_admissible:
         raise PreconditionError("bound_sensitivity expects an admissible input")
@@ -203,6 +206,7 @@ def bound_sensitivity(
         eval=eval_fn,
         declared_admissible=True,
         declared_bounded=True,
+        declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
         monotonicity=delta.monotonicity,
         name=f"min({delta.name}, GS)",
     )
@@ -213,7 +217,8 @@ def flatten_sensitivity(
 ) -> SensitivityFunction:
     """Candidate-independent hull ``max_r delta(x, t, r)`` over the range.
 
-    A max of admissible functions is admissible; the result is flat by
+    A max of admissible functions is admissible, and a max of functions
+    nondecreasing in t is nondecreasing in t; the result is flat by
     construction and pointwise at least the input.
     """
     candidates = problem.candidates
@@ -225,6 +230,7 @@ def flatten_sensitivity(
         eval=eval_fn,
         declared_admissible=delta.declared_admissible,
         declared_bounded=delta.declared_bounded,
+        declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
         monotonicity="flat",
         name=f"flat({delta.name})",
     )
@@ -310,6 +316,8 @@ def check_monotonicity(
     comparison at every t in ``ts``; also report the mean Spearman rank
     correlation between utility and sensitivity as the weak-monotonicity
     diagnostic (0 when degenerate)."""
+    from scipy import stats  # deferred: it dominates the load time of dampen
+
     x = problem.database
     u = problem.utilities()
     non_decreasing = True

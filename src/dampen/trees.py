@@ -355,7 +355,8 @@ def ls_t_ig(
 
 def ig_sensitivity() -> SensitivityFunction:
     """Split-score local sensitivity as a sensitivity function over tables
-    (admissible; bound with the size-matched global sensitivity before use)."""
+    (admissible, nondecreasing in t as a running maximum; bound with the
+    size-matched global sensitivity before use)."""
     caches: dict = {}
 
     def eval_fn(table: LabeledTable, t: int, attribute: str) -> float:
@@ -369,6 +370,7 @@ def ig_sensitivity() -> SensitivityFunction:
         eval=eval_fn,
         declared_admissible=True,
         declared_bounded=False,
+        declared_nondecreasing_in_t=True,
         monotonicity="none",
         name="ls_ig",
     )

@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dampen.core import SelectionProblem
 from dampen.fixtures import example_graph
 from dampen.graphs import ebc_problem, edge_flip_enumerator
+from dampen.mechanisms import (
+    select_local_dampening,
+    select_shifted_local_dampening,
+)
 from dampen.sensitivity import BruteForceExplorer
 
 
@@ -44,3 +50,32 @@ def make_abstract_problem(utilities, gs, n=4):
         global_sensitivity=gs,
         database_size=n,
     )
+
+
+def full_walk(delta):
+    """The same sensitivity function without the nondecreasing claim, so
+    ``dampen`` walks every step up to the database size."""
+    return dataclasses.replace(delta, declared_nondecreasing_in_t=False)
+
+
+def counting(delta):
+    """``delta`` with the candidate of every evaluation recorded in the
+    returned list."""
+    calls = []
+
+    def eval_fn(db, t, r):
+        calls.append(r)
+        return delta.eval(db, t, r)
+
+    return dataclasses.replace(delta, eval=eval_fn), calls
+
+
+def assert_same_distributions(problem, delta, epsilons=(0.1, 1.0, 10.0)):
+    """LD and SLD under ``delta`` equal the full walk to 1e-12."""
+    rng = np.random.default_rng(0)
+    for select in (select_local_dampening, select_shifted_local_dampening):
+        for eps in epsilons:
+            _, fast = select(problem, delta, eps, rng)
+            _, slow = select(problem, full_walk(delta), eps, rng)
+            gap = np.max(np.abs(fast.probabilities - slow.probabilities))
+            assert gap <= 1e-12, (delta.name, select.__name__, eps)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dampen.core import (
     BudgetAccountant,
@@ -11,7 +13,16 @@ from dampen.core import (
     SensitivityFunction,
     constant_sensitivity,
 )
+from dampen.fixtures import (
+    clustered_vector,
+    random_graph_instance,
+    random_table_instance,
+    random_vector_instance,
+    separable_table,
+)
+from dampen.graphs import delta_ebc, ebc_problem, edge_flip_enumerator, flat_delta_ebc
 from dampen.mechanisms import (
+    MAX_BREAKPOINT_STEPS,
     SelectionDistribution,
     dampen,
     error_tail,
@@ -22,8 +33,28 @@ from dampen.mechanisms import (
     select_shifted_local_dampening,
     shift_constant,
 )
+from dampen.percentile import (
+    NumericVector,
+    PercentileQuery,
+    bounded_ls_percentile,
+    ls_percentile_sensitivity,
+    percentile_problem,
+    percentile_sensitivity,
+)
+from dampen.sensitivity import (
+    bound_sensitivity,
+    brute_sensitivity,
+    flatten_sensitivity,
+    truncated_sensitivity,
+)
+from dampen.trees import ig_problem, ig_sensitivity
 
-from conftest import make_abstract_problem
+from conftest import (
+    assert_same_distributions,
+    counting,
+    full_walk,
+    make_abstract_problem,
+)
 
 
 def step_delta(steps, tail=None, **kw):
@@ -419,3 +450,146 @@ class TestShiftedPrivacyWitness:
                     ratios = dist_x.probabilities / dist_y.probabilities
                     assert np.max(ratios) <= math.exp(eps) * slack
                     assert np.min(ratios) >= math.exp(-eps) / slack
+
+
+class TestSaturatedWalk:
+    """A bounded delta that is nondecreasing in t ends the walk at its first
+    step equal to GS; every score must equal the full walk's."""
+
+    def test_stops_at_first_gs_step(self):
+        problem = make_abstract_problem([0.0], gs=2.0, n=1000)
+        steps = [0.5, 1.0, 2.0]
+        delta, calls = counting(step_delta(
+            steps, tail=2.0, declared_bounded=True,
+            declared_nondecreasing_in_t=True,
+        ))
+        for u in (0.2, 1.7, 3.9, 250.0, -1234.5):
+            calls.clear()
+            fast = dampen(problem, delta, 0, u)
+            assert len(calls) <= len(steps)
+            slow = dampen(problem, full_walk(delta), 0, u)
+            assert fast == pytest.approx(slow, rel=1e-14)
+
+    def test_mirror_symmetry_exact(self, rng):
+        problem = make_abstract_problem([0.0], gs=3.0, n=50)
+        for _ in range(100):
+            steps = sorted(rng.uniform(0, 3, size=5)) + [3.0]
+            delta = step_delta(steps, declared_bounded=True,
+                               declared_nondecreasing_in_t=True)
+            u = float(rng.uniform(-400, 400))
+            assert dampen(problem, delta, 0, -u) == -dampen(problem, delta, 0, u)
+
+    def test_decreasing_step_is_contract_violation(self):
+        problem = make_abstract_problem([0.0], gs=3.0, n=10)
+        delta = step_delta([2.0, 1.0, 3.0], declared_bounded=True,
+                           declared_nondecreasing_in_t=True)
+        with pytest.raises(ContractViolationError, match="nondecreasing"):
+            dampen(problem, delta, 0, 5.0)
+        # the same steps without the claim are walked as before
+        assert dampen(problem, full_walk(delta), 0, 5.0) == pytest.approx(
+            2.0 + 2.0 / 3.0
+        )
+
+    def test_step_above_gs_is_contract_violation(self):
+        problem = make_abstract_problem([0.0], gs=3.0, n=10)
+        delta = step_delta([1.0, 4.0], declared_bounded=True,
+                           declared_nondecreasing_in_t=True)
+        with pytest.raises(ContractViolationError, match="nondecreasing"):
+            dampen(problem, delta, 0, 5.0)
+
+    def test_bounded_walk_has_no_step_cap(self):
+        # a bounded delta ends by step n however large n is
+        n = 3 * MAX_BREAKPOINT_STEPS
+        problem = make_abstract_problem([0.0], gs=1.0, n=n)
+        delta = step_delta([0.5], declared_bounded=True)
+        assert dampen(problem, delta, 0, -float(n)) == pytest.approx(-1.5 * n)
+
+    def test_percentile_distributions_match_full_walk(self):
+        rng = np.random.default_rng(7)
+        vectors = [clustered_vector()]
+        vectors += [random_vector_instance(rng, n=n, cap=10.0, levels=8)
+                    for n in (5, 6, 8)]
+        vectors += [NumericVector(rng.uniform(0, 100, size=n), 100.0)
+                    for n in (11, 12)]
+        for x in vectors:
+            for p in (25, 50, 90):
+                q = PercentileQuery(p, len(x))
+                problem = percentile_problem(x, q)
+                for exact in ((None, False) if len(x) <= 8 else (None,)):
+                    delta = bounded_ls_percentile(x, q, exact)
+                    assert delta.declared_nondecreasing_in_t
+                    assert_same_distributions(problem, delta)
+                    flat = flatten_sensitivity(delta, problem)
+                    assert flat.declared_nondecreasing_in_t
+                    assert_same_distributions(problem, flat)
+
+    def test_tree_distributions_match_full_walk(self):
+        rng = np.random.default_rng(3)
+        table = separable_table()
+        tables = [table, *table.partition("A").values()]
+        tables += [random_table_instance(rng, max_rows=6) for _ in range(4)]
+        for tbl in tables:
+            problem = ig_problem(tbl, tbl.schema.attribute_names())
+            delta = bound_sensitivity(ig_sensitivity(),
+                                      problem.global_sensitivity,
+                                      problem.database_size)
+            assert delta.declared_nondecreasing_in_t
+            assert_same_distributions(problem, delta)
+
+
+def assert_nondecreasing(delta, db, candidates, max_t=4):
+    assert delta.declared_nondecreasing_in_t, delta.name
+    for r in candidates:
+        values = [delta(db, t, r) for t in range(max_t + 1)]
+        assert all(a <= b for a, b in zip(values, values[1:])), (r, values)
+
+
+property_settings = settings(max_examples=15, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestNondecreasingDeclarations:
+    """Every constructor that declares ``declared_nondecreasing_in_t`` keeps
+    the promise for t <= 4, and the wrappers pass it on."""
+
+    @property_settings
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5))
+    def test_graph_constructors(self, seed, n):
+        g = random_graph_instance(np.random.default_rng(seed), n=n)
+        problem = ebc_problem(g)
+        gs, size = problem.global_sensitivity, problem.database_size
+        brute = brute_sensitivity(problem, edge_flip_enumerator())
+        for raw in (delta_ebc(), flat_delta_ebc(), brute):
+            for delta in (raw, bound_sensitivity(raw, gs, size),
+                          truncated_sensitivity(raw, gs, 2),
+                          flatten_sensitivity(raw, problem)):
+                assert_nondecreasing(delta, g, g.nodes)
+
+    @property_settings
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6),
+           p=st.sampled_from((10, 25, 50, 75, 100)), exact=st.booleans())
+    def test_percentile_constructors(self, seed, n, p, exact):
+        x = random_vector_instance(np.random.default_rng(seed), n=n,
+                                   cap=10.0, levels=4)
+        q = PercentileQuery(p, n)
+        labels = x.labels()
+        assert_nondecreasing(percentile_sensitivity(x, q, exact), x, labels)
+        assert_nondecreasing(bounded_ls_percentile(x, q, exact), x, labels)
+        if exact:
+            assert_nondecreasing(ls_percentile_sensitivity(q), x, labels)
+
+    @property_settings
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 8))
+    def test_tree_and_constant_constructors(self, seed, rows):
+        table = random_table_instance(np.random.default_rng(seed), max_rows=rows)
+        problem = ig_problem(table, ("A",))
+        bounded = bound_sensitivity(ig_sensitivity(),
+                                    problem.global_sensitivity,
+                                    problem.database_size)
+        for delta in (ig_sensitivity(), bounded,
+                      constant_sensitivity(problem.global_sensitivity)):
+            assert_nondecreasing(delta, table, ("A",))
+
+    def test_undeclared_by_default(self):
+        delta = SensitivityFunction(eval=lambda db, t, r: 1.0)
+        assert not delta.declared_nondecreasing_in_t

@@ -1,9 +1,13 @@
 import io
+import json
 
+import numpy as np
 import pytest
 
+from dampen import cli, graphs
 from dampen.core import BudgetAccountant, InvalidInputError, SearchBudgetError
 from dampen.fixtures import (
+    example_graph,
     random_graph_instance,
     shared_neighbors_gadget,
     trend_graph,
@@ -16,7 +20,9 @@ from dampen.graphs import (
     ebc,
     ebc_oracle,
     ebc_problem,
+    ebc_scores,
     edge_flip_enumerator,
+    flat_delta_ebc,
     global_sensitivity_ebc,
     parse_edge_list,
     priv_topk,
@@ -24,6 +30,7 @@ from dampen.graphs import (
     true_topk,
 )
 from dampen.mechanisms import (
+    MAX_BREAKPOINT_STEPS,
     expected_error,
     select_exponential,
     select_local_dampening,
@@ -35,6 +42,8 @@ from dampen.sensitivity import (
     check_admissibility,
     flatten_sensitivity,
 )
+
+from conftest import assert_same_distributions, counting
 
 
 class TestEbc:
@@ -256,3 +265,88 @@ class TestEdgeListParsing:
     def test_node_order_is_first_seen(self):
         graph, _ = parse_edge_list(io.StringIO("b a\nc a\n"))
         assert graph.nodes == ("b", "a", "c")
+
+
+class TestEdgeGraphMemo:
+    def test_max_degree_follows_flips_and_bound(self):
+        star = EdgeGraph("cxyz", [("c", "x"), ("c", "y"), ("c", "z")])
+        assert star.max_degree() == 3
+        assert star.flip_edge("c", "x").max_degree() == 2
+        assert star.flip_edge("x", "y").max_degree() == 3
+        bounded = EdgeGraph("cxyz", [("c", "x")], max_degree_bound=9)
+        assert bounded.max_degree() == 9
+        assert bounded.flip_edge("y", "z").max_degree() == 9
+
+    def test_ebc_scored_once_per_graph(self, monkeypatch):
+        calls = []
+        real = graphs.ebc
+
+        def counted(g, c):
+            calls.append(c)
+            return real(g, c)
+
+        monkeypatch.setattr(graphs, "ebc", counted)
+        g = example_graph()
+        first = ebc_scores(g)
+        true_topk(g, 2)
+        utility = ebc_problem(g).utility
+        assert [utility(g, v) for v in g.nodes] == [first[v] for v in g.nodes]
+        assert sorted(calls) == sorted(g.nodes)
+        # a flipped copy is a new graph with its own scores
+        flipped = g.flip_edge("a", "b")
+        assert ebc_scores(flipped)["a"] == ebc(flipped, "a")
+        assert len(calls) == 2 * len(g.nodes)
+
+
+class TestSaturatedWalkOnGraphs:
+    """The degree bound saturates at GS after at most D - deg(v) steps; the
+    walk that stops there must give the full walk's distributions."""
+
+    def _graphs(self):
+        rng = np.random.default_rng(11)
+        out = [example_graph(), trend_graph(), shared_neighbors_gadget()]
+        out += [random_graph_instance(rng, n=n, edge_prob=0.4)
+                for n in (6, 9, 12, 15)]
+        return out
+
+    def test_distributions_match_full_walk(self):
+        for g in self._graphs():
+            problem = ebc_problem(g)
+            gs, n = problem.global_sensitivity, problem.database_size
+            for raw in (delta_ebc(), flat_delta_ebc()):
+                delta = bound_sensitivity(raw, gs, n)
+                assert delta.declared_nondecreasing_in_t
+                assert_same_distributions(problem, delta)
+
+    def test_sld_walk_stops_within_degree_gap(self):
+        for g in self._graphs():
+            problem = ebc_problem(g)
+            counted, calls = counting(delta_ebc())
+            delta = bound_sensitivity(counted, problem.global_sensitivity,
+                                      problem.database_size)
+            select_shifted_local_dampening(problem, delta, 1.0,
+                                           np.random.default_rng(0))
+            d_max = g.max_degree()
+            for v in g.nodes:
+                assert calls.count(v) <= d_max - g.degree(v) + 1
+
+    def test_sld_topk_past_the_old_step_cap(self, tmp_path):
+        # 448 nodes give 100,128 node pairs, more than the step cap that
+        # unbounded sensitivity functions keep
+        m = 448
+        nodes = [f"c{i}" for i in range(m)]
+        edges = [(nodes[i], nodes[(i + 1) % m]) for i in range(m)]
+        g = EdgeGraph(nodes, edges)
+        assert g.node_pairs() > MAX_BREAKPOINT_STEPS
+        res = priv_topk(g, 1.0, 1, "sld", np.random.default_rng(0))
+        assert len(res.chosen) == 1
+        path = tmp_path / "cycle448.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        out = tmp_path / "out.json"
+        code = cli.main([
+            "topk", "--graph", str(path), "--k", "1", "--epsilon", "1",
+            "--mechanism", "sld", "--runs", "1", "--out", str(out),
+        ])
+        assert code == 0
+        (row,) = json.loads(out.read_text())["results"]
+        assert row["mechanism"] == "sld" and 0.0 <= row["value"] <= 1.0

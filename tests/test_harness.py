@@ -7,8 +7,14 @@ import sys
 
 import pytest
 
+from dampen import cli, harness
 from dampen.checks import run_checks
-from dampen.core import InvalidInputError
+from dampen.core import (
+    ContractViolationError,
+    InvalidInputError,
+    PreconditionError,
+    SearchBudgetError,
+)
 from dampen.fixtures import clustered_vector, example_graph, separable_table
 from dampen.harness import (
     ExperimentSpec,
@@ -264,6 +270,23 @@ class TestCli:
     def test_bad_flags_exit_one(self):
         proc = run_cli("percentile", "--lambda", "10", "--epsilon", "1")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize(
+        "error", [ContractViolationError, PreconditionError, SearchBudgetError]
+    )
+    def test_runtime_errors_exit_one_without_traceback(
+        self, error, vector_file, monkeypatch, capsys
+    ):
+        def failing(spec, dataset=None):
+            raise error("walk refused")
+
+        monkeypatch.setattr(harness, "run_experiment", failing)
+        code = cli.main(["percentile", "--data", vector_file, "--lambda", "100",
+                         "--epsilon", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "dampen: walk refused\n"
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestLoaderRejections:
