@@ -103,19 +103,13 @@ class EdgeGraph:
         if u == v:
             raise InvalidInputError("cannot flip a self-loop")
         iu, iv = self._index[u], self._index[v]
-        pair = (min(iu, iv), max(iu, iv))
-        edge_set = set(self._edges)
-        if pair in edge_set:
-            edge_set.remove(pair)
-        else:
-            edge_set.add(pair)
-        adj = [0] * len(self.nodes)
-        for i, j in edge_set:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+        adj = list(self._adj)
+        adj[iu] ^= 1 << iv
+        adj[iv] ^= 1 << iu
         out = EdgeGraph.__new__(EdgeGraph)
         EdgeGraph._init_raw(out, self.nodes, self._index, tuple(adj),
-                            frozenset(edge_set), self._max_degree_bound)
+                            self._edges ^ {(min(iu, iv), max(iu, iv))},
+                            self._max_degree_bound)
         return out
 
     @staticmethod
@@ -127,7 +121,7 @@ class EdgeGraph:
         obj._max_degree_bound = bound
         obj._max_degree = (
             bound if bound is not None
-            else max((a.bit_count() for a in adj), default=0)
+            else max(map(int.bit_count, adj), default=0)
         )
         obj._ebc_memo = {}
 

@@ -37,6 +37,8 @@ class BruteForceExplorer:
 
     Explored databases are deduplicated by the enumerator key and retained
     level by level, so repeated queries at growing t reuse earlier work.
+    Utilities are memoised by (enumerator key, candidate) for the explorer's
+    lifetime, so equal neighbours of different databases are scored once.
     Refuses (rather than truncates) when the ball exceeds ``node_budget``.
     """
 
@@ -53,6 +55,7 @@ class BruteForceExplorer:
         self._levels: list[list[Any]] = [[root]]
         self._seen = {enumerator.key(root)}
         self._ls0_cache: dict[tuple, float] = {}
+        self._utility_cache: dict[tuple, float] = {}
 
     def _expand_to(self, t: int) -> None:
         while len(self._levels) <= t:
@@ -77,6 +80,13 @@ class BruteForceExplorer:
         for level in self._levels[: t + 1]:
             yield from level
 
+    def _utility(self, db: Any, r: Hashable) -> float:
+        cache_key = (self.enumerator.key(db), r)
+        hit = self._utility_cache.get(cache_key)
+        if hit is None:
+            hit = self._utility_cache[cache_key] = self.problem.utility(db, r)
+        return hit
+
     def ls0(self, db: Any, r: Hashable) -> float:
         """Exact local sensitivity of candidate r at ``db``: the largest
         one-step utility change."""
@@ -84,11 +94,10 @@ class BruteForceExplorer:
         hit = self._ls0_cache.get(cache_key)
         if hit is not None:
             return hit
-        u = self.problem.utility
-        base = u(db, r)
+        base = self._utility(db, r)
         worst = 0.0
         for nb in self.enumerator.neighbors(db):
-            worst = max(worst, abs(base - u(nb, r)))
+            worst = max(worst, abs(base - self._utility(nb, r)))
         self._ls0_cache[cache_key] = worst
         return worst
 

@@ -14,8 +14,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,6 +59,9 @@ class TableSchema:
     attributes: tuple              # ordered (name, Categorical | Continuous)
     class_attribute: str
     class_values: tuple
+    # column name -> (index in a stored row, spec); the class column is
+    # last and has spec None
+    columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
@@ -67,12 +69,17 @@ class TableSchema:
         names = [name for name, _ in self.attributes]
         if len(set(names)) != len(names) or self.class_attribute in names:
             raise InvalidInputError("attribute names must be distinct")
+        columns = {
+            name: (ix, spec) for ix, (name, spec) in enumerate(self.attributes)
+        }
+        columns[self.class_attribute] = (len(names), None)
+        object.__setattr__(self, "columns", columns)
 
     def spec_of(self, name: str):
-        for attr, spec in self.attributes:
-            if attr == name:
-                return spec
-        raise InvalidInputError(f"unknown attribute {name!r}")
+        spec = self.columns.get(name, (None, None))[1]
+        if spec is None:
+            raise InvalidInputError(f"unknown attribute {name!r}")
+        return spec
 
     def attribute_names(self) -> tuple:
         return tuple(name for name, _ in self.attributes)
@@ -85,21 +92,16 @@ class LabeledTable:
     stored canonically so tables hash and compare as multisets.
     """
 
-    __slots__ = ("schema", "rows", "_key")
+    __slots__ = ("schema", "rows", "_key", "_hash")
 
     def __init__(self, schema: TableSchema, rows: Iterable[Mapping]):
-        self.schema = schema
-        cols = schema.attribute_names() + (schema.class_attribute,)
         canonical = []
         for row_no, row in enumerate(rows, start=1):
             values = []
-            for col in cols:
+            for col, (_, spec) in schema.columns.items():
                 if col not in row:
                     raise InvalidInputError(f"row {row_no} is missing {col!r}")
                 value = row[col]
-                spec = (
-                    None if col == schema.class_attribute else schema.spec_of(col)
-                )
                 if spec is None:
                     if value not in schema.class_values:
                         raise InvalidInputError(
@@ -120,8 +122,20 @@ class LabeledTable:
                         )
                 values.append(value)
             canonical.append(tuple(values))
-        self.rows = tuple(sorted(canonical))
-        self._key = (schema, self.rows)
+        self._set(schema, tuple(sorted(canonical)))
+
+    def _set(self, schema: TableSchema, rows: tuple) -> None:
+        self.schema = schema
+        self.rows = rows
+        self._key = (schema, rows)
+        self._hash = hash(self._key)
+
+    @classmethod
+    def _from_canonical(cls, schema: TableSchema, rows: tuple) -> "LabeledTable":
+        """Table over rows that are already validated, canonical and sorted."""
+        table = cls.__new__(cls)
+        table._set(schema, rows)
+        return table
 
     def __len__(self):
         return len(self.rows)
@@ -130,18 +144,17 @@ class LabeledTable:
         return isinstance(other, LabeledTable) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def _col_index(self, name: str) -> int:
-        cols = self.schema.attribute_names() + (self.schema.class_attribute,)
-        return cols.index(name)
+        return self.schema.columns[name][0]
 
     def column(self, name: str) -> list:
         ix = self._col_index(name)
         return [row[ix] for row in self.rows]
 
     def row_dicts(self) -> list[dict]:
-        cols = self.schema.attribute_names() + (self.schema.class_attribute,)
+        cols = tuple(self.schema.columns)
         return [dict(zip(cols, row)) for row in self.rows]
 
     def counts(self, attribute: str) -> dict:
@@ -169,14 +182,18 @@ class LabeledTable:
         return counts
 
     def partition(self, attribute: str) -> dict:
-        """Disjoint subtables, one per declared value of the attribute."""
+        """Disjoint subtables, one per declared value of the attribute.
+
+        A subsequence of sorted, validated rows is itself sorted and valid,
+        so the subtables skip the constructor's checks."""
         spec = self.schema.spec_of(attribute)
         a_ix = self._col_index(attribute)
         buckets = {j: [] for j in spec.values}
-        for row in self.row_dicts():
-            buckets[row[attribute]].append(row)
+        for row in self.rows:
+            buckets[row[a_ix]].append(row)
         return {
-            j: LabeledTable(self.schema, rows) for j, rows in buckets.items()
+            j: LabeledTable._from_canonical(self.schema, tuple(rows))
+            for j, rows in buckets.items()
         }
 
     def with_rows(self, rows: Iterable[Mapping]) -> "LabeledTable":
@@ -213,7 +230,6 @@ def global_sensitivity_ig(n: int) -> float:
     return math.log2(n + 1) + LOG2E
 
 
-@lru_cache(maxsize=None)
 def f_add(x: float) -> float:
     """Utility movement potential for adding into a count of x (0 for x <= 0)."""
     if x <= 0:
@@ -221,7 +237,6 @@ def f_add(x: float) -> float:
     return x * math.log2((x + 1) / x) + math.log2(x + 1)
 
 
-@lru_cache(maxsize=None)
 def g_remove(x: float) -> float:
     """Utility movement potential for removing from a count of x (0 for x <= 1)."""
     if x <= 1:
@@ -229,11 +244,70 @@ def g_remove(x: float) -> float:
     return x * math.log2((x - 1) / x) - math.log2(x - 1)
 
 
-@lru_cache(maxsize=None)
 def h_pair(a: int, b: int) -> float:
     """Largest one-edit score change for a cell with attribute count a and
     class-cell count b."""
     return max(f_add(a) - f_add(b), g_remove(b) - g_remove(a))
+
+
+# f_add and g_remove tabulated at 0, 1, 2, ...; the tables only grow, by
+# doubling, to the largest count asked for.  The entries are the scalar
+# functions' own values, so array arithmetic on them is bit-identical to
+# h_pair.
+_F = np.zeros(0)
+_G = np.zeros(0)
+
+# Largest (cells x levels x removals) grid evaluated at once; bounds the
+# temporaries of _levels_max whatever the table size.
+_GRID_ELEMENTS = 1 << 15
+
+
+def _potentials(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(F, G)`` with ``F[x] = f_add(x)`` and ``G[x] = g_remove(x)`` for at
+    least every ``x < size``."""
+    global _F, _G
+    have = len(_F)
+    if have < size:
+        xs = range(have, max(size, 2 * have))
+        _F = np.concatenate([_F, [f_add(x) for x in xs]])
+        _G = np.concatenate([_G, [g_remove(x) for x in xs]])
+    return _F, _G
+
+
+def _levels_max(cells, lo: int, hi: int) -> np.ndarray:
+    """Largest movement bound over pairs exactly t ungated edits away from
+    any cell ``(a0, b0)``, for each t in ``[lo, hi)``.
+
+    Edits that matter are p removals of doubly counted rows and t - p
+    additions of singly counted ones, landing on (a0 + t - 2p, b0 - p); the
+    remaining edit types are dominated because the movement potentials are
+    monotone with shrinking increments, and there is no size gate in the
+    add/remove privacy model (a gate makes the bound undershoot and breaks
+    the admissibility the mechanisms rely on).  The (cell, t, p) grid is
+    masked to ``p <= min(b0, t)`` and ``a >= 0``, and evaluated in slices
+    of t of at most ``_GRID_ELEMENTS`` entries.
+    """
+    best = np.zeros(hi - lo)
+    if not cells:
+        return best
+    a0 = np.array([a for a, _ in cells])[:, None, None]
+    b0 = np.array([b for _, b in cells])[:, None, None]
+    F, G = _potentials(int(a0.max()) + hi)
+    p = np.arange(min(int(b0.max()), hi - 1) + 1)
+    b = b0 - p
+    b_ok = b >= 0
+    b = np.maximum(b, 0)
+    fb, gb = F[b], G[b]
+    rows = max(1, _GRID_ELEMENTS // (len(cells) * len(p)))
+    for start in range(lo, hi, rows):
+        stop = min(start + rows, hi)
+        t = np.arange(start, stop)[:, None]
+        a = a0 + t - 2 * p
+        ok = b_ok & (p <= t) & (a >= 0)
+        a = np.maximum(a, 0)
+        h = np.maximum(F[a] - fb, gb - G[a])
+        best[start - lo:stop - lo] = np.where(ok, h, 0.0).max(axis=(0, 2))
+    return best
 
 
 def ls0_ig(table: LabeledTable, attribute: str) -> float:
@@ -247,7 +321,8 @@ def ls0_ig(table: LabeledTable, attribute: str) -> float:
 
 
 class CandidateCache:
-    """Memo for the count-pair expansion, shared across t levels of one table."""
+    """Per-table memo shared across t: the count-pair expansion of
+    :func:`candidates_ig`, and the cells and filled levels of :func:`ls_t_ig`."""
 
     def __init__(self):
         self.pairs: dict = {}
@@ -296,26 +371,6 @@ def candidates_ig(
     return result
 
 
-def _cell_level_max(a0: int, b0: int, t: int) -> float:
-    """Largest movement bound over pairs exactly t ungated edits away from
-    (a0, b0).
-
-    Edits that matter are p removals of doubly counted rows and t - p
-    additions of singly counted ones, landing on (a0 + t - 2p, b0 - p); the
-    remaining edit types are dominated because the movement potentials are
-    monotone with shrinking increments, and there is no size gate in the
-    add/remove privacy model (a gate makes the bound undershoot and breaks
-    the admissibility the mechanisms rely on).
-    """
-    best = 0.0
-    for p in range(min(b0, t) + 1):
-        a = a0 + t - 2 * p
-        if a < 0:
-            continue
-        best = max(best, h_pair(a, b0 - p))
-    return best
-
-
 def ls_t_ig(
     table: LabeledTable,
     t: int,
@@ -326,30 +381,32 @@ def ls_t_ig(
 
     The cell movement bound is maximized over every count pair reachable
     within t typed row edits, over all attribute values and classes, via the
-    closed-form per-distance scan of :func:`_cell_level_max`.  Nondecreasing
-    in t and computed incrementally through the cache.
+    closed-form per-distance scan of :func:`_levels_max`.  Nondecreasing in
+    t as a running maximum.  Levels are filled through the cache in doubling
+    chunks (up to the table size, or t when that is larger), so a walk up t
+    costs a few array passes rather than one scan per level.
     """
     if t < 0:
         raise InvalidInputError("t must be >= 0")
     if cache is None:
         cache = CandidateCache()
-    spec = table.schema.spec_of(attribute)
     levels = cache.ls_best.setdefault(attribute, [])
+    if t < len(levels):
+        return levels[t]
     cells = cache.ls_frontiers.get(attribute)
     if cells is None:
+        spec = table.schema.spec_of(attribute)
         counts = table.counts(attribute)
-        cells = [
+        cells = sorted({
             (sum(counts[j].values()), counts[j][c])
             for j in spec.values
             for c in table.schema.class_values
-        ]
+        })
         cache.ls_frontiers[attribute] = cells
-    while len(levels) <= t:
-        tt = len(levels)
-        best = levels[-1] if levels else 0.0
-        for a0, b0 in cells:
-            best = max(best, _cell_level_max(a0, b0, tt))
-        levels.append(best)
+    lo = len(levels)
+    hi = max(t + 1, min(2 * lo, len(table)), 8)
+    block = np.maximum.accumulate(_levels_max(cells, lo, hi))
+    levels.extend(np.maximum(block, levels[-1] if levels else 0.0).tolist())
     return levels[t]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dampen.core import (
@@ -48,6 +50,26 @@ class TestBruteElementLs:
         flat1 = max(bridge_explorer.element_ls(1, v)
                     for v in bridge_problem.candidates)
         assert (flat0, flat1) == (3.0, 5.0)
+
+    def test_equal_neighbours_are_scored_once(self, bridge_problem):
+        # flipping (a, b) then (c, d) reaches the graph that flipping (c, d)
+        # then (a, b) does; the explorer scores it once per candidate
+        enum = edge_flip_enumerator()
+        scored = []
+
+        def utility(g, v):
+            scored.append((enum.key(g), v))
+            return bridge_problem.utility(g, v)
+
+        explorer = BruteForceExplorer(
+            dataclasses.replace(bridge_problem, utility=utility), enum
+        )
+        for v in bridge_problem.candidates:
+            explorer.element_ls(1, v)
+        pairs = bridge_problem.database.node_pairs()
+        ball2 = 1 + pairs + pairs * (pairs - 1) // 2
+        assert len(scored) == len(set(scored))
+        assert len(scored) == ball2 * len(bridge_problem.candidates)
 
     def test_budget_refusal_is_loud(self, bridge_problem):
         with pytest.raises(SearchBudgetError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,54 @@ def count_matrix(table):
 
 def matrix_ls0(matrix):
     return max(h_pair(sum(row), b) for row in matrix for b in row)
+
+
+def cell_level_max(a0, b0, t):
+    """Scalar reference for one cell at one distance: the largest h_pair over
+    the p removals and t - p additions that land on a nonnegative count."""
+    best = 0.0
+    for p in range(min(b0, t) + 1):
+        a = a0 + t - 2 * p
+        if a < 0:
+            continue
+        best = max(best, h_pair(a, b0 - p))
+    return best
+
+
+def scalar_levels(table, attribute, t_max):
+    """Running max over t = 0..t_max of the scalar per-cell scan."""
+    counts = table.counts(attribute)
+    cells = [(sum(by_class.values()), b) for by_class in counts.values()
+             for b in by_class.values()]
+    levels, best = [], 0.0
+    for t in range(t_max + 1):
+        for a0, b0 in cells:
+            best = max(best, cell_level_max(a0, b0, t))
+        levels.append(best)
+    return levels
+
+
+THREE_BY_THREE = TableSchema(
+    attributes=(("A", Categorical((0, 1, 2))), ("B", Categorical(("x", "z")))),
+    class_attribute="y",
+    class_values=("c0", "c1", "c2"),
+)
+
+
+def cell_table(rng, max_cell):
+    """Table on THREE_BY_THREE with every (A value, class) count drawn from
+    [0, max_cell]; about a fifth of the cells, and sometimes a whole A value,
+    are empty."""
+    empty_value = int(rng.integers(0, 6))     # 3..5: no empty A value
+    rows = []
+    for j in (0, 1, 2):
+        for c in THREE_BY_THREE.class_values:
+            if j == empty_value or rng.random() < 0.2:
+                continue
+            for _ in range(int(rng.integers(0, max_cell + 1))):
+                rows.append({"A": j, "B": ("x", "z")[int(rng.integers(2))],
+                             "y": c})
+    return LabeledTable(THREE_BY_THREE, rows)
 
 
 def exhaustive_ls_t(table, t):
@@ -221,6 +270,69 @@ class TestDistanceT:
         values = [ls_t_ig(table, t, "A", cache) for t in range(6)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_levels_equal_scalar_scan_one_at_a_time(self, rng):
+        for _ in range(12):
+            table = cell_table(rng, max_cell=40)
+            t_max = min(len(table) + 3, 90)
+            cache = CandidateCache()
+            got = [ls_t_ig(table, t, "A", cache) for t in range(t_max + 1)]
+            assert got == scalar_levels(table, "A", t_max), table.counts("A")
+
+    def test_levels_equal_scalar_scan_after_a_jump(self, rng):
+        for max_cell in (3, 20, 133):
+            table = cell_table(rng, max_cell=max_cell)
+            t_max = len(table) + 5
+            cache = CandidateCache()
+            top = ls_t_ig(table, t_max, "A", cache)
+            want = scalar_levels(table, "A", t_max)
+            assert top == want[-1]
+            assert [ls_t_ig(table, t, "A", cache)
+                    for t in range(t_max + 1)] == want
+
+    def test_levels_equal_scalar_scan_across_chunk_boundaries(self, rng):
+        # levels are filled in chunks [0, 8), [8, 16), [16, 32), ... capped
+        # at the table size; ask for the last level of one chunk and then
+        # the first of the next, in both orders
+        table = cell_table(rng, max_cell=60)
+        n = len(table)
+        want = scalar_levels(table, "A", n + 2)
+        probes = [7, 8, 15, 16, 31, 32, 63, 64, 127, 128, n - 1, n, n + 1]
+        probes = [t for t in probes if t <= n + 1]
+        for order in (probes, sorted(probes, reverse=True)):
+            cache = CandidateCache()
+            for t in order:
+                assert ls_t_ig(table, t, "A", cache) == want[t], t
+
+    def test_empty_and_tiny_tables_equal_scalar_scan(self, rng):
+        for _ in range(40):
+            table = random_table_instance(rng, max_rows=4)
+            cache = CandidateCache()
+            got = [ls_t_ig(table, t, "A", cache) for t in range(12)]
+            assert got == scalar_levels(table, "A", 11)
+
+    def test_long_walk_memory_is_bounded(self, rng):
+        # a full walk up a 2,000-row table fills its levels in array chunks
+        # whose temporaries stay small; a cache of every count pair seen, or
+        # one array padded over all cells, would not
+        schema = TableSchema(
+            attributes=(("A", Categorical((0, 1, 2))),),
+            class_attribute="y",
+            class_values=("c0", "c1", "c2"),
+        )
+        table = LabeledTable(schema, [
+            {"A": int(rng.integers(3)), "y": schema.class_values[int(rng.integers(3))]}
+            for _ in range(2000)
+        ])
+        cache = CandidateCache()
+        tracemalloc.start()
+        try:
+            levels = [ls_t_ig(table, t, "A", cache) for t in range(2000)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert all(a <= b for a, b in zip(levels, levels[1:]))
+
     def test_movement_potentials_monotone(self):
         fs = [f_add(x) for x in range(2001)]
         gs = [g_remove(x) for x in range(2001)]
@@ -244,6 +356,23 @@ class TestDistanceT:
         assert attained == pytest.approx(f_add(n), abs=1e-12)
         assert attained <= global_sensitivity_ig(n)
         assert global_sensitivity_ig(n) - attained < 0.01
+
+
+class TestPartition:
+    def test_subtables_equal_constructed_tables(self, rng):
+        for _ in range(30):
+            table = cell_table(rng, max_cell=6)
+            for attribute in ("A", "B"):
+                parts = table.partition(attribute)
+                assert list(parts) == list(
+                    table.schema.spec_of(attribute).values)
+                for value, part in parts.items():
+                    built = LabeledTable(table.schema, part.row_dicts())
+                    assert part == built
+                    assert hash(part) == hash(built)
+                    assert set(part.column(attribute)) <= {value}
+                assert sorted(r for p in parts.values() for r in p.rows) == (
+                    list(table.rows))
 
 
 class TestNoisyCount:
