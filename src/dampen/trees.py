@@ -250,28 +250,31 @@ def h_pair(a: int, b: int) -> float:
     return max(f_add(a) - f_add(b), g_remove(b) - g_remove(a))
 
 
-# f_add and g_remove tabulated at 0, 1, 2, ...; the tables only grow, by
-# doubling, to the largest count asked for.  The entries are the scalar
-# functions' own values, so array arithmetic on them is bit-identical to
-# h_pair.
-_F = np.zeros(0)
-_G = np.zeros(0)
+# (F, G): f_add and g_remove tabulated at 0, 1, 2, ...; the tables only
+# grow, by doubling, to the largest count asked for.  The entries are the
+# scalar functions' own values, so array arithmetic on them is bit-identical
+# to h_pair.  The pair is only ever replaced whole, never mutated, so a
+# thread always reads a matching F and G; racing growths at worst compute
+# some entries twice.
+_FG = (np.zeros(0), np.zeros(0))
 
-# Largest (cells x levels x removals) grid evaluated at once; bounds the
-# temporaries of _levels_max whatever the table size.
+# Largest (cells x levels x removals) slice of the grid evaluated at once;
+# bounds the temporaries of _levels_max whatever the cell counts.
 _GRID_ELEMENTS = 1 << 15
 
 
 def _potentials(size: int) -> tuple[np.ndarray, np.ndarray]:
     """``(F, G)`` with ``F[x] = f_add(x)`` and ``G[x] = g_remove(x)`` for at
     least every ``x < size``."""
-    global _F, _G
-    have = len(_F)
+    global _FG
+    F, G = _FG
+    have = len(F)
     if have < size:
         xs = range(have, max(size, 2 * have))
-        _F = np.concatenate([_F, [f_add(x) for x in xs]])
-        _G = np.concatenate([_G, [g_remove(x) for x in xs]])
-    return _F, _G
+        F = np.concatenate([F, [f_add(x) for x in xs]])
+        G = np.concatenate([G, [g_remove(x) for x in xs]])
+        _FG = F, G
+    return F, G
 
 
 def _levels_max(cells, lo: int, hi: int) -> np.ndarray:
@@ -285,28 +288,37 @@ def _levels_max(cells, lo: int, hi: int) -> np.ndarray:
     add/remove privacy model (a gate makes the bound undershoot and breaks
     the admissibility the mechanisms rely on).  The (cell, t, p) grid is
     masked to ``p <= min(b0, t)`` and ``a >= 0``, and evaluated in slices
-    of t of at most ``_GRID_ELEMENTS`` entries.
+    over cells, p and t of at most ``_GRID_ELEMENTS`` entries each.
     """
-    best = np.zeros(hi - lo)
-    if not cells:
+    best = np.zeros(max(hi - lo, 0))
+    if not cells or hi <= lo:
         return best
-    a0 = np.array([a for a, _ in cells])[:, None, None]
-    b0 = np.array([b for _, b in cells])[:, None, None]
-    F, G = _potentials(int(a0.max()) + hi)
-    p = np.arange(min(int(b0.max()), hi - 1) + 1)
-    b = b0 - p
-    b_ok = b >= 0
-    b = np.maximum(b, 0)
-    fb, gb = F[b], G[b]
-    rows = max(1, _GRID_ELEMENTS // (len(cells) * len(p)))
-    for start in range(lo, hi, rows):
-        stop = min(start + rows, hi)
-        t = np.arange(start, stop)[:, None]
-        a = a0 + t - 2 * p
-        ok = b_ok & (p <= t) & (a >= 0)
-        a = np.maximum(a, 0)
-        h = np.maximum(F[a] - fb, gb - G[a])
-        best[start - lo:stop - lo] = np.where(ok, h, 0.0).max(axis=(0, 2))
+    cells = np.array(cells, dtype=np.int64)
+    F, G = _potentials(int(cells[:, 0].max()) + hi)
+    p_step = min(int(cells[:, 1].max()) + 1, hi, _GRID_ELEMENTS)
+    cell_step = _GRID_ELEMENTS // p_step
+    for first in range(0, len(cells), cell_step):
+        a0 = cells[first:first + cell_step, 0][:, None, None]
+        b0 = cells[first:first + cell_step, 1][:, None, None]
+        p_end = min(int(b0.max()) + 1, hi)
+        for p_lo in range(0, p_end, p_step):
+            p = np.arange(p_lo, min(p_lo + p_step, p_end))
+            b = b0 - p
+            b_ok = b >= 0
+            b = np.maximum(b, 0)
+            fb, gb = F[b], G[b]
+            rows = max(1, _GRID_ELEMENTS // (len(a0) * len(p)))
+            # levels below p_lo mask out every removal count in this slice
+            for start in range(max(lo, p_lo), hi, rows):
+                stop = min(start + rows, hi)
+                t = np.arange(start, stop)[:, None]
+                a = a0 + t - 2 * p
+                ok = b_ok & (p <= t) & (a >= 0)
+                a = np.maximum(a, 0)
+                h = np.maximum(F[a] - fb, gb - G[a])
+                level = best[start - lo:stop - lo]
+                np.maximum(level, np.where(ok, h, 0.0).max(axis=(0, 2)),
+                           out=level)
     return best
 
 

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from dampen import trees
 from dampen.core import BudgetAccountant, InvalidInputError
 from dampen.fixtures import (
     TINY_TABLE_SCHEMA,
@@ -332,6 +335,84 @@ class TestDistanceT:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
         assert all(a <= b for a, b in zip(levels, levels[1:]))
+
+    def test_skewed_cells_memory_is_bounded(self):
+        # one large class cell among many small ones, and one cell larger
+        # than a whole grid slice: the slices stay small and the levels
+        # still equal the scalar scan
+        cases = [
+            ([(20000, 20000)] + [(k, k % 4) for k in range(1, 250)], 1990),
+            ([(40000, 40000)], 39995),
+        ]
+        for cells, lo in cases:
+            hi = lo + 10 if len(cells) > 1 else lo + 5
+            trees._potentials(max(a for a, _ in cells) + hi)
+            tracemalloc.start()
+            try:
+                got = trees._levels_max(cells, lo, hi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2**20, (len(cells), peak)
+            want = [max(cell_level_max(a0, b0, t) for a0, b0 in cells)
+                    for t in range(lo, hi)]
+            assert got.tolist() == want
+
+    def test_growth_interleaved_with_another_growth(self, rng, monkeypatch):
+        # another thread may grow the shared F/G tables while this one is
+        # filling them; the first f_add call runs such a growth in between
+        table = cell_table(rng, max_cell=30)
+        want = scalar_levels(table, "A", len(table))
+        scalar_f_add = trees.f_add
+        interleaved = []
+
+        def f_add(x):
+            if not interleaved:
+                interleaved.append(x)
+                trees._potentials(2)
+            return scalar_f_add(x)
+
+        monkeypatch.setattr(trees, "_FG", (np.zeros(0), np.zeros(0)))
+        monkeypatch.setattr(trees, "f_add", f_add)
+        cache = CandidateCache()
+        got = [ls_t_ig(table, t, "A", cache) for t in range(len(table) + 1)]
+        assert interleaved
+        assert got == want
+        F, G = trees._FG
+        assert len(F) == len(G)
+
+    def test_concurrent_walks_keep_potentials_paired(self, rng, monkeypatch):
+        # walks on several threads grow the shared F/G tables at the same
+        # time; every thread must still see matching tables
+        tables = [cell_table(rng, max_cell=m) for m in (10, 20, 30, 40)]
+        wants = [scalar_levels(tb, "A", len(tb)) for tb in tables]
+        empty = (np.zeros(0), np.zeros(0))
+        monkeypatch.setattr(trees, "_FG", empty)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                trees._FG = empty
+                got = [None] * len(tables)
+                barrier = threading.Barrier(len(tables))
+
+                def walk(ix):
+                    barrier.wait()
+                    cache = CandidateCache()
+                    got[ix] = [ls_t_ig(tables[ix], t, "A", cache)
+                               for t in range(len(tables[ix]) + 1)]
+
+                threads = [threading.Thread(target=walk, args=(ix,))
+                           for ix in range(len(tables))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert got == wants
+                F, G = trees._FG
+                assert len(F) == len(G)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_movement_potentials_monotone(self):
         fs = [f_add(x) for x in range(2001)]
