@@ -323,6 +323,22 @@ def _check_percentile_bounded(rng, trials=10):
     return True, ""
 
 
+def _check_percentile_delta_admissible(rng, trials=6):
+    for _ in range(trials):
+        n = int(rng.integers(1, 6))
+        x = fixtures.random_vector_instance(rng, n=n, cap=10.0, levels=4)
+        q = percentile.PercentileQuery(int(rng.choice([1, 25, 50, 75, 100])), n)
+        report = check_admissibility(
+            percentile.bounded_ls_percentile(x, q),
+            percentile.percentile_problem(x, q),
+            percentile.vector_enumerator(x, values=(0.0, 2.5, 5.0, 7.5, 10.0)),
+            max_t=3,
+        )
+        if not report.passed:
+            return False, f"witness {report.witness} on {x.values()} p={q.p}"
+    return True, ""
+
+
 def _check_percentile_ordering(rng):
     x = fixtures.clustered_vector()
     q = percentile.PercentileQuery(50, len(x))
@@ -526,6 +542,7 @@ _SUITE_CHECKS = {
         ("ls0_matches_oracle", _check_percentile_ls0),
         ("ls_t_matches_bfs", _check_percentile_ls_t),
         ("bounded_below_cap", _check_percentile_bounded),
+        ("percentile_delta_admissible", _check_percentile_delta_admissible),
         ("error_ordering", _check_percentile_ordering),
     ),
     "graph": (

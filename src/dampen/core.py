@@ -68,8 +68,16 @@ class SelectionProblem:
         object.__setattr__(self, "candidates", cands)
 
     def utilities(self) -> list[float]:
-        """Utility score of every candidate, in range order."""
-        return [self.utility(self.database, r) for r in self.candidates]
+        """Utility score of every candidate, in range order.
+
+        Scored once per problem (the instance is frozen, so the scores
+        cannot change); each call returns a fresh list.
+        """
+        scores = self.__dict__.get("_utilities")
+        if scores is None:
+            scores = tuple(self.utility(self.database, r) for r in self.candidates)
+            object.__setattr__(self, "_utilities", scores)
+        return list(scores)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ metric changes one record's value to any point of [0, cap].
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import InvalidInputError, SelectionProblem, SensitivityFunction
 from .sensitivity import NeighborEnumerator, bound_sensitivity
@@ -24,7 +26,7 @@ class NumericVector:
     input order) and survive value replacement, which re-sorts.
     """
 
-    __slots__ = ("records", "lambda_cap", "_by_label")
+    __slots__ = ("records", "lambda_cap", "_rank_of")
 
     def __init__(self, values: Sequence[float], lambda_cap: float,
                  _records: tuple | None = None):
@@ -46,7 +48,7 @@ class NumericVector:
                     f"value {value} of record {label} outside [0, {self.lambda_cap}]"
                 )
         self.records = records
-        self._by_label = {label: value for label, value in records}
+        self._rank_of = {label: rank for rank, (label, _) in enumerate(records, 1)}
 
     def __len__(self):
         return len(self.records)
@@ -69,7 +71,11 @@ class NumericVector:
         return tuple(label for label, _ in self.records)
 
     def value_of(self, label) -> float:
-        return self._by_label[label]
+        return self.records[self._rank_of[label] - 1][1]
+
+    def rank_of(self, label) -> int:
+        """1-based ascending rank of a record."""
+        return self._rank_of[label]
 
     def rank_value(self, rank: int) -> float:
         """Value at 1-based ascending rank."""
@@ -81,7 +87,7 @@ class NumericVector:
     def replace(self, label, value: float) -> "NumericVector":
         """Copy with one record's value changed, re-sorted (labels stable,
         ties broken by label)."""
-        if label not in self._by_label:
+        if label not in self._rank_of:
             raise InvalidInputError(f"unknown record label {label!r}")
         updated = sorted(
             (v if lbl != label else float(value), lbl)
@@ -100,17 +106,15 @@ class PercentileQuery:
 
     p: int
     n: int
+    k: int = field(init=False)
 
     def __post_init__(self):
         if not (1 <= self.p <= 100):
             raise InvalidInputError("percentile must be in [1, 100]")
         if self.n < 1:
             raise InvalidInputError("vector must be nonempty")
-
-    @property
-    def k(self) -> int:
         raw = math.ceil(self.p * (self.n + 1) / 100)
-        return min(max(raw, 1), self.n)
+        object.__setattr__(self, "k", min(max(raw, 1), self.n))
 
 
 def utility_percentile(x: NumericVector, q: PercentileQuery, i: int) -> float:
@@ -150,9 +154,7 @@ def ls0_of_record(x: NumericVector, q: PercentileQuery, label) -> float:
     k, vp, vplus, vminus = _pivot_context(x, q)
     cap = x.lambda_cap
     vr = x.value_of(label)
-    pos = next(
-        rank for rank, (lbl, _) in enumerate(x.records, start=1) if lbl == label
-    )
+    pos = x.rank_of(label)
     base = abs(vp - vr)
     t2 = abs(base - abs(vplus - vr))
     t3 = abs(base - abs(vminus - vr))
@@ -181,58 +183,6 @@ def ls0_percentile(x: NumericVector, q: PercentileQuery, i: int) -> float:
     return ls0_of_record(x, q, x.label_at_rank(i))
 
 
-def candidates_percentile(
-    x: NumericVector, q: PercentileQuery, t: int, label
-) -> list[NumericVector]:
-    """Extremal databases at edit distance t for the sensitivity search.
-
-    Distance one pins the target record to either cap (plus two identity
-    copies) and the pivot record to either cap; deeper levels keep forcing
-    the current pivot record of each candidate to alternating caps.
-    """
-    if t < 0:
-        raise InvalidInputError("t must be >= 0")
-    if t == 0:
-        return [x]
-    cap = x.lambda_cap
-    if t == 1:
-        pivot = x.label_at_rank(q.k)
-        return [
-            x.replace(label, cap),
-            x,
-            x.replace(label, 0.0),
-            x,
-            x.replace(pivot, cap),
-            x.replace(pivot, 0.0),
-        ]
-    prev = candidates_percentile(x, q, t - 1, label)
-    out = []
-    for idx, y in enumerate(prev):
-        pivot = y.label_at_rank(q.k)
-        value = 0.0 if idx % 2 == 0 else cap
-        out.append(y.replace(pivot, value))
-    return out
-
-
-def candidates_ls_t(
-    x: NumericVector, q: PercentileQuery, t: int, label
-) -> float:
-    """Distance-0 sensitivity maximized over the recursive candidate list
-    only (distances 0..t).
-
-    Kept for comparison: the six-candidate recursion can miss the true
-    maximum, because the worst database at distance t may edit records other
-    than the target and the pivot (see :func:`ls_t_of_record`).
-    """
-    if t < 0:
-        raise InvalidInputError("t must be >= 0")
-    best = 0.0
-    for tt in range(t + 1):
-        for y in candidates_percentile(x, q, tt, label):
-            best = max(best, ls0_of_record(y, q, label))
-    return best
-
-
 class _ForcedBall:
     """Databases reachable by forcing at most t records to 0 or the cap.
 
@@ -241,13 +191,14 @@ class _ForcedBall:
     exhaustive maximum over all edit sequences (checked against a full-grid
     breadth-first oracle in the test suite).  Levels are deduplicated and
     grown on demand; ball and per-record running maxima are cached per
-    database, since the dampening walk asks for consecutive t.
+    database, since the dampening walk asks for consecutive t.  The ball
+    grows roughly as 3^n, so this is the exact oracle for small vectors,
+    not a default sensitivity path.
     """
 
     def __init__(self, q: PercentileQuery):
         self.q = q
         self._per_db: dict = {}
-        self._lock = threading.Lock()   # caches may be shared across threads
 
     def _state(self, x: NumericVector):
         state = self._per_db.get(x)
@@ -271,19 +222,18 @@ class _ForcedBall:
             levels.append(nxt)
 
     def value(self, x: NumericVector, t: int, label) -> float:
-        with self._lock:
-            state = self._state(x)
-            self._expand_to(state, t)
-            best = state["best"].setdefault(
-                label, [ls0_of_record(x, self.q, label)]
-            )
-            while len(best) <= t:
-                level = state["levels"][len(best)]
-                worst = best[-1]
-                for y in level:
-                    worst = max(worst, ls0_of_record(y, self.q, label))
-                best.append(worst)
-            return best[t]
+        state = self._state(x)
+        self._expand_to(state, t)
+        best = state["best"].setdefault(
+            label, [ls0_of_record(x, self.q, label)]
+        )
+        while len(best) <= t:
+            level = state["levels"][len(best)]
+            worst = best[-1]
+            for y in level:
+                worst = max(worst, ls0_of_record(y, self.q, label))
+            best.append(worst)
+        return best[t]
 
 
 def ls_t_of_record(
@@ -292,9 +242,9 @@ def ls_t_of_record(
     """Exact element local sensitivity at distance t.
 
     Maximizes the distance-0 sensitivity over every database obtained by
-    forcing up to t records to an endpoint of the value domain; this
-    dominates the recursive six-candidate pruning, which touches only the
-    target and pivot records and can undershoot.
+    forcing up to t records to an endpoint of the value domain.  Costs
+    roughly 3^n; the reference that :func:`percentile_sensitivity` is
+    tested against.
     """
     if t < 0:
         raise InvalidInputError("t must be >= 0")
@@ -313,9 +263,8 @@ def ls_percentile_sensitivity(q: PercentileQuery) -> SensitivityFunction:
     growing balls; bound with the cap before mechanism use).
 
     Exhaustive over the cap-forcing closure, so the cost grows roughly as
-    3^n; intended for vectors of at most a dozen records.  Use
-    :func:`percentile_sensitivity` to fall back to the linear-cost pruning
-    on larger inputs.
+    3^n; the exact oracle for vectors of at most a dozen records.
+    :func:`percentile_sensitivity` is the default at every size.
     """
     ball = _ForcedBall(q)
     return SensitivityFunction(
@@ -328,69 +277,172 @@ def ls_percentile_sensitivity(q: PercentileQuery) -> SensitivityFunction:
     )
 
 
-class _CandidateChain:
-    """Incremental recursive-candidate levels per (database, record), for
-    the linear-cost sensitivity path on larger vectors."""
-
-    def __init__(self, q: PercentileQuery):
-        self.q = q
-        self._per_key: dict = {}
-        self._lock = threading.Lock()
-
-    def value(self, x: NumericVector, t: int, label) -> float:
-        with self._lock:
-            state = self._per_key.get((x, label))
-            if state is None:
-                state = ([x], [ls0_of_record(x, self.q, label)])
-                self._per_key[(x, label)] = state
-            level, best = state
-            while len(best) <= t:
-                if len(best) == 1:
-                    level = candidates_percentile(x, self.q, 1, label)
-                else:
-                    cap = x.lambda_cap
-                    level = [
-                        y.replace(
-                            y.label_at_rank(self.q.k),
-                            0.0 if idx % 2 == 0 else cap,
-                        )
-                        for idx, y in enumerate(level)
-                    ]
-                best.append(
-                    max(best[-1],
-                        max(ls0_of_record(y, self.q, label) for y in level))
-                )
-                self._per_key[(x, label)] = (level, best)
-            return best[t]
+# Largest (records x levels x upward edits) slice of the window grid
+# evaluated at once; bounds the temporaries of _window_levels whatever the
+# vector size.
+_GRID_ELEMENTS = 1 << 15
 
 
-#: Largest record count for which the exhaustive closure is the default.
-EXACT_SENSITIVITY_MAX_RECORDS = 10
+def _largest(*terms):
+    return reduce(np.maximum, terms)
 
 
-def percentile_sensitivity(
-    x: NumericVector, q: PercentileQuery, exact: bool | None = None
-) -> SensitivityFunction:
-    """Element local sensitivity with a size-aware strategy.
+def _window_levels(
+    values: np.ndarray, k: int, cap: float, lo: int, hi: int
+) -> np.ndarray:
+    """Uncapped window bound of :func:`percentile_sensitivity` at levels
+    ``t`` in ``[lo, hi)`` (``lo >= 1``) for the record at every sorted
+    position of ``values``, as an ``(n, hi - lo)`` array.
 
-    Small vectors get the exhaustive closure (verified exact against a
-    breadth-first oracle); larger ones the recursive candidate pruning,
-    which costs O(t) per distance but can undershoot the true value when
-    the worst edit touches a third record (see :func:`candidates_ls_t`).
-    Both are running maxima, so both are nondecreasing in t.
+    One grid over (record, t, u) with ``d = t - u``: ``A(u, d)`` is masked
+    to ``u <= t`` and ``B(u, d - 1)`` to ``u < t``.  The grid is evaluated
+    in slices over records, u and t of at most ``_GRID_ELEMENTS`` entries
+    each.  Every term of ``A`` repeats the floating-point operations of
+    :func:`ls0_of_record` at a window end, so ``A`` bounds that function's
+    rounded value too.
     """
-    if exact is None:
-        exact = len(x) <= EXACT_SENSITIVITY_MAX_RECORDS
-    if exact:
-        return ls_percentile_sensitivity(q)
-    chain = _CandidateChain(q)
+    n = len(values)
+    ext = np.concatenate(([0.0], values, [cap]))
+    best = np.zeros((n, hi - lo))
+    u_step = min(hi, _GRID_ELEMENTS)
+    r_step = min(n, _GRID_ELEMENTS // u_step)
+    t_step = _GRID_ELEMENTS // (r_step * u_step)
+    for r_lo in range(0, n, r_step):
+        r_hi = min(r_lo + r_step, n)
+        i = np.arange(r_lo, r_hi)[:, None, None]
+        v = values[i]
+
+        def stat(j):
+            # o_j of the records other than i: 0 for j <= 0, the cap for j >= n
+            return ext[np.clip(j + (j > i), 0, n + 1)]
+
+        for u_lo in range(0, hi, u_step):
+            u = np.arange(u_lo, min(u_lo + u_step, hi))
+            hi_km1, hi_k = stat(k - 1 + u), stat(k + u)
+            # levels below u_lo admit no upward count in this slice
+            for t_lo in range(max(lo, u_lo), hi, t_step):
+                t_hi = min(t_lo + t_step, hi)
+                t = np.arange(t_lo, t_hi)[:, None]
+                d = t - u
+                lo_km1, lo_k = stat(k - 1 - d), stat(k - d)
+                # r at the pivot rank: o_{k-1} <= v <= o_k
+                pivot = _largest(
+                    hi_k - v if k > 1 else 0.0,
+                    v - lo_km1 if k < n else 0.0,
+                    cap - np.maximum(v, lo_k),
+                    np.minimum(v, hi_km1),
+                )
+                # r above the pivot: o_k <= v
+                top = np.minimum(v, hi_k)
+                above = _largest(
+                    v - lo_k,
+                    (v - lo_km1) - (v - top),
+                    cap - v,
+                    (v - lo_k) - lo_km1,
+                    np.minimum(v, hi_km1) - (v - top),
+                )
+                # r below the pivot: v <= o_{k-1}
+                bot = np.maximum(v, lo_km1)
+                below = _largest(
+                    hi_km1 - v,
+                    (hi_k - v) - (bot - v),
+                    ((hi_km1 + hi_k) - v) - cap,
+                    cap - ((bot + np.maximum(v, lo_k)) - v),
+                    v,
+                )
+                kept = _largest(
+                    np.where((lo_km1 <= v) & (v <= hi_k), pivot, 0.0),
+                    np.where(v >= lo_k, above, 0.0),
+                    np.where(v <= hi_km1, below, 0.0),
+                )
+                # B(u, d - 1): its lower window ends sit one rank higher
+                edited = _largest(cap - stat(k + 1 - d), hi_km1, hi_k - lo_k)
+                cell = np.maximum(
+                    np.where(u <= t, kept, 0.0), np.where(u < t, edited, 0.0)
+                )
+                out = best[r_lo:r_hi, t_lo - lo:t_hi - lo]
+                np.maximum(out, cell.max(axis=2), out=out)
+    return best
+
+
+def percentile_sensitivity(x: NumericVector, q: PercentileQuery) -> SensitivityFunction:
+    """Closed-form admissible bound on the element local sensitivity at
+    distance t, built on order-statistic windows (after the smooth
+    sensitivity of the median in Nissim, Raskhodnikova & Smith, STOC 2007).
+
+    Take record r with value v, and let ``o_1 <= ... <= o_{n-1}`` be the
+    other records' values, extended by ``o_j = 0`` for ``j <= 0`` and
+    ``o_j = cap`` for ``j >= n``.  One edit of another record moves every
+    ``o_j`` within ``[o_{j-1}, o_j]`` (downward) or ``[o_j, o_{j+1}]``
+    (upward), so after u upward and d downward edits each ``o_j`` lies,
+    jointly, in the window ``[lo_j, hi_j] = [o_{j-d}, o_{j+u}]``.  Then
+
+    * ``delta(x, 0, r) = ls0_of_record(x, q, r)``, exact;
+    * ``delta(x, t, r) = min(cap, max(max_{u+d=t} A(u, d),
+      max_{u+d=t-1} B(u, d)))`` for ``t >= 1``, where
+
+      - ``A`` bounds the five terms of :func:`ls0_of_record` over the
+        windows while r keeps v, in each rank case that the windows allow:
+        r at the pivot rank (``lo_{k-1} <= v <= hi_k``), above it
+        (``v >= lo_k``) or below it (``v <= hi_{k-1}``);
+      - ``B = max(cap - lo_k, hi_{k-1}, hi_k - lo_{k-1})`` bounds those
+        terms for r edited to any value.
+
+    Admissibility, for a neighbour y of x (and ``ls0_of_record`` at y is
+    at most y's ``A(0, 0)``).  If y edits r, every ``A(u, d)`` of y is at
+    most x's ``B(u, d)``, which x counts at ``t + 1``, and y's own
+    ``B(u, d)`` is x's.  If y edits another record, that edit moves one
+    way, so y's ``(u, d)`` windows lie inside x's ``(u + 1, d)`` or
+    ``(u, d + 1)`` windows, again counted at ``t + 1``.  Every term is
+    monotone in the window ends, so in both cases
+    ``delta(y, t, r) <= delta(x, t + 1, r)``; the same monotonicity makes
+    delta nondecreasing in t.  ``ls_t_of_record`` is the exact value it is
+    tested against.
+
+    The levels of all records are kept for the last vector seen, filled in
+    chunks (``hi = max(t + 1, min(2 lo, n + 1), 8)``) by one masked numpy
+    grid each, so a dampening walk costs a few array passes per vector.
+    The table is replaced whole, never mutated, so threads need no lock.
+    """
+    if len(x) != q.n:
+        raise InvalidInputError(
+            f"query is for {q.n} records, vector has {len(x)}"
+        )
+    last = None          # (vector, levels array with one row per rank)
+
+    def grow(db: NumericVector, levels: np.ndarray, t: int) -> np.ndarray:
+        n, lo = len(db), levels.shape[1]
+        hi = max(t + 1, min(2 * lo, n + 1), 8)
+        block = np.minimum(
+            _window_levels(np.array(db.values()), q.k, db.lambda_cap,
+                           max(lo, 1), hi),
+            db.lambda_cap,
+        )
+        if lo == 0:
+            first = [ls0_of_record(db, q, label) for label in db.labels()]
+            block = np.column_stack([first, block])
+        return np.hstack([levels, block])
+
+    def eval_fn(db: NumericVector, t: int, label) -> float:
+        nonlocal last
+        if t < 0:
+            raise InvalidInputError("t must be >= 0")
+        state = last
+        if state is None or (state[0] is not db and state[0] != db):
+            state = (db, np.zeros((len(db), 0)))
+        seen, levels = state
+        if t >= levels.shape[1]:
+            levels = grow(db, levels, t)
+            last = (seen, levels)
+        return float(levels[seen.rank_of(label) - 1, t])
+
     return SensitivityFunction(
-        eval=lambda db, t, label: chain.value(db, t, label),
+        eval=eval_fn,
         declared_admissible=True,
         declared_bounded=False,
         declared_nondecreasing_in_t=True,
         monotonicity="none",
-        name="ls_percentile_pruned",
+        name="ls_percentile_windows",
     )
 
 
@@ -405,12 +457,8 @@ def percentile_problem(x: NumericVector, q: PercentileQuery) -> SelectionProblem
     )
 
 
-def bounded_ls_percentile(
-    x: NumericVector, q: PercentileQuery, exact: bool | None = None
-) -> SensitivityFunction:
-    return bound_sensitivity(
-        percentile_sensitivity(x, q, exact), x.lambda_cap, len(x)
-    )
+def bounded_ls_percentile(x: NumericVector, q: PercentileQuery) -> SensitivityFunction:
+    return bound_sensitivity(percentile_sensitivity(x, q), x.lambda_cap, len(x))
 
 
 def critical_values(x: NumericVector, grid: int = 64) -> tuple:

@@ -228,12 +228,24 @@ def flatten_sensitivity(
 
     A max of admissible functions is admissible, and a max of functions
     nondecreasing in t is nondecreasing in t; the result is flat by
-    construction and pointwise at least the input.
+    construction and pointwise at least the input.  The hull values of the
+    last database seen are kept, so each level is computed once however
+    many candidates ask for it; that entry is replaced whole, never shared
+    between databases, so threads need no lock.
     """
     candidates = problem.candidates
+    last = (None, {})          # (database, {t: hull value})
 
     def eval_fn(db, t, r):
-        return max(delta(db, t, rr) for rr in candidates)
+        nonlocal last
+        seen, hull = last
+        if seen is not db and seen != db:
+            hull = {}
+            last = (db, hull)
+        value = hull.get(t)
+        if value is None:
+            value = hull[t] = max(delta(db, t, rr) for rr in candidates)
+        return value
 
     return SensitivityFunction(
         eval=eval_fn,

@@ -383,6 +383,25 @@ class TestBudgetAccountant:
             acc.scope_total("ghost")
 
 
+class TestSelectionProblem:
+    def test_utilities_scored_once_per_problem(self):
+        scored = []
+
+        def utility(db, r):
+            scored.append(r)
+            return db[r]
+
+        problem = SelectionProblem(
+            database=(3.0, 1.0, 2.0), candidates=(0, 1, 2),
+            utility=utility, global_sensitivity=1.0, database_size=3,
+        )
+        first = problem.utilities()
+        first.append(99.0)
+        assert problem.utilities() == [3.0, 1.0, 2.0]
+        assert problem.utilities() is not problem.utilities()
+        assert scored == [0, 1, 2]
+
+
 class TestDistributionInvariants:
     def test_normalization_and_reproducibility(self, rng):
         for _ in range(30):
@@ -515,13 +534,12 @@ class TestSaturatedWalk:
             for p in (25, 50, 90):
                 q = PercentileQuery(p, len(x))
                 problem = percentile_problem(x, q)
-                for exact in ((None, False) if len(x) <= 8 else (None,)):
-                    delta = bounded_ls_percentile(x, q, exact)
-                    assert delta.declared_nondecreasing_in_t
-                    assert_same_distributions(problem, delta)
-                    flat = flatten_sensitivity(delta, problem)
-                    assert flat.declared_nondecreasing_in_t
-                    assert_same_distributions(problem, flat)
+                delta = bounded_ls_percentile(x, q)
+                assert delta.declared_nondecreasing_in_t
+                assert_same_distributions(problem, delta)
+                flat = flatten_sensitivity(delta, problem)
+                assert flat.declared_nondecreasing_in_t
+                assert_same_distributions(problem, flat)
 
     def test_tree_distributions_match_full_walk(self):
         rng = np.random.default_rng(3)
@@ -567,16 +585,15 @@ class TestNondecreasingDeclarations:
 
     @property_settings
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6),
-           p=st.sampled_from((10, 25, 50, 75, 100)), exact=st.booleans())
-    def test_percentile_constructors(self, seed, n, p, exact):
+           p=st.sampled_from((10, 25, 50, 75, 100)))
+    def test_percentile_constructors(self, seed, n, p):
         x = random_vector_instance(np.random.default_rng(seed), n=n,
                                    cap=10.0, levels=4)
         q = PercentileQuery(p, n)
         labels = x.labels()
-        assert_nondecreasing(percentile_sensitivity(x, q, exact), x, labels)
-        assert_nondecreasing(bounded_ls_percentile(x, q, exact), x, labels)
-        if exact:
-            assert_nondecreasing(ls_percentile_sensitivity(q), x, labels)
+        assert_nondecreasing(percentile_sensitivity(x, q), x, labels)
+        assert_nondecreasing(bounded_ls_percentile(x, q), x, labels)
+        assert_nondecreasing(ls_percentile_sensitivity(q), x, labels)
 
     @property_settings
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 8))

@@ -1,7 +1,14 @@
 import io
+import sys
+import threading
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from dampen import percentile
 from dampen.core import InvalidInputError
 from dampen.fixtures import clustered_vector, random_vector_instance
 from dampen.mechanisms import (
@@ -14,21 +21,22 @@ from dampen.percentile import (
     NumericVector,
     PercentileQuery,
     bounded_ls_percentile,
-    candidates_ls_t,
-    candidates_percentile,
     critical_values,
     global_sensitivity_percentile,
     load_values,
     ls0_of_record,
     ls0_percentile,
+    ls_percentile_sensitivity,
     ls_t_of_record,
     ls_t_percentile,
     oracle_ls0,
     percentile_problem,
+    percentile_sensitivity,
     utility_of_label,
     utility_percentile,
+    vector_enumerator,
 )
-from dampen.sensitivity import flatten_sensitivity
+from dampen.sensitivity import check_admissibility, flatten_sensitivity
 
 
 def bfs_ls_t(x, q, t, label, values):
@@ -132,35 +140,13 @@ class TestDistanceZeroSensitivity:
 
 
 class TestCandidates:
-    def test_distance_zero_is_identity(self):
-        x = NumericVector([0.0, 2.0, 6.0], 10.0)
-        q = PercentileQuery(50, 3)
-        assert candidates_percentile(x, q, 0, 1) == [x]
-
-    def test_distance_one_shape(self):
-        x = NumericVector([0.0, 2.0, 6.0], 10.0)
-        q = PercentileQuery(50, 3)
-        got = candidates_percentile(x, q, 1, 3)
-        assert len(got) == 6
-        assert sum(1 for y in got if y == x) == 2
-        assert got[0].value_of(3) == 10.0
-        assert got[2].value_of(3) == 0.0
-
-    def test_distance_two_forces_current_pivot(self):
-        x = NumericVector([0.0, 2.0, 6.0], 10.0)
-        q = PercentileQuery(50, 3)
-        for idx, y in enumerate(candidates_percentile(x, q, 2, 3)):
-            parent = candidates_percentile(x, q, 1, 3)[idx]
-            forced = parent.label_at_rank(q.k)
-            assert y.value_of(forced) in (0.0, 10.0)
-
     def test_recursion_misses_third_party_edits(self):
-        # forcing only the target and pivot records cannot see the edit that
-        # lifts the other record onto the pivot value
+        # the worst distance-one edit lifts the other record onto the pivot
+        # value: it moves neither the target nor the pivot record
         x = NumericVector([6.0, 8.0], 8.0)
         q = PercentileQuery(50, 2)
-        assert candidates_ls_t(x, q, 1, 2) == 6.0
         assert ls_t_percentile(x, q, 1, 2) == 8.0
+        assert percentile_sensitivity(x, q)(x, 1, 2) == 8.0
 
 
 class TestDistanceTSensitivity:
@@ -198,6 +184,194 @@ class TestDistanceTSensitivity:
                     assert got == pytest.approx(want, abs=1e-9), (
                         x.values(), q.p, t, label
                     )
+
+
+def window_bound_reference(x, q, t, label):
+    """Scalar form of the default percentile sensitivity, one (u, d) pair
+    at a time: the oracle for the vectorised table (same arithmetic, so the
+    two agree bit for bit)."""
+    if t == 0:
+        return ls0_of_record(x, q, label)
+    values = x.values()
+    n, k, cap = len(x), q.k, x.lambda_cap
+    i = x.labels().index(label)
+    v = values[i]
+    others = values[:i] + values[i + 1:]
+
+    def o(j):
+        if j <= 0:
+            return 0.0
+        if j >= n:
+            return cap
+        return others[j - 1]
+
+    best = 0.0
+    for u in range(t + 1):   # r keeps v: A(u, t - u)
+        d = t - u
+        lo_km1, lo_k, hi_km1, hi_k = o(k - 1 - d), o(k - d), o(k - 1 + u), o(k + u)
+        if lo_km1 <= v <= hi_k:
+            best = max(best, hi_k - v if k > 1 else 0.0,
+                       v - lo_km1 if k < n else 0.0,
+                       cap - max(v, lo_k), min(v, hi_km1))
+        if v >= lo_k:
+            top = min(v, hi_k)
+            best = max(best, v - lo_k, (v - lo_km1) - (v - top), cap - v,
+                       (v - lo_k) - lo_km1, min(v, hi_km1) - (v - top))
+        if v <= hi_km1:
+            bot = max(v, lo_km1)
+            best = max(best, hi_km1 - v, (hi_k - v) - (bot - v),
+                       ((hi_km1 + hi_k) - v) - cap,
+                       cap - ((bot + max(v, lo_k)) - v), v)
+    for u in range(t):       # r edited: B(u, t - 1 - u)
+        d = t - 1 - u
+        best = max(best, cap - o(k - d), o(k - 1 + u), o(k + u) - o(k - 1 - d))
+    return min(cap, best)
+
+
+def varied_vector(rng, n, cap):
+    """Continuous values, or values on a coarse grid with ties and caps."""
+    if rng.random() < 0.5:
+        return NumericVector(rng.uniform(0, cap, size=n), cap)
+    return random_vector_instance(rng, n=n, cap=cap, levels=4)
+
+
+admissibility_settings = settings(max_examples=15, deadline=None,
+                                  suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestWindowBound:
+    """The default sensitivity: the closed-form order-statistic window
+    bound, filled as one table per vector."""
+
+    @pytest.mark.parametrize("grid_elements", [None, 7])
+    def test_levels_equal_scalar_reference(self, grid_elements, monkeypatch):
+        # walks cross the chunk ends 8, 16, 32 and n + 1; a 7-entry grid
+        # slices every chunk over records, upward edits and levels
+        if grid_elements is not None:
+            monkeypatch.setattr(percentile, "_GRID_ELEMENTS", grid_elements)
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 7, 8, 9, 17, 33, 40):
+            x = varied_vector(rng, n, float(rng.choice([1.0, 10.0, 100.0])))
+            q = PercentileQuery(int(rng.choice([1, 10, 50, 90, 100])), n)
+            walked = percentile_sensitivity(x, q)
+            for label in x.labels():
+                for t in range(n + 3):
+                    assert walked(x, t, label) == window_bound_reference(
+                        x, q, t, label), (x.values(), q.p, label, t)
+            jumped = percentile_sensitivity(x, q)
+            label = x.labels()[-1]
+            assert jumped(x, n + 2, label) == window_bound_reference(
+                x, q, n + 2, label)
+
+    @admissibility_settings
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           cap=st.sampled_from((1.0, 10.0, 100.0)),
+           p=st.sampled_from((1, 10, 25, 50, 75, 90, 99, 100)))
+    @example(seed=0, n=6, cap=1.0, p=1)
+    @example(seed=1, n=6, cap=100.0, p=100)
+    @example(seed=2, n=1, cap=10.0, p=50)
+    def test_default_delta_is_admissible(self, seed, n, cap, p):
+        x = varied_vector(np.random.default_rng(seed), n, cap)
+        q = PercentileQuery(p, n)
+        report = check_admissibility(
+            percentile_sensitivity(x, q), percentile_problem(x, q),
+            vector_enumerator(x, values=critical_values(x, grid=2)), max_t=3,
+        )
+        assert report.passed, (x.values(), p, report)
+
+    def test_covers_the_exact_closure(self):
+        # ls0_of_record rounds, so the bound may sit an ulp or two below a
+        # closure value reached by editing the target record itself
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            x = varied_vector(rng, n, float(rng.choice([1.0, 10.0, 100.0])))
+            q = PercentileQuery(int(rng.choice([1, 10, 25, 50, 75, 90, 99, 100])), n)
+            delta = percentile_sensitivity(x, q)
+            for label in x.labels():
+                assert delta(x, 0, label) == ls0_of_record(x, q, label)
+                for t in range(1, 4):
+                    want = ls_t_of_record(x, q, t, label)
+                    assert delta(x, t, label) >= want - 1e-12 * x.lambda_cap
+
+    def test_equals_the_exact_closure_on_clustered_values(self):
+        x = clustered_vector()
+        q = PercentileQuery(50, len(x))
+        delta = bounded_ls_percentile(x, q)
+        exact = ls_percentile_sensitivity(q)
+        for label in x.labels():
+            for t in range(len(x) + 1):
+                want = min(exact(x, t, label), x.lambda_cap)
+                assert delta(x, t, label) == want, (label, t)
+
+    def test_third_party_edits_are_covered(self):
+        # the recursion that forced only the target and pivot records (the
+        # default above ten records until the window bound replaced it)
+        # gave 6 and 4 here
+        cases = [
+            ([6.0, 8.0], 2),
+            ([0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 4.0, 5.0, 5.0, 7.0, 7.0], 4),
+        ]
+        for values, label in cases:
+            x = NumericVector(values, 8.0)
+            q = PercentileQuery(50, len(x))
+            delta = bounded_ls_percentile(x, q)
+            assert delta(x, 1, label) >= ls_t_of_record(x, q, 1, label)
+
+    def test_table_fill_memory_is_bounded(self):
+        x = NumericVector(np.random.default_rng(44).uniform(0, 100, 2000), 100.0)
+        q = PercentileQuery(50, len(x))
+        delta = percentile_sensitivity(x, q)
+        label = x.labels()[len(x) // 2]
+        tracemalloc.start()
+        try:
+            levels = [delta(x, t, label) for t in range(64)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the table holds 2000 x 64 levels (1 MB); one unsliced grid
+        # temporary of its last chunk would be 2000 x 32 x 64 x 8 B = 33 MB
+        assert peak < 8 * 2**20, peak
+        for t in (0, 1, 7, 8, 31, 32, 63):
+            assert levels[t] == window_bound_reference(x, q, t, label)
+
+    def test_threads_share_one_table_slot(self):
+        rng = np.random.default_rng(45)
+        vectors = [varied_vector(rng, 12, 10.0) for _ in range(3)]
+        q = PercentileQuery(50, 12)
+        want = {
+            (j, label, t): window_bound_reference(x, q, t, label)
+            for j, x in enumerate(vectors)
+            for label in x.labels()
+            for t in range(14)
+        }
+        delta = percentile_sensitivity(vectors[0], q)
+        errors = []
+
+        def worker(offset):
+            try:
+                for rep in range(30):
+                    j = (offset + rep) % len(vectors)
+                    x = vectors[j]
+                    for label in x.labels():
+                        for t in range(14):
+                            if delta(x, t, label) != want[(j, label, t)]:
+                                errors.append((j, label, t))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors[:5]
 
 
 class TestMechanismTrend:

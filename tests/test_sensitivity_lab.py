@@ -27,7 +27,7 @@ from dampen.sensitivity import (
     utility_order,
 )
 
-from conftest import make_abstract_problem
+from conftest import counting, make_abstract_problem
 
 
 class TestBruteElementLs:
@@ -150,6 +150,22 @@ class TestFlattenSensitivity:
         flat = flatten_sensitivity(ranked, problem)
         for r in problem.candidates:
             assert flat(problem.database, 0, r) == 3.0
+
+    def test_hull_computed_once_per_level_of_the_last_database(self):
+        problem = make_abstract_problem([5.0, 6.0, 7.0], gs=3.0)
+        other = (1.0, 2.0, 3.0)
+        inner, calls = counting(SensitivityFunction(
+            eval=lambda db, t, r: db[r] + t, declared_admissible=True
+        ))
+        flat = flatten_sensitivity(inner, problem)
+        for _ in range(2):
+            for r in problem.candidates:
+                assert [flat(problem.database, t, r) for t in range(3)] == [
+                    7.0, 8.0, 9.0]
+        assert len(calls) == 3 * 3
+        assert flat(other, 1, 0) == 4.0
+        assert flat(problem.database, 1, 0) == 8.0
+        assert len(calls) == 3 * 5
 
     def test_flatten_equals_pointwise_max_of_brute(self, rng):
         for _ in range(5):
