@@ -9,6 +9,7 @@ import numpy as np
 from dampen import (
     SelectionProblem,
     constant_sensitivity,
+    distribution,
     expected_error,
     select_exponential,
     select_local_dampening,
@@ -39,12 +40,15 @@ for r, p in zip(em.candidates, em.probabilities):
 print(f"  expected regret: {expected_error(em, problem):.3f}")
 print()
 
-# --- permute-and-flip: sequential coin flips over a random permutation.
-# No closed-form distribution, so we look at an empirical histogram.
-picks = [select_permute_and_flip(problem, epsilon, rng) for _ in range(20000)]
-print("permute-and-flip empirical frequencies:")
-for r in problem.candidates:
-    print(f"  Pr[{r:>5}] ~ {picks.count(r) / len(picks):.3f}")
+# --- permute-and-flip: walk a random permutation, flipping a coin with
+# heads probability exp(eps * (u - u_max) / 2GS) until one lands heads.
+# Its distribution has a closed form, an integral of a polynomial.
+picked = select_permute_and_flip(problem, epsilon, rng)
+pf = distribution("pf", problem, epsilon)
+print(f"permute-and-flip picked {picked!r}")
+for r, p in zip(pf.candidates, pf.probabilities):
+    print(f"  Pr[{r:>5}] = {p:.3f}")
+print(f"  expected regret: {expected_error(pf, problem):.3f}")
 print()
 
 # --- local dampening: suppose we know the score movement NEAR this

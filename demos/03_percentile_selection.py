@@ -9,10 +9,10 @@ import numpy as np
 
 from dampen.fixtures import clustered_vector
 from dampen.mechanisms import (
+    distribution,
     expected_error,
     select_exponential,
     select_local_dampening,
-    select_permute_and_flip,
     select_shifted_local_dampening,
 )
 from dampen.percentile import (
@@ -43,13 +43,7 @@ for eps in (0.1, 0.3, 1.0, 3.0, 10.0):
     _, em = select_exponential(problem, eps, rng)
     _, ld = select_local_dampening(problem, flat, eps, rng)
     _, sld = select_shifted_local_dampening(problem, delta, eps, rng)
-    pf_runs = 4000
-    u = {r: problem.utility(x, r) for r in problem.candidates}
-    u_star = max(u.values())
-    pf_err = np.mean([
-        u_star - u[select_permute_and_flip(problem, eps, rng)]
-        for _ in range(pf_runs)
-    ])
+    pf_err = expected_error(distribution("pf", problem, eps), problem)
     print(f"{eps:8.1f} {expected_error(em, problem):10.4f} "
           f"{pf_err:10.4f} {expected_error(ld, problem):10.4f} "
           f"{expected_error(sld, problem):10.4f}")

@@ -20,6 +20,7 @@ from .core import (
 from .mechanisms import (
     SelectionDistribution,
     dampen,
+    distribution,
     expected_error,
     select,
     select_exponential,
@@ -59,6 +60,7 @@ __all__ = [
     "check_monotonicity",
     "constant_sensitivity",
     "dampen",
+    "distribution",
     "expected_error",
     "flatten_sensitivity",
     "select",

@@ -465,23 +465,6 @@ def _check_f_g_monotone(rng):
     return True, ""
 
 
-def _check_candidates(rng, trials=20):
-    for _ in range(trials):
-        table = fixtures.random_table_instance(rng, max_rows=4)
-        cache = trees.CandidateCache()
-        for t in (0, 1, 2):
-            for j in (0, 1):
-                for c in ("c0", "c1"):
-                    with_cache = trees.candidates_ig(table, "A", t, j, c, cache)
-                    fresh = trees.candidates_ig(table, "A", t, j, c)
-                    if with_cache != fresh:
-                        return False, "cache changes the candidate set"
-                    for a, b in with_cache:
-                        if not (0 <= b <= a):
-                            return False, f"unreachable pair {(a, b)}"
-    return True, ""
-
-
 def _check_builder(rng, trials=4):
     table = fixtures.separable_table()
     attrs = fixtures.TOY_TABLE_ATTRIBUTES
@@ -555,7 +538,6 @@ _SUITE_CHECKS = {
     "tree": (
         ("ls0_below_global_bound", _check_ig_global_bound),
         ("movement_potentials_monotone", _check_f_g_monotone),
-        ("candidates_reachable_and_cached", _check_candidates),
         ("builder_budget_and_paths", _check_builder),
         ("id3_equality_at_huge_budget", _check_id3_equality),
     ),

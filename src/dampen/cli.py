@@ -50,7 +50,8 @@ def _add_common(parser, default_mechanisms):
                         help="comma-separated mechanisms/variants")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--runs", type=int, default=None,
-                        help="Monte Carlo repetitions where sampling is used")
+                        help="private selections averaged per topk cell "
+                             "(accepted and unused elsewhere)")
     parser.add_argument("--output", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--timing", action="store_true",
@@ -134,8 +135,6 @@ def main(argv=None) -> int:
                 args.data, "vector", lambda_cap=args.lambda_cap
             )
             params["p"] = args.p
-            if args.runs:
-                params["pf_runs"] = args.runs
             application = (
                 "percentile" if args.command == "percentile" else "mechanism-compare"
             )
@@ -143,7 +142,7 @@ def main(argv=None) -> int:
         elif args.command == "topk":
             dataset = harness.load_dataset(args.graph, "graph")
             params["k"] = args.k
-            if args.runs:
+            if args.runs is not None:
                 params["runs"] = args.runs
             application = "topk"
             ref = args.graph

@@ -353,7 +353,7 @@ def priv_topk(
             global_sensitivity=base.global_sensitivity,
             database_size=base.database_size,
         )
-        picked, _ = mechanisms.select(
+        picked = mechanisms.select(
             mechanism, problem, eps_i, iter_rngs[j], delta=delta
         )
         accountant.account(scope, eps_i)

@@ -1,10 +1,13 @@
 """Experiment orchestration: run (application, mechanism, epsilon, seed)
-grids, derive metrics from exact distributions where available, and emit
-machine-readable rows.
+grids one cell at a time and emit machine-readable rows.
 
-Determinism contract: every grid cell derives its own generator from the
-base seed and the cell coordinates, so results are byte-identical across
-runs and independent of scheduling.
+Percentile and mechanism-compare cells report exact expected errors from
+each mechanism's output distribution and draw nothing.  Top-k cells average
+``runs`` seeded private selections; tree cells cross-validate.
+
+Determinism contract: every cell that draws derives its own generator from
+the base seed and the cell coordinates, so results are byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,11 +30,8 @@ from . import percentile as percentile_mod
 from . import trees as trees_mod
 from .sensitivity import flatten_sensitivity
 
-#: Monte Carlo defaults: permute-and-flip error runs and top-k simulations.
-DEFAULT_PF_RUNS = 100_000
+#: Default number of private top-k selections averaged per topk cell.
 DEFAULT_TOPK_RUNS = 100
-
-APPLICATIONS = ("percentile", "topk", "tree", "mechanism-compare")
 
 
 @dataclass(frozen=True)
@@ -43,11 +41,10 @@ class ExperimentSpec:
     epsilons: tuple
     mechanisms: tuple
     base_seed: int = 0
-    runs: int = 1
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.application not in APPLICATIONS:
+        if self.application not in _CELLS:
             raise InvalidInputError(f"unknown application {self.application!r}")
         if not self.epsilons:
             raise InvalidInputError("epsilon list must be nonempty")
@@ -55,8 +52,13 @@ class ExperimentSpec:
             raise InvalidInputError("all epsilons must be positive")
         if not self.mechanisms:
             raise InvalidInputError("mechanism list must be nonempty")
-        if self.runs < 1:
-            raise InvalidInputError("runs must be >= 1")
+        tags = _CELLS[self.application][0]
+        for tag in self.mechanisms:
+            if tag not in tags:
+                raise InvalidInputError(
+                    f"{self.application} mechanism must be one of {tags}, "
+                    f"got {tag!r}"
+                )
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
 
@@ -101,150 +103,100 @@ def load_dataset(path: str, kind: str, **options):
     raise InvalidInputError(f"unknown dataset kind {kind!r}")
 
 
-def _percentile_setup(spec: ExperimentSpec, dataset):
+def _percentile_cells(spec: ExperimentSpec, dataset):
+    """Exact expected error of each (mechanism, epsilon); nothing is drawn."""
     p = int(spec.params.get("p", 50))
     query = percentile_mod.PercentileQuery(p, len(dataset))
     problem = percentile_mod.percentile_problem(dataset, query)
     delta = percentile_mod.bounded_ls_percentile(dataset, query)
-    flat = flatten_sensitivity(delta, problem)
-    return problem, {"ld": flat, "sld": delta}
+    deltas = {"ld": flatten_sensitivity(delta, problem), "sld": delta}
 
-
-def _percentile_cell(problem, deltas, mechanism, epsilon, rng, runs):
-    if mechanism in ("em", "ld", "sld"):
-        _, dist = mechanisms.select(
-            mechanism, problem, epsilon, rng, delta=deltas.get(mechanism)
+    def cell(mechanism, eps_ix, epsilon):
+        dist = mechanisms.distribution(
+            mechanism, problem, epsilon, deltas.get(mechanism)
         )
         return "expectedError", mechanisms.expected_error(dist, problem), 0.0
-    # permute-and-flip has no closed-form distribution; Monte Carlo mean
-    u = {r: problem.utility(problem.database, r) for r in problem.candidates}
-    u_star = max(u.values())
-    errors = np.empty(runs)
-    for i in range(runs):
-        picked = mechanisms.select_permute_and_flip(problem, epsilon, rng)
-        errors[i] = u_star - u[picked]
-    stderr = float(errors.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
-    return "meanError", float(errors.mean()), stderr
+
+    return cell
+
+
+def _topk_cells(spec: ExperimentSpec, graph):
+    """Mean top-k accuracy over ``runs`` seeded private selections, with
+    its standard error."""
+    k = int(spec.params.get("k", 1))
+    runs = int(spec.params.get("runs", DEFAULT_TOPK_RUNS))
+    if runs < 1:
+        raise InvalidInputError("runs must be >= 1")
+
+    def cell(mechanism, eps_ix, epsilon):
+        scores = np.empty(runs)
+        for run_ix in range(runs):
+            rng = np.random.default_rng(
+                cell_seed(spec.base_seed, "topk", mechanism, eps_ix, run_ix)
+            )
+            result = graphs_mod.priv_topk(
+                graph, epsilon, k, mechanism, rng,
+                accountant=BudgetAccountant(),
+            )
+            scores[run_ix] = graphs_mod.topk_accuracy(result, graph, k)
+        stderr = float(scores.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
+        return "topkAccuracy", float(scores.mean()), stderr
+
+    return cell
+
+
+def _tree_cells(spec: ExperimentSpec, table):
+    """Cross-validated accuracy of one induction variant."""
+    depth = int(spec.params.get("depth", 2))
+    folds = int(spec.params.get("folds", 10))
+
+    def cell(variant, eps_ix, epsilon):
+        score = trees_mod.cross_validate(
+            table, depth, epsilon, variant,
+            seed=cell_seed(spec.base_seed, "tree", variant, eps_ix),
+            folds=folds,
+        )
+        return "cvAccuracy", score, 0.0
+
+    return cell
+
+
+#: Per application: the mechanism tags it accepts, and the factory that
+#: builds its cell function ``(tag, epsilon index, epsilon) -> (metric,
+#: value, dispersion)`` from the spec and the loaded dataset.
+_CELLS = {
+    "percentile": (mechanisms.MECHANISMS, _percentile_cells),
+    "topk": (mechanisms.MECHANISMS, _topk_cells),
+    "tree": (trees_mod.VARIANTS, _tree_cells),
+    "mechanism-compare": (mechanisms.MECHANISMS, _percentile_cells),
+}
 
 
 def run_experiment(spec: ExperimentSpec, dataset=None) -> list[ResultRow]:
-    """Run every (mechanism, epsilon) cell of the spec and return stable-
-    ordered rows.  ``DAMPEN_THREADS`` caps the parallel cell evaluation;
-    ordering and values do not depend on the schedule."""
+    """Run every (mechanism, epsilon) cell of the spec, one after another,
+    and return the rows in mechanism-major order."""
     if dataset is None:
         raise InvalidInputError("run_experiment needs a loaded dataset")
     record_runtime = bool(spec.params.get("record_runtime", False))
-
-    def elapsed_ms(t0: float) -> float:
-        # wall clock is only recorded on request: the determinism contract
-        # promises byte-identical output for a fixed (spec, seed)
-        return (time.perf_counter() - t0) * 1e3 if record_runtime else 0.0
-
-    jobs: list[tuple] = []
-    if spec.application in ("percentile", "mechanism-compare"):
-        problem, deltas = _percentile_setup(spec, dataset)
-        runs = int(spec.params.get("pf_runs", DEFAULT_PF_RUNS))
-
-        def make_job(mech, eps_ix, eps):
-            def job():
-                rng = np.random.default_rng(
-                    cell_seed(spec.base_seed, spec.application, mech, eps_ix)
-                )
-                t0 = time.perf_counter()
-                metric, value, dispersion = _percentile_cell(
-                    problem, deltas, mech, eps, rng, runs
-                )
-                return ResultRow(
-                    application=spec.application,
-                    dataset=spec.dataset_ref,
-                    mechanism=mech,
-                    epsilon=eps,
-                    metric=metric,
-                    value=value,
-                    dispersion=dispersion,
-                    runtime_ms=elapsed_ms(t0),
-                )
-            return job
-
-        for mech in spec.mechanisms:
-            for eps_ix, eps in enumerate(spec.epsilons):
-                jobs.append(make_job(mech, eps_ix, eps))
-
-    elif spec.application == "topk":
-        k = int(spec.params.get("k", 1))
-        runs = int(spec.params.get("runs", DEFAULT_TOPK_RUNS))
-
-        def make_job(mech, eps_ix, eps):
-            def job():
-                t0 = time.perf_counter()
-                scores = np.empty(runs)
-                for run_ix in range(runs):
-                    rng = np.random.default_rng(
-                        cell_seed(spec.base_seed, "topk", mech, eps_ix, run_ix)
-                    )
-                    result = graphs_mod.priv_topk(
-                        dataset, eps, k, mech, rng,
-                        accountant=BudgetAccountant(),
-                    )
-                    scores[run_ix] = graphs_mod.topk_accuracy(result, dataset, k)
-                stderr = (
-                    float(scores.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
-                )
-                return ResultRow(
-                    application="topk",
-                    dataset=spec.dataset_ref,
-                    mechanism=mech,
-                    epsilon=eps,
-                    metric="topkAccuracy",
-                    value=float(scores.mean()),
-                    dispersion=stderr,
-                    runtime_ms=elapsed_ms(t0),
-                )
-            return job
-
-        for mech in spec.mechanisms:
-            for eps_ix, eps in enumerate(spec.epsilons):
-                jobs.append(make_job(mech, eps_ix, eps))
-
-    elif spec.application == "tree":
-        depth = int(spec.params.get("depth", 2))
-        folds = int(spec.params.get("folds", 10))
-
-        def make_job(variant, eps_ix, eps):
-            def job():
-                t0 = time.perf_counter()
-                score = trees_mod.cross_validate(
-                    dataset, depth, eps, variant,
-                    seed=cell_seed(spec.base_seed, "tree", variant, eps_ix),
-                    folds=folds,
-                )
-                return ResultRow(
-                    application="tree",
-                    dataset=spec.dataset_ref,
-                    mechanism=variant,
-                    epsilon=eps,
-                    metric="cvAccuracy",
-                    value=score,
-                    dispersion=0.0,
-                    runtime_ms=elapsed_ms(t0),
-                )
-            return job
-
-        for variant in spec.mechanisms:
-            if variant not in trees_mod.VARIANTS:
-                raise InvalidInputError(
-                    f"tree variant must be one of {trees_mod.VARIANTS}, "
-                    f"got {variant!r}"
-                )
-            for eps_ix, eps in enumerate(spec.epsilons):
-                jobs.append(make_job(variant, eps_ix, eps))
-
-    threads = int(os.environ.get("DAMPEN_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda j: j(), jobs))
-    else:
-        rows = [job() for job in jobs]
+    cell = _CELLS[spec.application][1](spec, dataset)
+    rows = []
+    for mechanism in spec.mechanisms:
+        for eps_ix, epsilon in enumerate(spec.epsilons):
+            t0 = time.perf_counter()
+            metric, value, dispersion = cell(mechanism, eps_ix, epsilon)
+            # wall clock is only recorded on request: the determinism
+            # contract promises byte-identical output for a fixed (spec, seed)
+            runtime_ms = (time.perf_counter() - t0) * 1e3 if record_runtime else 0.0
+            rows.append(ResultRow(
+                application=spec.application,
+                dataset=spec.dataset_ref,
+                mechanism=mechanism,
+                epsilon=epsilon,
+                metric=metric,
+                value=value,
+                dispersion=dispersion,
+                runtime_ms=runtime_ms,
+            ))
     return rows
 
 

@@ -6,9 +6,11 @@ each candidate through a piecewise-linear map whose breakpoints are the
 cumulative sums of a sensitivity function, which caps the neighbor-to-
 neighbor movement of the rescaled score at one.
 
-Except for permute-and-flip (inherently sequential), every mechanism also
-returns its full per-candidate output distribution, computed exactly via a
-max-stabilized softmax, so expected errors can be derived without sampling.
+:func:`distribution` gives the exact per-candidate output distribution of
+every mechanism without drawing: a max-stabilized softmax for the
+exponential and dampening mechanisms, Gauss-Legendre quadrature of the
+closed form for permute-and-flip.  Expected errors are derived from it
+without sampling.
 """
 
 from __future__ import annotations
@@ -137,45 +139,167 @@ def dampen(
             )
 
 
-def _uniform(problem: SelectionProblem, epsilon: float, tag: str, rng):
+def _check_delta(mechanism: str, delta: SensitivityFunction | None) -> None:
+    name = "local" if mechanism == "ld" else "shifted"
+    if delta is None:
+        raise InvalidInputError(f"{name} dampening needs a sensitivity function")
+    if not delta.declared_admissible:
+        raise ContractViolationError(
+            f"sensitivity function {delta.name} is not declared admissible"
+        )
+    if mechanism == "sld" and not delta.declared_bounded:
+        raise ContractViolationError(
+            f"sensitivity function {delta.name} is not declared bounded; "
+            "wrap it with bound_sensitivity first"
+        )
+
+
+def _legendre(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``P_m(x)`` and ``P_m'(x)`` by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, m + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, m * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
+def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (descending) and weights of the ``m``-point Gauss-Legendre rule
+    on ``[-1, 1]``.
+
+    Newton's method on the recurrence from the asymptotic guesses
+    ``cos(pi (i - 1/4) / (m + 1/2))`` converges in a few steps for every
+    ``m`` and needs no eigensolver (``numpy.polynomial.legendre.leggauss``
+    would load LAPACK).  ``1 - x^2`` is taken as ``(1 - x)(1 + x)``, which
+    loses less precision next to the ends of the interval.
+    """
+    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(x, m)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-14:
+            break
+    _, dp = _legendre(x, m)
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
+#: Largest (candidate, node) slice of the permute-and-flip integrand held at
+#: once, which bounds its memory at any number of candidates.
+PF_SLICE_ENTRIES = 1 << 16
+
+
+def _pf_probabilities(log_p: np.ndarray) -> np.ndarray:
+    """Exact permute-and-flip distribution (McKenna & Sheldon, 2020).
+
+    With coin probabilities ``p_j = exp(log_p_j)``, candidate ``r`` is
+    returned with probability ``p_r * int_0^1 prod_{j != r} (1 - p_j u) du``.
+    The integrand is a polynomial of degree below k, so Gauss-Legendre
+    quadrature with ``k // 2 + 1`` nodes is exact up to rounding.  The
+    (candidate, node) grid is evaluated a few nodes at a time.
+    """
+    k = len(log_p)
+    p = np.exp(log_p)
+    nodes, weights = gauss_legendre(k // 2 + 1)
+    u = 0.5 * (nodes + 1.0)                       # nodes mapped onto [0, 1]
+    w = 0.5 * weights
+    integral = np.zeros(k)
+    step = max(1, PF_SLICE_ENTRIES // k)
+    for lo in range(0, len(u), step):
+        log_f = np.log1p(-p[:, None] * u[None, lo:lo + step])
+        others = np.exp(log_f.sum(axis=0) - log_f)
+        integral += others @ w[lo:lo + step]
+    probs = p * integral
+    return probs / probs.sum()
+
+
+def _scores(mechanism, problem, epsilon, delta, shift) -> np.ndarray:
+    gs = problem.global_sensitivity
+    if mechanism == "em":
+        return epsilon * np.array(problem.utilities()) / (2.0 * gs)
+    if mechanism == "pf":
+        u = np.array(problem.utilities())
+        return epsilon / (2.0 * gs) * (u - u.max())
+    u = problem.utilities()
+    if mechanism == "sld":
+        n_gs = problem.database_size * gs
+        if delta.monotonicity == "non_increasing":
+            offset = n_gs - min(u) if shift is None else shift
+            u = [ur + offset for ur in u]
+        else:
+            offset = n_gs + max(u) if shift is None else shift
+            u = [ur - offset for ur in u]
+    damped = np.array(
+        [dampen(problem, delta, r, ur) for r, ur in zip(problem.candidates, u)]
+    )
+    return epsilon * damped / 2.0
+
+
+MECHANISMS = ("em", "pf", "ld", "sld")
+
+
+def distribution(
+    mechanism: str,
+    problem: SelectionProblem,
+    epsilon: float,
+    delta: SensitivityFunction | None = None,
+    shift: float | None = None,
+) -> SelectionDistribution:
+    """Exact output distribution of one mechanism tag; draws nothing.
+
+    ``em``: probability proportional to ``exp(epsilon * u / (2 GS))``.
+    ``pf``: permute-and-flip, whose scores are the log coin probabilities
+    ``epsilon (u - u*) / (2 GS)``.  ``ld``: proportional to
+    ``exp(epsilon * D(u) / 2)``, with ``D`` the dampened utility under
+    ``delta``.  ``sld``: local dampening of a shifted utility; for a
+    non-increasing ``delta`` the utilities are raised until they all sit at
+    or above ``n * GS``, otherwise lowered by the saturation constant
+    ``n * GS + max u`` (or a caller-provided ``shift`` at least that large),
+    placing every score in the constant-width tail of the breakpoint grid.
+    ``ld`` needs a ``delta`` declared admissible, the hypothesis under which
+    it is differentially private; ``sld`` needs one also declared bounded.
+    A zero global sensitivity means the utility carries no private signal,
+    and every mechanism degenerates to uniform.
+    """
+    _check_epsilon(epsilon)
+    if mechanism in ("ld", "sld"):
+        _check_delta(mechanism, delta)
+    elif mechanism not in MECHANISMS:
+        raise InvalidInputError(f"unknown mechanism {mechanism!r}")
     k = len(problem.candidates)
-    dist = SelectionDistribution(
-        mechanism=tag,
+    if problem.global_sensitivity == 0:
+        scores, probabilities = np.zeros(k), np.full(k, 1.0 / k)
+    else:
+        scores = _scores(mechanism, problem, epsilon, delta, shift)
+        if mechanism == "pf":
+            probabilities = _pf_probabilities(scores)
+        else:
+            probabilities = _stable_softmax(scores)
+    return SelectionDistribution(
+        mechanism=mechanism,
         epsilon=epsilon,
         candidates=problem.candidates,
-        probabilities=np.full(k, 1.0 / k),
-        scores=np.zeros(k),
+        probabilities=probabilities,
+        scores=scores,
     )
-    return _sample(problem.candidates, dist.probabilities, rng), dist
+
+
+def _draw(dist: SelectionDistribution, rng):
+    return _sample(dist.candidates, dist.probabilities, rng), dist
 
 
 def select_exponential(problem: SelectionProblem, epsilon: float, rng):
     """Sample a candidate with probability proportional to
-    ``exp(epsilon * u / (2 * global_sensitivity))``.
-
-    A zero global sensitivity means the utility carries no private signal;
-    the distribution degenerates to uniform.
-    """
-    _check_epsilon(epsilon)
-    if problem.global_sensitivity == 0:
-        return _uniform(problem, epsilon, "em", rng)
-    u = np.array(problem.utilities())
-    scores = epsilon * u / (2.0 * problem.global_sensitivity)
-    dist = SelectionDistribution(
-        mechanism="em",
-        epsilon=epsilon,
-        candidates=problem.candidates,
-        probabilities=_stable_softmax(scores),
-        scores=scores,
-    )
-    return _sample(problem.candidates, dist.probabilities, rng), dist
+    ``exp(epsilon * u / (2 * global_sensitivity))``; returns
+    ``(candidate, distribution)``."""
+    return _draw(distribution("em", problem, epsilon), rng)
 
 
 def select_permute_and_flip(problem: SelectionProblem, epsilon: float, rng):
     """Permute-and-flip: walk a random permutation of the candidates and
     return the first one whose ``Bernoulli(exp(eps * (u - u*) / 2GS))``
     coin lands heads.  A maximizer flips heads with probability one, so the
-    walk always terminates.
+    walk always terminates.  Returns the candidate only; its exact
+    distribution is ``distribution("pf", ...)``.
     """
     _check_epsilon(epsilon)
     candidates = problem.candidates
@@ -197,31 +321,13 @@ def select_local_dampening(
     rng,
 ):
     """Sample with probability proportional to ``exp(epsilon * D(u) / 2)``
-    where ``D`` is the dampened utility under ``delta``.
+    where ``D`` is the dampened utility under ``delta``; returns
+    ``(candidate, distribution)``.
 
     ``delta`` must be declared admissible; that is the hypothesis under
     which the mechanism is differentially private.
     """
-    _check_epsilon(epsilon)
-    if not delta.declared_admissible:
-        raise ContractViolationError(
-            f"sensitivity function {delta.name} is not declared admissible"
-        )
-    if problem.global_sensitivity == 0:
-        return _uniform(problem, epsilon, "ld", rng)
-    u = problem.utilities()
-    damped = np.array(
-        [dampen(problem, delta, r, ur) for r, ur in zip(problem.candidates, u)]
-    )
-    scores = epsilon * damped / 2.0
-    dist = SelectionDistribution(
-        mechanism="ld",
-        epsilon=epsilon,
-        candidates=problem.candidates,
-        probabilities=_stable_softmax(scores),
-        scores=scores,
-    )
-    return _sample(problem.candidates, dist.probabilities, rng), dist
+    return _draw(distribution("ld", problem, epsilon, delta), rng)
 
 
 def shift_constant(problem: SelectionProblem) -> float:
@@ -239,49 +345,11 @@ def select_shifted_local_dampening(
     rng,
     shift: float | None = None,
 ):
-    """Local dampening applied to a shifted utility.
-
-    For a non-increasing ``delta`` the utilities are raised until they all
-    sit at or above ``n * GS``; otherwise they are lowered by the saturation
-    constant ``n * GS + max u`` (or any caller-provided ``shift`` at least
-    that large), placing every score in the constant-width tail of the
-    breakpoint grid.  ``delta`` must be declared admissible and bounded.
+    """Local dampening applied to a shifted utility (see
+    :func:`distribution`); returns ``(candidate, distribution)``.
+    ``delta`` must be declared admissible and bounded.
     """
-    _check_epsilon(epsilon)
-    if not delta.declared_admissible:
-        raise ContractViolationError(
-            f"sensitivity function {delta.name} is not declared admissible"
-        )
-    if not delta.declared_bounded:
-        raise ContractViolationError(
-            f"sensitivity function {delta.name} is not declared bounded; "
-            "wrap it with bound_sensitivity first"
-        )
-    if problem.global_sensitivity == 0:
-        return _uniform(problem, epsilon, "sld", rng)
-    u = problem.utilities()
-    n_gs = problem.database_size * problem.global_sensitivity
-    if delta.monotonicity == "non_increasing":
-        offset = n_gs - min(u) if shift is None else shift
-        shifted = [ur + offset for ur in u]
-    else:
-        offset = n_gs + max(u) if shift is None else shift
-        shifted = [ur - offset for ur in u]
-    damped = np.array(
-        [
-            dampen(problem, delta, r, ur)
-            for r, ur in zip(problem.candidates, shifted)
-        ]
-    )
-    scores = epsilon * damped / 2.0
-    dist = SelectionDistribution(
-        mechanism="sld",
-        epsilon=epsilon,
-        candidates=problem.candidates,
-        probabilities=_stable_softmax(scores),
-        scores=scores,
-    )
-    return _sample(problem.candidates, dist.probabilities, rng), dist
+    return _draw(distribution("sld", problem, epsilon, delta, shift), rng)
 
 
 def expected_error(dist: SelectionDistribution, problem: SelectionProblem) -> float:
@@ -313,9 +381,6 @@ def error_tail(
     )
 
 
-MECHANISMS = ("em", "pf", "ld", "sld")
-
-
 def select(
     mechanism: str,
     problem: SelectionProblem,
@@ -323,18 +388,15 @@ def select(
     rng,
     delta: SensitivityFunction | None = None,
 ):
-    """Dispatch by mechanism tag; returns ``(candidate, distribution)`` with
-    ``distribution = None`` for permute-and-flip."""
-    if mechanism == "em":
-        return select_exponential(problem, epsilon, rng)
+    """Draw one candidate with the mechanism named by its tag.
+
+    Permute-and-flip walks its permutation; every other tag samples its
+    exact :func:`distribution`.
+    """
     if mechanism == "pf":
-        return select_permute_and_flip(problem, epsilon, rng), None
-    if mechanism == "ld":
-        if delta is None:
-            raise InvalidInputError("local dampening needs a sensitivity function")
-        return select_local_dampening(problem, delta, epsilon, rng)
-    if mechanism == "sld":
-        if delta is None:
-            raise InvalidInputError("shifted dampening needs a sensitivity function")
-        return select_shifted_local_dampening(problem, delta, epsilon, rng)
-    raise InvalidInputError(f"unknown mechanism {mechanism!r}")
+        return select_permute_and_flip(problem, epsilon, rng)
+    return _sample(
+        problem.candidates,
+        distribution(mechanism, problem, epsilon, delta).probabilities,
+        rng,
+    )

@@ -276,27 +276,37 @@ def check_admissibility(
     database distance up to ``max_t``.
 
     Returns the first violating ``(condition, t, r, neighbor_index)``.
+    ``delta`` is evaluated once per ``(t <= max_t, r)`` at ``x`` and at each
+    neighbor, one database after the other, so a ``delta`` that keeps a
+    table for the last database it saw fills it once per database.
     """
     x = problem.database
+    candidates = problem.candidates
     explorer = BruteForceExplorer(problem, enumerator, node_budget)
-    for r in problem.candidates:
+
+    def levels(db):
+        return [[delta(db, t, r) for r in candidates] for t in range(max_t + 1)]
+
+    at_x = levels(x)
+    for r, d0 in zip(candidates, at_x[0]):
         ls0 = explorer.ls0(x, r)
-        if delta(x, 0, r) < ls0 - _TOL:
+        if d0 < ls0 - _TOL:
             return AdmissibilityReport(
                 False,
                 witness=("ls0", 0, r, None),
-                detail=f"delta(x,0,{r!r})={delta(x, 0, r)} < LS0={ls0}",
+                detail=f"delta(x,0,{r!r})={d0} < LS0={ls0}",
             )
     for n_idx, y in enumerate(enumerator.neighbors(x)):
+        at_y = levels(y)
         for t in range(max_t):
-            for r in problem.candidates:
-                if delta(x, t + 1, r) < delta(y, t, r) - _TOL:
+            for i, r in enumerate(candidates):
+                if at_x[t + 1][i] < at_y[t][i] - _TOL:
                     return AdmissibilityReport(
                         False,
                         witness=("growth", t, r, n_idx),
                         detail="delta(x,t+1,r) < delta(y,t,r)",
                     )
-                if delta(y, t + 1, r) < delta(x, t, r) - _TOL:
+                if at_y[t + 1][i] < at_x[t][i] - _TOL:
                     return AdmissibilityReport(
                         False,
                         witness=("growth", t, r, n_idx),

@@ -333,54 +333,12 @@ def ls0_ig(table: LabeledTable, attribute: str) -> float:
 
 
 class CandidateCache:
-    """Per-table memo shared across t: the count-pair expansion of
-    :func:`candidates_ig`, and the cells and filled levels of :func:`ls_t_ig`."""
+    """Per-table memo shared across t: the cells and filled levels of
+    :func:`ls_t_ig`."""
 
     def __init__(self):
-        self.pairs: dict = {}
         self.ls_best: dict = {}
         self.ls_frontiers: dict = {}
-
-
-def candidates_ig(
-    table: LabeledTable,
-    attribute: str,
-    t: int,
-    j: Hashable,
-    c: Hashable,
-    cache: CandidateCache | None = None,
-) -> frozenset:
-    """Reachable (attribute-count, cell-count) pairs after t typed row edits.
-
-    Each step either removes a row counted by both coordinates or adds a row
-    counted by the first only, with the addition gated on the original table
-    size; the gate is kept as given even though edits change the actual
-    size, which makes the expansion a lower bound when a count can climb
-    past the original size (the oracle comparison in the tests bounds that
-    effect).  Results are cached per (t, j, c) since callers sweep t upward.
-    """
-    if t < 0:
-        raise InvalidInputError("t must be >= 0")
-    if cache is None:
-        cache = CandidateCache()
-    key = (attribute, t, j, c)
-    hit = cache.pairs.get(key)
-    if hit is not None:
-        return hit
-    if t == 0:
-        by_class = table.counts(attribute)[j]
-        result = frozenset({(sum(by_class.values()), by_class[c])})
-    else:
-        tau = len(table)
-        expanded = set()
-        for a, b in candidates_ig(table, attribute, t - 1, j, c, cache):
-            if a > 0 and b > 0:
-                expanded.add((a - 1, b - 1))
-            if a < tau:
-                expanded.add((a + 1, b))
-        result = frozenset(expanded)
-    cache.pairs[key] = result
-    return result
 
 
 def ls_t_ig(

@@ -194,8 +194,9 @@ def test_criterion_3_bounded_dampening_shift():
 
 
 def test_criterion_4_epsilon_indistinguishability():
-    with _Timer(4, "exact output ratios within exp(±eps) for the exponential "
-                   "and dampening mechanisms on neighbor pairs", 30.0):
+    with _Timer(4, "exact output ratios within exp(±eps) for the exponential, "
+                   "permute-and-flip and dampening mechanisms on neighbor "
+                   "pairs", 30.0):
         rng = np.random.default_rng(44)
         slack = 1 + 1e-9
         for kind, problem, enum in _tiny_instances(rng, count=12):
@@ -206,15 +207,18 @@ def test_criterion_4_epsilon_indistinguishability():
                 _, ld_x = mechanisms.select_local_dampening(
                     problem, delta, eps, rng
                 )
+                pf_x = mechanisms.distribution("pf", problem, eps)
                 for y in enum.neighbors(x):
                     shifted = shifted_copy(problem, y)
                     _, em_y = mechanisms.select_exponential(shifted, eps, rng)
                     _, ld_y = mechanisms.select_local_dampening(
                         shifted, delta, eps, rng
                     )
+                    pf_y = mechanisms.distribution("pf", shifted, eps)
                     for px, py in (
                         (em_x.probabilities, em_y.probabilities),
                         (ld_x.probabilities, ld_y.probabilities),
+                        (pf_x.probabilities, pf_y.probabilities),
                     ):
                         ratios = px / py
                         assert np.max(ratios) <= math.exp(eps) * slack, kind
@@ -488,18 +492,12 @@ def test_criterion_9_desk_scale_trends():
             assert e_ld <= e_em + 1e-9
 
         # permute-and-flip never beaten by the exponential mechanism
-        runs = 100_000
-        u = {r: vec_problem.utility(x, r) for r in vec_problem.candidates}
-        u_star = max(u.values())
         for eps in (0.1, 1.0, 10.0):
-            _, em = mechanisms.select_exponential(vec_problem, eps, rng)
-            e_em = mechanisms.expected_error(em, vec_problem)
-            errors = np.empty(runs)
-            for i in range(runs):
-                pick = mechanisms.select_permute_and_flip(vec_problem, eps, rng)
-                errors[i] = u_star - u[pick]
-            stderr = errors.std(ddof=1) / math.sqrt(runs)
-            assert errors.mean() <= e_em + 3 * stderr
+            e_em = mechanisms.expected_error(
+                mechanisms.distribution("em", vec_problem, eps), vec_problem)
+            e_pf = mechanisms.expected_error(
+                mechanisms.distribution("pf", vec_problem, eps), vec_problem)
+            assert e_pf <= e_em + 1e-9
 
 
 def test_criterion_10_tree_end_to_end():

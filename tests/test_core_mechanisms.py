@@ -1,5 +1,8 @@
+import itertools
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,10 +26,14 @@ from dampen.fixtures import (
 from dampen.graphs import delta_ebc, ebc_problem, edge_flip_enumerator, flat_delta_ebc
 from dampen.mechanisms import (
     MAX_BREAKPOINT_STEPS,
+    MECHANISMS,
     SelectionDistribution,
     dampen,
+    distribution,
     error_tail,
     expected_error,
+    gauss_legendre,
+    select,
     select_exponential,
     select_local_dampening,
     select_permute_and_flip,
@@ -183,6 +190,140 @@ class TestPermuteAndFlip:
         problem = make_abstract_problem([0.0, 1.0], gs=1.0)
         with pytest.raises(InvalidInputError):
             select_permute_and_flip(problem, 0.0, rng)
+
+
+def enumerated_pf(utilities, epsilon, gs):
+    """Permute-and-flip by enumerating every permutation: the first
+    candidate whose coin lands heads, all coins before it tails."""
+    u = np.asarray(utilities, dtype=float)
+    p = np.exp(epsilon * (u - u.max()) / (2.0 * gs))
+    probs = np.zeros(len(u))
+    orders = list(itertools.permutations(range(len(u))))
+    for order in orders:
+        tails = 1.0
+        for idx in order:
+            probs[idx] += tails * p[idx] / len(orders)
+            tails *= 1.0 - p[idx]
+    return probs
+
+
+class TestExactPermuteAndFlip:
+    def test_matches_permutation_enumeration(self, rng):
+        for k in range(1, 6):
+            for _ in range(10):
+                u = rng.uniform(-20, 20, size=k)
+                if rng.random() < 0.3:
+                    u[rng.integers(k)] = u.max()     # tied maximizers
+                eps = float(rng.uniform(0.1, 5.0))
+                dist = distribution("pf", make_abstract_problem(u, gs=3.0), eps)
+                gap = np.max(np.abs(dist.probabilities - enumerated_pf(u, eps, 3.0)))
+                assert gap <= 1e-12, (u, eps)
+
+    def test_half_flip_is_exact(self):
+        problem = make_abstract_problem([0.0, 1.0], gs=1.0)
+        dist = distribution("pf", problem, 2 * math.log(2))
+        assert np.max(np.abs(dist.probabilities - (0.25, 0.75))) <= 1e-12
+
+    def test_zero_sensitivity_degenerates_to_uniform(self):
+        problem = make_abstract_problem([1.0, 9.0, 4.0], gs=0.0)
+        dist = distribution("pf", problem, 1.0)
+        assert np.array_equal(dist.probabilities, np.full(3, 1 / 3))
+
+    def test_never_worse_than_exponential(self, rng):
+        for _ in range(20):
+            k = int(rng.integers(2, 40))
+            problem = make_abstract_problem(rng.uniform(0, 50, size=k), gs=5.0)
+            for eps in (0.1, 1.0, 10.0):
+                e_pf = expected_error(distribution("pf", problem, eps), problem)
+                e_em = expected_error(distribution("em", problem, eps), problem)
+                assert e_pf <= e_em + 1e-9
+
+    def test_sampler_frequencies_match(self):
+        rng = np.random.default_rng(8)
+        problem = make_abstract_problem([0.0, 2.0, 3.0, 3.0, 5.0, 1.0], gs=2.0)
+        want = distribution("pf", problem, 1.5).probabilities
+        runs = 40_000
+        picks = [select_permute_and_flip(problem, 1.5, rng) for _ in range(runs)]
+        freq = np.bincount(picks, minlength=len(want)) / runs
+        tol = 5 * np.sqrt(want * (1 - want) / runs)
+        assert np.all(np.abs(freq - want) <= tol), (freq, want)
+
+    def test_fill_memory_is_bounded(self):
+        rng = np.random.default_rng(9)
+        problem = make_abstract_problem(rng.uniform(0, 100, size=10_000), gs=50.0)
+        tracemalloc.start()
+        try:
+            dist = distribution("pf", problem, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole (candidate, node) grid would take 400 MB
+        assert peak < 8 * 2**20, peak
+        assert dist.probabilities.argmax() == int(np.argmax(problem.database))
+
+
+class TestGaussLegendre:
+    def test_matches_leggauss(self):
+        for m in [*range(1, 65), 100, 257, 500, 999, 1000]:
+            nodes, weights = gauss_legendre(m)
+            want_nodes, want_weights = np.polynomial.legendre.leggauss(m)
+            # ascending from leggauss, descending here
+            assert np.max(np.abs(nodes[::-1] - want_nodes)) <= 1e-15, m
+            assert np.max(np.abs(weights[::-1] - want_weights)) <= 1e-13, m
+
+    def test_outermost_weights_against_high_precision(self):
+        # leggauss itself is off by about 1e-8 relative here
+        m = 1000
+        nodes, weights = gauss_legendre(m)
+        for i in (0, 1):
+            with mpmath.workdps(30):
+                x = mpmath.mpf(nodes[i])
+                for _ in range(3):
+                    p, q = mpmath.legendre(m, x), mpmath.legendre(m - 1, x)
+                    dp = m * (x * p - q) / (x * x - 1)
+                    x -= p / dp
+                exact = float(2 / ((1 - x * x) * dp * dp))
+            assert abs(weights[i] - exact) <= 1e-10 * exact, i
+
+    def test_integrates_polynomials_below_degree_2m(self):
+        for m in range(1, 13):
+            nodes, weights = gauss_legendre(m)
+            for j in range(2 * m):
+                exact = 0.0 if j % 2 else 2.0 / (j + 1)
+                assert abs(weights @ nodes**j - exact) <= 1e-13, (m, j)
+
+
+class TestDistribution:
+    def test_select_draws_like_the_per_mechanism_samplers(self):
+        problem = make_abstract_problem([0.0, 4.0, 1.5, 4.0, 2.5], gs=3.0)
+        delta = constant_sensitivity(3.0)
+        samplers = {
+            "em": lambda g: select_exponential(problem, 0.7, g)[0],
+            "pf": lambda g: select_permute_and_flip(problem, 0.7, g),
+            "ld": lambda g: select_local_dampening(problem, delta, 0.7, g)[0],
+            "sld": lambda g: select_shifted_local_dampening(
+                problem, delta, 0.7, g)[0],
+        }
+        for tag in MECHANISMS:
+            a, b = np.random.default_rng(3), np.random.default_rng(3)
+            for _ in range(50):
+                assert select(tag, problem, 0.7, a, delta=delta) == samplers[tag](b)
+            assert a.random() == b.random(), tag
+
+    def test_samplers_return_the_exact_distribution(self, rng):
+        problem = make_abstract_problem([0.0, 4.0, 1.5], gs=3.0)
+        delta = step_delta([1.0, 2.0], tail=3.0, declared_bounded=True)
+        for tag, sampler in (("ld", select_local_dampening),
+                             ("sld", select_shifted_local_dampening)):
+            _, dist = sampler(problem, delta, 0.7, rng)
+            exact = distribution(tag, problem, 0.7, delta)
+            assert np.array_equal(dist.probabilities, exact.probabilities)
+
+    def test_rejects_bad_tags_and_missing_delta(self):
+        problem = make_abstract_problem([0.0, 1.0], gs=1.0)
+        for tag, delta in (("nope", None), ("ld", None), ("sld", None)):
+            with pytest.raises(InvalidInputError):
+                distribution(tag, problem, 1.0, delta)
 
 
 class TestLocalDampening:

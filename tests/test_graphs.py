@@ -121,6 +121,16 @@ class TestSensitivityFormulas:
             )
             assert report.passed, (g.edges(), report)
 
+    def test_flat_degree_delta_admissible_on_random_graphs(self, rng):
+        # the candidate-independent bound that local dampening runs on
+        for _ in range(20):
+            g = random_graph_instance(rng, n=6)
+            report = check_admissibility(
+                flat_delta_ebc(), ebc_problem(g), edge_flip_enumerator(),
+                max_t=2,
+            )
+            assert report.passed, (g.edges(), report)
+
     def test_per_node_flip_bound(self, rng):
         for _ in range(15):
             g = random_graph_instance(rng, n=6)

@@ -1,10 +1,10 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dampen import cli, harness
@@ -26,6 +26,7 @@ from dampen.harness import (
     rows_to_text,
     run_experiment,
 )
+from dampen.percentile import PercentileQuery, percentile_problem
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             ExperimentSpec("percentile", "d", epsilons=(0.0,), mechanisms=("em",))
 
+    @pytest.mark.parametrize("application, tag", [
+        ("percentile", "global"), ("mechanism-compare", "nope"),
+        ("topk", "local"), ("tree", "em"),
+    ])
+    def test_unknown_tag_rejected_for_every_application(self, application, tag):
+        with pytest.raises(InvalidInputError, match=repr(tag)):
+            ExperimentSpec(application, "d", epsilons=(1.0,),
+                           mechanisms=(tag,))
+
     def test_unknown_application_rejected(self):
         with pytest.raises(InvalidInputError):
             ExperimentSpec("nope", "d", epsilons=(1.0,), mechanisms=("em",))
@@ -99,21 +109,35 @@ class TestRunExperiment:
         for eps, vals in by_eps.items():
             assert vals["ld"] <= vals["em"] + 1e-9
 
-    def test_pf_rows_have_dispersion(self, vector_file):
+    def test_pf_rows_are_exact(self, vector_file):
         dataset = load_dataset(vector_file, "vector", lambda_cap=100.0)
         spec = ExperimentSpec(
-            "percentile", "values", epsilons=(1.0,), mechanisms=("pf",),
-            params={"pf_runs": 2000},
+            "mechanism-compare", "values", epsilons=(0.3, 1.0),
+            mechanisms=("em", "pf"),
         )
-        (row,) = run_experiment(spec, dataset)
-        assert row.metric == "meanError" and row.dispersion > 0
+        rows = run_experiment(spec, dataset)
+        assert all(r.metric == "expectedError" and r.dispersion == 0.0
+                   for r in rows)
+        # closed form by leggauss and a direct product over the others
+        u = np.array(percentile_problem(
+            dataset, PercentileQuery(50, len(dataset))).utilities())
+        nodes, weights = np.polynomial.legendre.leggauss(len(u))
+        x = 0.5 * (nodes + 1.0)
+        for eps, em, pf in zip(spec.epsilons, rows[:2], rows[2:]):
+            p = np.exp(eps * (u - u.max()) / (2.0 * 100.0))
+            f = 1.0 - p[:, None] * x[None, :]
+            others = np.array([np.prod(np.delete(f, r, axis=0), axis=0)
+                               for r in range(len(u))])
+            probs = p * (others @ (0.5 * weights))
+            assert pf.value == pytest.approx(
+                float(probs @ (u.max() - u)), abs=1e-9)
+            assert pf.value <= em.value + 1e-9
 
-    def test_deterministic_across_runs_and_threads(self, vector_file):
+    def test_deterministic_across_runs(self, vector_file):
         dataset = load_dataset(vector_file, "vector", lambda_cap=100.0)
         spec = ExperimentSpec(
             "percentile", "values", epsilons=(0.5, 1.0),
             mechanisms=("em", "pf", "ld", "sld"), base_seed=11,
-            params={"pf_runs": 500},
         )
 
         def run_serialized():
@@ -124,13 +148,7 @@ class TestRunExperiment:
                 for r in rows
             ]
 
-        first = run_serialized()
-        assert run_serialized() == first
-        os.environ["DAMPEN_THREADS"] = "4"
-        try:
-            assert run_serialized() == first
-        finally:
-            del os.environ["DAMPEN_THREADS"]
+        assert run_serialized() == run_serialized()
 
     def test_cell_seed_is_stable(self):
         assert cell_seed(1, "a", 2) == cell_seed(1, "a", 2)
@@ -145,6 +163,15 @@ class TestRunExperiment:
         (row,) = run_experiment(spec, dataset)
         assert row.metric == "topkAccuracy"
         assert 0.0 <= row.value <= 1.0
+
+    def test_topk_rejects_nonpositive_runs(self, graph_file):
+        dataset = load_dataset(graph_file, "graph")
+        spec = ExperimentSpec(
+            "topk", "g", epsilons=(1.0,), mechanisms=("em",),
+            params={"k": 1, "runs": -3},
+        )
+        with pytest.raises(InvalidInputError):
+            run_experiment(spec, dataset)
 
     def test_tree_rows(self, table_files):
         data, schema = table_files
@@ -239,6 +266,14 @@ class TestCli:
             "--mechanism", "ld,sld", "--runs", "5", "--output", "csv",
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_topk_zero_runs_exit_one(self, graph_file):
+        proc = run_cli(
+            "topk", "--graph", graph_file, "--k", "1", "--epsilon", "1",
+            "--mechanism", "em", "--runs", "0",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "dampen: runs must be >= 1\n"
 
     def test_tree(self, table_files):
         data, schema = table_files

@@ -279,6 +279,22 @@ class TestWindowBound:
         )
         assert report.passed, (x.values(), p, report)
 
+    def test_flattened_bound_is_admissible(self):
+        # the candidate-independent hull that local dampening runs on
+        rng = np.random.default_rng(47)
+        for _ in range(8):
+            n = int(rng.integers(1, 7))
+            x = varied_vector(rng, n, float(rng.choice([1.0, 10.0, 100.0])))
+            q = PercentileQuery(int(rng.choice([1, 25, 50, 75, 100])), n)
+            problem = percentile_problem(x, q)
+            flat = flatten_sensitivity(bounded_ls_percentile(x, q), problem)
+            report = check_admissibility(
+                flat, problem,
+                vector_enumerator(x, values=critical_values(x, grid=2)),
+                max_t=3,
+            )
+            assert report.passed, (x.values(), q.p, report)
+
     def test_covers_the_exact_closure(self):
         # ls0_of_record rounds, so the bound may sit an ulp or two below a
         # closure value reached by editing the target record itself

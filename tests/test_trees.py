@@ -26,7 +26,6 @@ from dampen.trees import (
     bin_index,
     build_diffp_id3,
     build_id3,
-    candidates_ig,
     classify,
     cross_validate,
     discretize,
@@ -34,6 +33,8 @@ from dampen.trees import (
     g_remove,
     global_sensitivity_ig,
     h_pair,
+    ig_problem,
+    ig_sensitivity,
     ig_utility,
     ls0_ig,
     ls_t_ig,
@@ -41,6 +42,7 @@ from dampen.trees import (
     row_edit_enumerator,
     schema_from_json,
 )
+from dampen.sensitivity import bound_sensitivity, check_admissibility
 
 
 def two_value_table(rows):
@@ -186,73 +188,15 @@ class TestDistanceZero:
             assert ls0_ig(table, "A") == pytest.approx(want, abs=1e-9)
 
 
-class TestCandidates:
-    def test_base_case(self):
-        table = two_value_table(
-            [{"A": 0, "y": "c0"}, {"A": 0, "y": "c0"}, {"A": 0, "y": "c1"}]
-        )
-        assert candidates_ig(table, "A", 0, 0, "c1") == frozenset({(3, 1)})
-
-    def test_size_gate_blocks_addition(self):
-        table = two_value_table(
-            [{"A": 0, "y": "c0"}, {"A": 0, "y": "c0"}, {"A": 0, "y": "c1"}]
-        )
-        # (3, 1) with tau = 3: the addition move is gated off
-        assert candidates_ig(table, "A", 1, 0, "c1") == frozenset({(2, 0)})
-
-    def test_removal_guard(self):
-        table = two_value_table(
-            [{"A": 0, "y": "c1"}, {"A": 1, "y": "c0"},
-             {"A": 1, "y": "c0"}, {"A": 1, "y": "c1"}]
-        )
-        # (1, 0) for (j=0, c=c0): nothing to remove, addition applies
-        assert candidates_ig(table, "A", 1, 0, "c0") == frozenset({(2, 0)})
-
-    def test_cache_is_transparent(self, rng):
-        for _ in range(25):
-            table = random_table_instance(rng, max_rows=5)
-            cache = CandidateCache()
-            for t in (0, 1, 2, 3):
-                for j in (0, 1):
-                    for c in ("c0", "c1"):
-                        assert candidates_ig(table, "A", t, j, c, cache) == (
-                            candidates_ig(table, "A", t, j, c)
-                        )
-
-    def test_pairs_are_reachable_counts(self, rng):
-        for _ in range(25):
-            table = random_table_instance(rng, max_rows=5)
-            counts = table.counts("A")
-            for j in (0, 1):
-                a0 = sum(counts[j].values())
-                for c in ("c0", "c1"):
-                    b0 = counts[j][c]
-                    for t in (1, 2, 3):
-                        for a, b in candidates_ig(table, "A", t, j, c):
-                            assert 0 <= b <= a
-                            # p removals and q additions, p + q = t
-                            p = b0 - b
-                            q = (a - a0) + p
-                            assert p >= 0 and q >= 0 and p + q == t
-
-    def test_gate_makes_recursion_undershoot(self):
-        # with every row on one attribute value the gate freezes the
-        # expansion, while an actual added row keeps raising the bound;
-        # the ungated distance-t sensitivity sees it
+class TestDistanceT:
+    def test_added_rows_raise_the_bound_past_the_table_size(self):
+        # with every row on one attribute value, an added row moves the
+        # attribute count past the original size and still raises the bound
         table = two_value_table(
             [{"A": 0, "y": "c0"}, {"A": 0, "y": "c0"}]
         )
-        gated = max(
-            h_pair(a, b)
-            for t in (0, 1)
-            for c in ("c0", "c1")
-            for a, b in candidates_ig(table, "A", t, 0, c)
-        )
-        assert exhaustive_ls_t(table, 1) > gated + 0.4
         assert ls_t_ig(table, 1, "A") == pytest.approx(exhaustive_ls_t(table, 1))
 
-
-class TestDistanceT:
     def test_distance_zero_equals_ls0(self, rng):
         for _ in range(20):
             table = random_table_instance(rng, max_rows=5)
@@ -437,6 +381,20 @@ class TestDistanceT:
         assert attained == pytest.approx(f_add(n), abs=1e-12)
         assert attained <= global_sensitivity_ig(n)
         assert global_sensitivity_ig(n) - attained < 0.01
+
+
+class TestAdmissibility:
+    def test_bounded_split_score_delta_is_admissible(self):
+        rng = np.random.default_rng(53)
+        enum = row_edit_enumerator(TINY_TABLE_SCHEMA)
+        for _ in range(15):
+            table = random_table_instance(rng, max_rows=6)
+            problem = ig_problem(table, ("A",))
+            delta = bound_sensitivity(ig_sensitivity(),
+                                      problem.global_sensitivity,
+                                      problem.database_size)
+            report = check_admissibility(delta, problem, enum, max_t=3)
+            assert report.passed, (table.row_dicts(), report)
 
 
 class TestPartition:
