@@ -455,13 +455,13 @@ def _check_ig_global_bound(rng, trials=30):
 
 
 def _check_f_g_monotone(rng):
-    xs = range(0, 10_001)
-    prev_f, prev_g = trees.f_add(0), trees.g_remove(0)
-    for x in xs:
-        fx, gx = trees.f_add(x), trees.g_remove(x)
-        if fx < prev_f - 1e-12 or gx > prev_g + 1e-12:
-            return False, f"monotonicity broke at x={x}"
-        prev_f, prev_g = fx, gx
+    # exact, with no tolerance: the frontier pruning of ls_t_ig rests on the
+    # stored F being nondecreasing and G nonincreasing
+    F, G = trees._potentials(10_001)
+    for name, steps in (("F", np.diff(F)), ("G", -np.diff(G))):
+        bad = np.flatnonzero(steps < 0)
+        if len(bad):
+            return False, f"{name} breaks monotonicity at x={int(bad[0]) + 1}"
     return True, ""
 
 

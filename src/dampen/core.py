@@ -93,6 +93,12 @@ class SensitivityFunction:
     (the walk checks the claim as it goes).  ``monotonicity`` is the
     declared relationship between ``delta`` and the utility ordering and
     picks the shift direction used by the shifted mechanism.
+
+    ``levels``, when given, is a bulk form of ``eval``: ``levels(database,
+    candidate, upto)`` returns a sequence of at least ``upto`` values whose
+    entry ``t`` equals ``eval(database, t, candidate)``.  The breakpoint
+    walk then reads one prefix per chunk instead of making one call per
+    step, and checks every value it reads as :meth:`__call__` would.
     """
 
     eval: Callable[[Any, int, Hashable], float]
@@ -101,6 +107,7 @@ class SensitivityFunction:
     declared_nondecreasing_in_t: bool = False
     monotonicity: str = "none"
     name: str = "delta"
+    levels: Callable[[Any, Hashable, int], Sequence[float]] | None = None
 
     def __post_init__(self):
         if self.monotonicity not in MONOTONICITY_CLASSES:
@@ -111,10 +118,14 @@ class SensitivityFunction:
     def __call__(self, database: Any, t: int, r: Hashable) -> float:
         value = self.eval(database, t, r)
         if not math.isfinite(value) or value < 0:
-            raise ContractViolationError(
-                f"sensitivity function {self.name} returned {value!r} at t={t}"
-            )
+            self.refuse(value, t)
         return value
+
+    def refuse(self, value: float, t: int):
+        """Raise for a level that is not finite and >= 0."""
+        raise ContractViolationError(
+            f"sensitivity function {self.name} returned {value!r} at t={t}"
+        )
 
 
 def constant_sensitivity(value: float, name: str = "const") -> SensitivityFunction:

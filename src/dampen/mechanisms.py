@@ -92,6 +92,13 @@ def dampen(
     constant tail and the walk stops there; the claim is checked on every
     step taken.  Negative scores go through the mirrored grid, which makes
     ``dampen(-u) == -dampen(u)`` hold exactly.
+
+    A ``delta`` with a ``levels`` hook is read one prefix per chunk: first
+    the ``floor(|u| / GS) + 1`` steps that a score below ``n * GS`` takes
+    at least (8 when that is fewer, and for scores in the tail), then twice
+    the steps walked so far.  The steps are added in the same order and
+    checked one by one as on the per-step path, so the scores are the same
+    floats.
     """
     if not math.isfinite(u_value):
         raise InvalidInputError(f"utility value {u_value!r} is not finite")
@@ -105,6 +112,8 @@ def dampen(
     n = problem.database_size
     bounded = delta.declared_bounded
     saturates = bounded and delta.declared_nondecreasing_in_t
+    fetch = delta.levels
+    chunk = ()
     b = 0.0
     i = 0
     previous = 0.0
@@ -116,7 +125,25 @@ def dampen(
                     f"bracket utility {u_value!r}"
                 )
             return sign * (i + (v - b) / gs)
-        width = delta(x, i, r)
+        if fetch is None:
+            width = delta(x, i, r)
+        else:
+            if i >= len(chunk):
+                if i:
+                    upto = 2 * i
+                elif v < n * gs:
+                    upto = max(8, int(v / gs) + 1)
+                else:
+                    upto = 8
+                chunk = fetch(x, r, upto)
+                if len(chunk) < upto:
+                    raise ContractViolationError(
+                        f"sensitivity function {delta.name} returned "
+                        f"{len(chunk)} levels, {upto} were asked for"
+                    )
+            width = chunk[i]
+            if not math.isfinite(width) or width < 0:
+                delta.refuse(width, i)
         if saturates:
             if width < previous or width > gs:
                 raise ContractViolationError(

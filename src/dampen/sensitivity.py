@@ -201,7 +201,9 @@ def bound_sensitivity(
     the declaration also holds for sensitivity functions whose admissibility
     is merely assumed.  Taking a minimum with a constant preserves the
     declared monotonicity class, and so does pinning the tail to GS for a
-    ``delta`` that is nondecreasing in t.
+    ``delta`` that is nondecreasing in t.  A ``levels`` hook of ``delta`` is
+    mapped the same way; non-finite levels pass through unclipped, so the
+    walk refuses them as the inner per-step check does.
     """
     if not delta.declared_admissible:
         raise PreconditionError("bound_sensitivity expects an admissible input")
@@ -211,6 +213,15 @@ def bound_sensitivity(
             return global_sensitivity
         return min(delta(db, t, r), global_sensitivity)
 
+    levels_fn = None
+    if delta.levels is not None:
+        def levels_fn(db, r, upto):
+            m = upto if database_size is None else min(upto, database_size)
+            out = [min(v, global_sensitivity) if v < math.inf else v
+                   for v in delta.levels(db, r, m)[:m]]
+            out.extend([global_sensitivity] * (upto - m))
+            return out
+
     return SensitivityFunction(
         eval=eval_fn,
         declared_admissible=True,
@@ -218,6 +229,7 @@ def bound_sensitivity(
         declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
         monotonicity=delta.monotonicity,
         name=f"min({delta.name}, GS)",
+        levels=levels_fn,
     )
 
 

@@ -333,8 +333,8 @@ def ls0_ig(table: LabeledTable, attribute: str) -> float:
 
 
 class CandidateCache:
-    """Per-table memo shared across t: the cells and filled levels of
-    :func:`ls_t_ig`."""
+    """Per-table memo shared across t: the frontier cells and filled levels
+    of :func:`ls_t_ig`."""
 
     def __init__(self):
         self.ls_best: dict = {}
@@ -355,6 +355,20 @@ def ls_t_ig(
     t as a running maximum.  Levels are filled through the cache in doubling
     chunks (up to the table size, or t when that is larger), so a walk up t
     costs a few array passes rather than one scan per level.
+
+    Only the Pareto frontier of the cells ``(a0, b0)`` (attribute-value
+    count, class count) is scanned: a cell ``(a0', b0')`` with
+    ``a0' >= a0`` and ``b0' <= b0`` dominates ``(a0, b0)`` at every t.
+    Each point ``(a0 + t - 2p, b0 - p)`` that the weaker cell reaches is
+    matched at the same t.  When ``p >= b0 - b0'`` the dominating cell
+    takes ``p' = p - (b0 - b0')`` removals and lands on the same b with a
+    larger a; otherwise it takes none and lands on ``(a0' + t, b0')``, with
+    a larger a and a smaller b.  The bound ``max(F[a] - F[b], G[b] - G[a])``
+    is nondecreasing in a and nonincreasing in b, because the stored ``F``
+    is nondecreasing and ``G`` nonincreasing (``dampen check tree`` checks
+    both exactly), and float subtraction and max are monotone in their
+    operands.  So every dropped entry is at most a kept one, and each level
+    is the same float as the scan over all cells.
     """
     if t < 0:
         raise InvalidInputError("t must be >= 0")
@@ -367,11 +381,16 @@ def ls_t_ig(
     if cells is None:
         spec = table.schema.spec_of(attribute)
         counts = table.counts(attribute)
-        cells = sorted({
+        every = {
             (sum(counts[j].values()), counts[j][c])
             for j in spec.values
             for c in table.schema.class_values
-        })
+        }
+        cells, low = [], math.inf
+        for a0, b0 in sorted(every, key=lambda cell: (-cell[0], cell[1])):
+            if b0 < low:
+                cells.append((a0, b0))
+                low = b0
         cache.ls_frontiers[attribute] = cells
     lo = len(levels)
     hi = max(t + 1, min(2 * lo, len(table)), 8)
@@ -383,15 +402,29 @@ def ls_t_ig(
 def ig_sensitivity() -> SensitivityFunction:
     """Split-score local sensitivity as a sensitivity function over tables
     (admissible, nondecreasing in t as a running maximum; bound with the
-    size-matched global sensitivity before use)."""
-    caches: dict = {}
+    size-matched global sensitivity before use).
+
+    The cells and levels of the last table seen are kept in one
+    :class:`CandidateCache`, replaced whole when another table comes, and
+    the ``levels`` hook hands the walk that cache's level list.
+    """
+    last = (None, None)          # (table, its CandidateCache)
+
+    def cache_for(table: LabeledTable) -> CandidateCache:
+        nonlocal last
+        seen, cache = last
+        if seen is not table and seen != table:
+            cache = CandidateCache()
+            last = (table, cache)
+        return cache
 
     def eval_fn(table: LabeledTable, t: int, attribute: str) -> float:
-        cache = caches.get(table)
-        if cache is None:
-            cache = CandidateCache()
-            caches[table] = cache
-        return ls_t_ig(table, t, attribute, cache)
+        return ls_t_ig(table, t, attribute, cache_for(table))
+
+    def levels_fn(table: LabeledTable, attribute: str, upto: int) -> list:
+        cache = cache_for(table)
+        ls_t_ig(table, max(upto, 1) - 1, attribute, cache)
+        return cache.ls_best[attribute]
 
     return SensitivityFunction(
         eval=eval_fn,
@@ -400,6 +433,7 @@ def ig_sensitivity() -> SensitivityFunction:
         declared_nondecreasing_in_t=True,
         monotonicity="none",
         name="ls_ig",
+        levels=levels_fn,
     )
 
 
@@ -720,7 +754,7 @@ def cross_validate(
     if folds < 2:
         raise InvalidInputError("need at least 2 folds")
     table = discretize_all(table)
-    rows = table.row_dicts()
+    rows = table.rows
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(rows))
     fold_of = {int(ix): pos % folds for pos, ix in enumerate(order)}
@@ -728,15 +762,18 @@ def cross_validate(
     scores = []
     fold_rngs = rng.spawn(folds)
     for fold in range(folds):
-        train = [rows[i] for i in range(len(rows)) if fold_of[i] != fold]
-        test = [rows[i] for i in range(len(rows)) if fold_of[i] == fold]
+        # subsequences of sorted, validated rows, as in partition
+        train = tuple(row for i, row in enumerate(rows) if fold_of[i] != fold)
+        test = tuple(row for i, row in enumerate(rows) if fold_of[i] == fold)
         if not train or not test:
             continue
         tree, _ = build_diffp_id3(
-            table.with_rows(train), attributes, depth, epsilon, variant,
-            fold_rngs[fold],
+            LabeledTable._from_canonical(table.schema, train), attributes,
+            depth, epsilon, variant, fold_rngs[fold],
         )
-        scores.append(accuracy(tree, table.with_rows(test)))
+        scores.append(
+            accuracy(tree, LabeledTable._from_canonical(table.schema, test))
+        )
     return float(np.mean(scores))
 
 

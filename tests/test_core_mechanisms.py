@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -751,3 +752,142 @@ class TestNondecreasingDeclarations:
     def test_undeclared_by_default(self):
         delta = SensitivityFunction(eval=lambda db, t, r: 1.0)
         assert not delta.declared_nondecreasing_in_t
+
+
+def with_levels(delta, asked=None):
+    """``delta`` with a ``levels`` hook listing its own ``eval`` values; the
+    ``upto`` of every request is appended to ``asked`` when given."""
+
+    def levels_fn(db, r, upto):
+        if asked is not None:
+            asked.append(upto)
+        return [delta.eval(db, t, r) for t in range(upto)]
+
+    return dataclasses.replace(delta, levels=levels_fn)
+
+
+class TestLevelsHook:
+    """A delta read through its ``levels`` hook gives the same floats as the
+    per-step walk, and trips the same contract checks."""
+
+    def assert_same_scores(self, problem, delta, utilities):
+        bulk = with_levels(delta)
+        for r in problem.candidates:
+            for u in utilities:
+                assert dampen(problem, bulk, r, u) == dampen(
+                    problem, delta, r, u), (delta.name, u)
+        for mechanism in ("ld", "sld"):
+            if mechanism == "sld" and not delta.declared_bounded:
+                continue
+            for eps in (0.1, 1.0, 10.0):
+                fast = distribution(mechanism, problem, eps, bulk)
+                slow = distribution(mechanism, problem, eps, delta)
+                assert np.array_equal(fast.scores, slow.scores)
+                assert np.array_equal(fast.probabilities, slow.probabilities)
+
+    def test_random_step_tables(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            gs = 3.0
+            problem = make_abstract_problem(rng.uniform(-50, 50, size=3),
+                                            gs=gs, n=n)
+            steps = rng.uniform(0, gs, size=int(rng.integers(1, 30)))
+            steps[rng.random(len(steps)) < 0.3] = 0.0     # zero-width steps
+            steps[-1] = rng.uniform(0.5, gs)               # a tail that brackets
+            utilities = [0.0, 1e-9, -2.5, 7.0, -64.0, n * gs, 3 * n * gs,
+                         -n * gs - 5.0, *rng.uniform(-4 * n * gs, 4 * n * gs,
+                                                     size=5)]
+            rising = np.maximum.accumulate(steps)
+            for kw in ({}, {"declared_bounded": True}):
+                self.assert_same_scores(problem, step_delta(list(steps), **kw),
+                                        utilities)
+            # saturating: nondecreasing, reaching GS after a few steps
+            saturating = step_delta(list(rising) + [gs], declared_bounded=True,
+                                    declared_nondecreasing_in_t=True)
+            self.assert_same_scores(problem, saturating, utilities)
+            self.assert_same_scores(problem, full_walk(saturating), utilities)
+
+    def test_bounded_tail_past_n(self, rng):
+        # bound_sensitivity maps the hook and pins t >= n to GS; n below the
+        # first request of 8 levels puts the pinned tail inside the chunk
+        for n in (1, 2, 3, 7, 8, 9, 20):
+            problem = make_abstract_problem([0.0, 1.0], gs=2.0, n=n)
+            raw = step_delta([0.5, 0.0, 4.0, 1.0])
+            bounded = bound_sensitivity(raw, 2.0, n)
+            bulk = bound_sensitivity(with_levels(raw), 2.0, n)
+            assert bulk.levels is not None
+            assert bulk.levels(None, 0, n + 5) == [
+                bounded(None, t, 0) for t in range(n + 5)]
+            for u in (0.0, 0.3, 1.9, 2.0 * n - 0.1, 2.0 * n + 7.0, -5.5,
+                      -40.0):
+                assert dampen(problem, bulk, 0, u) == dampen(
+                    problem, bounded, 0, u)
+
+    def test_first_request_covers_the_shortest_walk(self):
+        problem = make_abstract_problem([0.0], gs=2.0, n=100)
+        asked = []
+        delta = with_levels(step_delta([2.0], declared_bounded=True), asked)
+        for u, first in ((1.0, 8), (15.9, 8), (16.0, 9), (51.0, 26),
+                         (199.0, 100), (200.0, 8), (1e6, 8)):
+            asked.clear()
+            dampen(problem, delta, 0, u)
+            assert asked[0] == first, u
+        # a walk past its chunk asks for twice the steps walked
+        asked.clear()
+        zero_first = with_levels(step_delta([0.0] * 20 + [2.0],
+                                            declared_bounded=True), asked)
+        dampen(problem, zero_first, 0, 1.0)
+        assert asked == [8, 16, 32]
+
+    def test_short_level_list_is_contract_violation(self):
+        problem = make_abstract_problem([0.0], gs=2.0, n=100)
+        delta = dataclasses.replace(step_delta([1.0]),
+                                    levels=lambda db, r, upto: [1.0] * 3)
+        with pytest.raises(ContractViolationError, match="levels"):
+            dampen(problem, delta, 0, 10.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_bad_level_is_contract_violation_on_both_paths(self, bad):
+        problem = make_abstract_problem([0.0], gs=3.0, n=10)
+        raw = step_delta([1.0, 1.0, bad, 3.0])
+        bulk = with_levels(raw)
+        for walked in (raw, bulk, bound_sensitivity(raw, 3.0, 10),
+                       bound_sensitivity(bulk, 3.0, 10)):
+            with pytest.raises(ContractViolationError):
+                dampen(problem, walked, 0, 5.0)
+        # a bad level past the bracketing step is never read
+        for walked in (raw, with_levels(raw)):
+            assert dampen(problem, walked, 0, 1.5) == 1.5
+
+    @pytest.mark.parametrize("steps", [[2.0, 1.0, 3.0], [1.0, 4.0]])
+    def test_shrinking_or_above_gs_level_on_both_paths(self, steps):
+        problem = make_abstract_problem([0.0], gs=3.0, n=10)
+        delta = step_delta(steps, declared_bounded=True,
+                           declared_nondecreasing_in_t=True)
+        for walked in (delta, with_levels(delta)):
+            with pytest.raises(ContractViolationError, match="nondecreasing"):
+                dampen(problem, walked, 0, 5.0)
+
+    def test_tree_scores_equal_per_step_walk(self, rng):
+        table = separable_table()
+        tables = [table, *table.partition("A").values()]
+        tables += [random_table_instance(rng, max_rows=m) for m in (0, 6, 300)]
+        for tbl in tables:
+            problem = ig_problem(tbl, tbl.schema.attribute_names())
+            delta = bound_sensitivity(ig_sensitivity(),
+                                      problem.global_sensitivity,
+                                      problem.database_size)
+            assert delta.levels is not None
+            per_step = dataclasses.replace(delta, levels=None)
+            for mechanism in ("ld", "sld"):
+                for eps in (0.1, 1.0, 10.0):
+                    fast = distribution(mechanism, problem, eps, delta)
+                    slow = distribution(mechanism, problem, eps, per_step)
+                    assert np.array_equal(fast.scores, slow.scores)
+
+    def test_hookless_delta_keeps_the_per_step_path(self):
+        raw = step_delta([1.0])
+        assert raw.levels is None
+        assert bound_sensitivity(raw, 1.0, 4).levels is None
+        problem = make_abstract_problem([0.0], gs=1.0)
+        assert flatten_sensitivity(raw, problem).levels is None

@@ -30,7 +30,6 @@ from dampen.trees import (
     cross_validate,
     discretize,
     f_add,
-    g_remove,
     global_sensitivity_ig,
     h_pair,
     ig_problem,
@@ -358,11 +357,15 @@ class TestDistanceT:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_movement_potentials_monotone(self):
-        fs = [f_add(x) for x in range(2001)]
-        gs = [g_remove(x) for x in range(2001)]
-        assert all(a <= b + 1e-12 for a, b in zip(fs, fs[1:]))
-        assert all(a >= b - 1e-12 for a, b in zip(gs, gs[1:]))
+    def test_movement_potentials_monotone(self, monkeypatch):
+        # the stored tables, exactly and with no tolerance: the frontier
+        # pruning of ls_t_ig rests on this.  The grown tables are dropped
+        # again after the test.
+        monkeypatch.setattr(trees, "_FG", trees._FG)
+        F, G = trees._potentials(2**20)
+        assert len(F) >= 2**20 and len(G) >= 2**20
+        assert np.all(np.diff(F) >= 0)
+        assert np.all(np.diff(G) <= 0)
 
     def test_ls0_below_global_bound_with_worst_case(self, rng):
         for _ in range(40):
@@ -381,6 +384,117 @@ class TestDistanceT:
         assert attained == pytest.approx(f_add(n), abs=1e-12)
         assert attained <= global_sensitivity_ig(n)
         assert global_sensitivity_ig(n) - attained < 0.01
+
+
+FIVE_BY_THREE = TableSchema(
+    attributes=(("A", Categorical((0, 1, 2, 3, 4))),),
+    class_attribute="y",
+    class_values=("c0", "c1", "c2"),
+)
+
+
+def frontier_stress_table(rng):
+    """Table on FIVE_BY_THREE whose count matrix mixes zero class counts,
+    A values with equal totals but different splits, and repeated cells."""
+    matrix = []
+    for j in range(5):
+        kind = rng.integers(4) if matrix else 0
+        if kind == 1:                      # zero class counts
+            row = [0, 0, 0]
+            row[int(rng.integers(3))] = int(rng.integers(0, 40))
+        elif kind == 2:                    # same total, another split
+            total = sum(matrix[int(rng.integers(len(matrix)))])
+            cut = sorted(rng.integers(0, total + 1, size=2))
+            row = [int(cut[0]), int(cut[1] - cut[0]), int(total - cut[1])]
+        elif kind == 3:                    # a repeated row: tied cells
+            row = list(matrix[int(rng.integers(len(matrix)))])
+        else:
+            row = [int(c) for c in rng.integers(0, 40, size=3)]
+        matrix.append(row)
+    rows = [{"A": j, "y": c}
+            for j, row in enumerate(matrix)
+            for c, count in zip(FIVE_BY_THREE.class_values, row)
+            for _ in range(count)]
+    return LabeledTable(FIVE_BY_THREE, rows)
+
+
+def levels_over_all_cells(table, attribute, t_max):
+    """Running max over t = 0..t_max of _levels_max over every cell."""
+    counts = table.counts(attribute)
+    cells = [(sum(by_class.values()), b) for by_class in counts.values()
+             for b in by_class.values()]
+    return np.maximum.accumulate(
+        trees._levels_max(cells, 0, t_max + 1)).tolist()
+
+
+class TestFrontierCells:
+    """ls_t_ig scans only the Pareto frontier of its cells; every level is
+    the same float as the scan over all cells."""
+
+    def test_levels_equal_scan_over_all_cells(self, rng):
+        dropped_values = 0
+        for _ in range(40):
+            table = frontier_stress_table(rng)
+            n = len(table)
+            want = levels_over_all_cells(table, "A", n + 5)
+            cache = CandidateCache()
+            assert [ls_t_ig(table, t, "A", cache)
+                    for t in range(n + 6)] == want, table.counts("A")
+            totals = {sum(row.values()) for row in table.counts("A").values()}
+            dropped_values += len(cache.ls_frontiers["A"]) < len(totals)
+        assert dropped_values > 0
+
+    def test_levels_equal_scan_across_chunk_ends(self, rng):
+        # chunks end at 8, 16, 32, ... up to the table size, then one level
+        # at a time; probe both sides of every end, in both orders
+        for _ in range(10):
+            table = frontier_stress_table(rng)
+            n = len(table)
+            want = levels_over_all_cells(table, "A", n + 5)
+            probes = [7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256,
+                      n - 1, n, n + 1, n + 5]
+            probes = [t for t in probes if 0 <= t <= n + 5]
+            for order in (probes, probes[::-1]):
+                cache = CandidateCache()
+                for t in order:
+                    assert ls_t_ig(table, t, "A", cache) == want[t], (t, n)
+
+    def test_frontier_keeps_only_undominated_cells(self):
+        table = LabeledTable(FIVE_BY_THREE, [
+            {"A": j, "y": c}
+            for j, row in enumerate([[5, 0, 1], [5, 2, 2], [3, 3, 0],
+                                     [0, 0, 0], [6, 6, 6]])
+            for c, count in zip(FIVE_BY_THREE.class_values, row)
+            for _ in range(count)
+        ])
+        cache = CandidateCache()
+        ls_t_ig(table, 0, "A", cache)
+        # totals 6, 9, 6, 0 and 18: an A value keeps only its smallest
+        # class count, and (0, 0) falls to (6, 0), which has a larger total
+        assert sorted(cache.ls_frontiers["A"]) == [(6, 0), (9, 2), (18, 6)]
+
+
+class TestIgSensitivityCache:
+    def test_keeps_the_last_table_only(self, rng):
+        delta = ig_sensitivity()
+        first, second = cell_table(rng, 10), cell_table(rng, 12)
+        levels = delta.levels(first, "A", 8)
+        assert len(levels) >= 8
+        assert delta.levels(first, "A", 4) is levels
+        assert delta(first, 3, "A") == levels[3]
+        other = delta.levels(second, "A", 8)
+        assert other is not levels
+        again = delta.levels(first, "A", 8)
+        assert again is not levels          # refilled: the cache was replaced
+        assert again[:8] == levels[:8]
+
+    def test_levels_hook_equals_per_level_calls(self, rng):
+        delta = ig_sensitivity()
+        table = cell_table(rng, 30)
+        n = len(table)
+        levels = delta.levels(table, "A", n + 5)
+        assert levels[:n + 5] == [ig_sensitivity()(table, t, "A")
+                                  for t in range(n + 5)]
 
 
 class TestAdmissibility:
@@ -536,6 +650,22 @@ class TestClassification:
         a = cross_validate(table, 2, 1.0, "local", seed=9)
         b = cross_validate(table, 2, 1.0, "local", seed=9)
         assert a == b
+
+    def test_fold_tables_are_not_revalidated(self, monkeypatch):
+        # fold tables are subsequences of the sorted rows, as in partition;
+        # a table with no continuous attribute builds none through __init__
+        built = []
+        init = LabeledTable.__init__
+
+        def counted(self, schema, rows):
+            built.append(schema)
+            init(self, schema, rows)
+
+        table = separable_table()
+        want = cross_validate(table, 2, 1.0, "local", seed=4, folds=3)
+        monkeypatch.setattr(LabeledTable, "__init__", counted)
+        assert cross_validate(table, 2, 1.0, "local", seed=4, folds=3) == want
+        assert built == []
 
     def test_unseen_branch_falls_back_to_majority(self):
         tree = Internal(
