@@ -11,6 +11,7 @@ import numpy as np
 from dampen.core import BudgetAccountant
 from dampen.fixtures import trend_graph
 from dampen.graphs import (
+    TopKSelector,
     ebc,
     global_sensitivity_ebc,
     priv_topk,
@@ -34,12 +35,13 @@ print(f"{'epsilon':>8} {'em':>6} {'pf':>6} {'ld':>6} {'sld':>6}")
 for eps in (0.5, 2.0, 8.0, 32.0, 128.0):
     row = []
     for mech_ix, mechanism in enumerate(("em", "pf", "ld", "sld")):
+        # one prepared selector per (epsilon, mechanism): EM and LD score
+        # every node once here, not once per run and round
+        selector = TopKSelector(graph, eps, k, mechanism)
         scores = []
         for run in range(runs):
             rng = np.random.default_rng(1000 * run + mech_ix)
-            result = priv_topk(
-                graph, eps, k, mechanism, rng, accountant=BudgetAccountant()
-            )
+            result = selector.draw(rng)
             scores.append(topk_accuracy(result, graph, k))
         row.append(float(np.mean(scores)))
     print(f"{eps:8.1f} " + " ".join(f"{v:6.2f}" for v in row))

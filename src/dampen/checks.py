@@ -396,17 +396,57 @@ def _check_flip_bound(rng, trials=12):
     return True, ""
 
 
+def topk_rounds_oracle(graph, epsilon, k, mechanism, rng):
+    """Private EBC top-k the direct way: every round builds a fresh
+    selection problem over the nodes not chosen yet and makes one
+    :func:`mechanisms.select` call on its own spawned generator, with the
+    default sensitivity functions of :class:`graphs.TopKSelector`."""
+    base = graphs.ebc_problem(graph)
+    gs, n = base.global_sensitivity, base.database_size
+    delta = None
+    if mechanism in ("ld", "sld"):
+        raw = graphs.delta_ebc() if mechanism == "sld" else graphs.flat_delta_ebc()
+        delta = bound_sensitivity(raw, gs, n)
+    chosen = []
+    for iter_rng in rng.spawn(k):
+        problem = SelectionProblem(
+            database=graph,
+            candidates=tuple(v for v in graph.nodes if v not in chosen),
+            utility=base.utility,
+            global_sensitivity=gs,
+            database_size=n,
+        )
+        chosen.append(
+            mechanisms.select(mechanism, problem, epsilon / k, iter_rng, delta)
+        )
+    return tuple(chosen)
+
+
 def _check_privtopk(rng, trials=6):
-    for _ in range(trials):
-        g = fixtures.example_graph()
-        k = int(rng.integers(1, 5))
+    for trial in range(trials):
+        g = (
+            fixtures.example_graph() if trial % 2 == 0
+            else fixtures.random_graph_instance(rng, n=int(rng.integers(2, 9)))
+        )
+        k = int(rng.integers(1, g.num_nodes() + 1))
         eps = float(rng.uniform(0.5, 4.0))
-        acc = BudgetAccountant()
-        res = graphs.priv_topk(g, eps, k, "sld", rng, accountant=acc)
-        if len(set(res.chosen)) != k:
-            return False, "duplicate nodes in top-k"
-        if abs(acc.total() - eps) > 1e-9:
-            return False, f"accountant total {acc.total()} != {eps}"
+        seed = int(rng.integers(2**63))
+        for mechanism in mechanisms.MECHANISMS:
+            acc = BudgetAccountant()
+            selector = graphs.TopKSelector(g, eps, k, mechanism)
+            res = selector.draw(np.random.default_rng(seed), accountant=acc)
+            if len(set(res.chosen)) != k:
+                return False, f"{mechanism}: duplicate nodes in top-k"
+            if abs(acc.total() - eps) > 1e-9:
+                return False, f"{mechanism}: accountant total {acc.total()} != {eps}"
+            oracle = topk_rounds_oracle(
+                g, eps, k, mechanism, np.random.default_rng(seed)
+            )
+            if res.chosen != oracle:
+                return False, (
+                    f"{mechanism}: selector drew {res.chosen}, "
+                    f"per-round oracle {oracle}"
+                )
     return True, ""
 
 

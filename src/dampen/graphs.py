@@ -27,12 +27,14 @@ class EdgeGraph:
     """Immutable undirected graph with stable node order and bitset adjacency.
 
     The max degree is resolved once at construction, and ego betweenness
-    scores are memoised per instance (see :meth:`ebc_score`), so both live
-    and die with the graph.
+    scores and their exact top-k order are memoised per instance (see
+    :meth:`ebc_score` and :func:`true_topk`), so they live and die with the
+    graph.  A public ``max_degree_bound`` must be at least the observed max
+    degree; graphs one edge flip away keep the bound unchecked.
     """
 
     __slots__ = ("nodes", "_index", "_adj", "_edges", "_max_degree_bound",
-                 "_max_degree", "_ebc_memo")
+                 "_max_degree", "_ebc_memo", "_ebc_order")
 
     def __init__(
         self,
@@ -53,6 +55,19 @@ class EdgeGraph:
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
             edge_set.add((min(iu, iv), max(iu, iv)))
+        # a bound below the observed degree would make every sensitivity
+        # derived from it too small and the privacy claim false
+        if max_degree_bound is not None:
+            if max_degree_bound < 0:
+                raise InvalidInputError(
+                    f"max_degree_bound must be >= 0, got {max_degree_bound}"
+                )
+            observed = max(map(int.bit_count, adj), default=0)
+            if max_degree_bound < observed:
+                raise InvalidInputError(
+                    f"max_degree_bound {max_degree_bound} is below the "
+                    f"observed max degree {observed}"
+                )
         EdgeGraph._init_raw(self, nodes, index, tuple(adj),
                             frozenset(edge_set), max_degree_bound)
 
@@ -124,6 +139,7 @@ class EdgeGraph:
             else max(map(int.bit_count, adj), default=0)
         )
         obj._ebc_memo = {}
+        obj._ebc_order = None
 
     def node_pairs(self) -> int:
         """Number of unordered node pairs; the maximum edge-flip distance."""
@@ -310,6 +326,102 @@ class TopKResult:
     accountant_scope: Hashable
 
 
+class TopKSelector:
+    """Private EBC top-k on one graph, prepared once and drawn many times.
+
+    The constructor validates the arguments, builds the full-range EBC
+    problem and the default sensitivity function, and for ``em`` and ``ld``
+    also the full-range :func:`mechanisms.distribution` at the per-round
+    budget ``epsilon / k``.  An EM or LD score depends only on the graph,
+    GS, the database size, ``delta``, the node and its utility, so every
+    round of :meth:`draw` restricts that one distribution to the remaining
+    nodes (:func:`mechanisms.restrict`) instead of rescoring them.
+    Permute-and-flip and shifted dampening score against the best remaining
+    node, so their rounds build the smaller problem and call
+    :func:`mechanisms.select` as before.
+
+    The default sensitivity function is the bounded degree-based delta for
+    the shifted mechanism and its flattened version for plain local
+    dampening; callers may substitute their own.
+    """
+
+    def __init__(
+        self,
+        graph: EdgeGraph,
+        epsilon: float,
+        k: int,
+        mechanism: str,
+        delta: SensitivityFunction | None = None,
+        global_sensitivity: float | None = None,
+    ):
+        if not (epsilon > 0):
+            raise InvalidInputError("epsilon must be positive")
+        if k < 1 or k > graph.num_nodes():
+            raise InvalidInputError("k must be in [1, number of nodes]")
+        if mechanism not in mechanisms.MECHANISMS:
+            raise InvalidInputError(f"unknown mechanism {mechanism!r}")
+        base = ebc_problem(graph, global_sensitivity=global_sensitivity)
+        if delta is None and mechanism in ("ld", "sld"):
+            raw = delta_ebc() if mechanism == "sld" else flat_delta_ebc()
+            delta = bound_sensitivity(
+                raw, base.global_sensitivity, base.database_size
+            )
+        self.k = k
+        self.mechanism = mechanism
+        self.delta = delta
+        self.epsilon_per_round = epsilon / k
+        self._base = base
+        self._dist = (
+            mechanisms.distribution(mechanism, base, self.epsilon_per_round, delta)
+            if mechanism in ("em", "ld") else None
+        )
+
+    def draw(
+        self,
+        rng,
+        accountant: BudgetAccountant | None = None,
+        scope: Hashable = "priv_topk",
+    ) -> TopKResult:
+        """Pick k distinct nodes in k rounds at ``epsilon / k`` each, every
+        round over the nodes not chosen yet, one spawned generator per
+        round; each round is booked in ``accountant`` under ``scope``."""
+        if accountant is None:
+            accountant = BudgetAccountant()
+        accountant.open_scope(scope, "sequential")
+        eps_i = self.epsilon_per_round
+        base = self._base
+        nodes = base.candidates
+        remaining = list(range(len(nodes)))
+        chosen: list = []
+        for iter_rng in rng.spawn(self.k):
+            if self._dist is not None:
+                dist = mechanisms.restrict(self._dist, remaining)
+                pos = mechanisms._sample(
+                    range(len(remaining)), dist.probabilities, iter_rng
+                )
+                picked = dist.candidates[pos]
+            else:
+                problem = SelectionProblem(
+                    database=base.database,
+                    candidates=tuple(nodes[i] for i in remaining),
+                    utility=base.utility,
+                    global_sensitivity=base.global_sensitivity,
+                    database_size=base.database_size,
+                )
+                picked = mechanisms.select(
+                    self.mechanism, problem, eps_i, iter_rng, delta=self.delta
+                )
+                pos = problem.candidates.index(picked)
+            del remaining[pos]
+            accountant.account(scope, eps_i)
+            chosen.append(picked)
+        return TopKResult(
+            chosen=tuple(chosen),
+            per_iteration_epsilon=eps_i,
+            accountant_scope=scope,
+        )
+
+
 def priv_topk(
     graph: EdgeGraph,
     epsilon: float,
@@ -324,54 +436,27 @@ def priv_topk(
     """Pick k nodes by EBC with k sequential mechanism calls at eps/k each.
 
     Every iteration selects over the not-yet-chosen nodes, so the result is
-    duplicate free.  The default sensitivity function is the bounded
-    degree-based delta for the shifted mechanism and its flattened version
-    for plain local dampening; callers may substitute their own.
+    duplicate free.  One-shot form of :class:`TopKSelector`; build the
+    selector once to draw repeatedly on the same graph.
     """
-    if not (epsilon > 0):
-        raise InvalidInputError("epsilon must be positive")
-    if k < 1 or k > graph.num_nodes():
-        raise InvalidInputError("k must be in [1, number of nodes]")
-    if mechanism not in mechanisms.MECHANISMS:
-        raise InvalidInputError(f"unknown mechanism {mechanism!r}")
-    base = ebc_problem(graph, global_sensitivity=global_sensitivity)
-    if delta is None and mechanism in ("ld", "sld"):
-        raw = delta_ebc() if mechanism == "sld" else flat_delta_ebc()
-        delta = bound_sensitivity(raw, base.global_sensitivity, base.database_size)
-    if accountant is None:
-        accountant = BudgetAccountant()
-    accountant.open_scope(scope, "sequential")
-    eps_i = epsilon / k
-    chosen: list = []
-    iter_rngs = rng.spawn(k)
-    for j in range(k):
-        remaining = tuple(v for v in base.candidates if v not in chosen)
-        problem = SelectionProblem(
-            database=graph,
-            candidates=remaining,
-            utility=base.utility,
-            global_sensitivity=base.global_sensitivity,
-            database_size=base.database_size,
-        )
-        picked = mechanisms.select(
-            mechanism, problem, eps_i, iter_rngs[j], delta=delta
-        )
-        accountant.account(scope, eps_i)
-        chosen.append(picked)
-    return TopKResult(
-        chosen=tuple(chosen),
-        per_iteration_epsilon=eps_i,
-        accountant_scope=scope,
-    )
+    return TopKSelector(
+        graph, epsilon, k, mechanism, delta=delta,
+        global_sensitivity=global_sensitivity,
+    ).draw(rng, accountant=accountant, scope=scope)
 
 
 def true_topk(graph: EdgeGraph, k: int) -> tuple:
-    """Exact EBC top-k with deterministic tie-break by node order."""
-    scores = ebc_scores(graph)
-    order = sorted(
-        range(len(graph.nodes)), key=lambda i: (-scores[graph.nodes[i]], i)
-    )
-    return tuple(graph.nodes[i] for i in order[:k])
+    """Exact EBC top-k with deterministic tie-break by node order.
+
+    The full order is sorted once per graph and kept next to its EBC memo.
+    """
+    order = graph._ebc_order
+    if order is None:
+        scores = ebc_scores(graph)
+        order = graph._ebc_order = tuple(
+            sorted(graph.nodes, key=lambda v: (-scores[v], graph._index[v]))
+        )
+    return order[:k]
 
 
 def topk_accuracy(result: TopKResult, graph: EdgeGraph, k: int) -> float:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BudgetAccountant, InvalidInputError
+from .core import InvalidInputError
 from . import graphs as graphs_mod
 from . import mechanisms
 from . import percentile as percentile_mod
@@ -122,22 +122,22 @@ def _percentile_cells(spec: ExperimentSpec, dataset):
 
 def _topk_cells(spec: ExperimentSpec, graph):
     """Mean top-k accuracy over ``runs`` seeded private selections, with
-    its standard error."""
+    its standard error.  Each cell prepares one
+    :class:`graphs.TopKSelector` and draws from it ``runs`` times, so EM
+    and LD score every node once per cell."""
     k = int(spec.params.get("k", 1))
     runs = int(spec.params.get("runs", DEFAULT_TOPK_RUNS))
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
 
     def cell(mechanism, eps_ix, epsilon):
+        selector = graphs_mod.TopKSelector(graph, epsilon, k, mechanism)
         scores = np.empty(runs)
         for run_ix in range(runs):
             rng = np.random.default_rng(
                 cell_seed(spec.base_seed, "topk", mechanism, eps_ix, run_ix)
             )
-            result = graphs_mod.priv_topk(
-                graph, epsilon, k, mechanism, rng,
-                accountant=BudgetAccountant(),
-            )
+            result = selector.draw(rng)
             scores[run_ix] = graphs_mod.topk_accuracy(result, graph, k)
         stderr = float(scores.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
         return "topkAccuracy", float(scores.mean()), stderr

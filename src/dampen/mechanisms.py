@@ -310,6 +310,35 @@ def distribution(
     )
 
 
+def restrict(
+    dist: SelectionDistribution, keep: Sequence[int]
+) -> SelectionDistribution:
+    """The same ``em`` or ``ld`` run over the candidates at positions
+    ``keep`` of ``dist`` (ascending), without rescoring them.
+
+    An EM score ``epsilon * u / (2 GS)`` and an LD score ``epsilon * D(u) /
+    2`` are computed one candidate at a time and do not depend on the other
+    candidates, so softmaxing the kept scores gives the same floats as
+    :func:`distribution` over the smaller range.  Zero scores, which a zero
+    global sensitivity gives, softmax to exactly ``1 / len(keep)``.
+    Permute-and-flip and shifted dampening score against the best remaining
+    candidate, so they are refused.
+    """
+    if dist.mechanism not in ("em", "ld"):
+        raise InvalidInputError(
+            f"only em and ld distributions can be restricted, "
+            f"not {dist.mechanism!r}"
+        )
+    scores = dist.scores[keep]
+    return SelectionDistribution(
+        mechanism=dist.mechanism,
+        epsilon=dist.epsilon,
+        candidates=tuple(dist.candidates[i] for i in keep),
+        probabilities=_stable_softmax(scores),
+        scores=scores,
+    )
+
+
 def _draw(dist: SelectionDistribution, rng):
     return _sample(dist.candidates, dist.probabilities, rng), dist
 

@@ -4,8 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from dampen import cli, graphs
-from dampen.core import BudgetAccountant, InvalidInputError, SearchBudgetError
+from dampen import cli, graphs, mechanisms
+from dampen.checks import topk_rounds_oracle
+from dampen.core import (
+    BudgetAccountant,
+    ContractViolationError,
+    InvalidInputError,
+    SearchBudgetError,
+    SensitivityFunction,
+)
 from dampen.fixtures import (
     example_graph,
     random_graph_instance,
@@ -15,6 +22,7 @@ from dampen.fixtures import (
 from dampen.graphs import (
     EdgeGraph,
     TopKResult,
+    TopKSelector,
     delta_ebc,
     delta_ebc_value,
     ebc,
@@ -198,6 +206,127 @@ class TestPrivTopk:
             priv_topk(bridge_graph, 1.0, 9, "em", rng)
 
 
+def _cycle(m):
+    nodes = [f"c{i}" for i in range(m)]
+    return EdgeGraph(nodes, [(nodes[i], nodes[(i + 1) % m]) for i in range(m)])
+
+
+#: The bridge graph, a cycle whose nodes all tie at EBC 1, and an edgeless
+#: graph, whose zero global sensitivity makes every mechanism uniform.
+SELECTOR_GRAPHS = {
+    "bridge": example_graph(),
+    "tied": _cycle(6),
+    "edgeless": EdgeGraph("pqrst", []),
+}
+
+
+def _broken_at(node, value):
+    """An admissible, bounded-declared delta that returns ``value`` at one
+    node and 1.0 elsewhere."""
+    return SensitivityFunction(
+        eval=lambda g, t, v: value if v == node else 1.0,
+        declared_admissible=True,
+        declared_bounded=True,
+        name="broken",
+    )
+
+
+class TestTopKSelector:
+    @pytest.mark.parametrize("mechanism", mechanisms.MECHANISMS)
+    @pytest.mark.parametrize("name", sorted(SELECTOR_GRAPHS))
+    @pytest.mark.parametrize("k_full", (False, True))
+    def test_draws_equal_per_round_oracle(self, mechanism, name, k_full):
+        g = SELECTOR_GRAPHS[name]
+        k = g.num_nodes() if k_full else 1
+        for eps in (0.5, 8.0):
+            selector = TopKSelector(g, eps, k, mechanism)
+            for seed in range(6):
+                drawn = selector.draw(np.random.default_rng(seed)).chosen
+                oracle = topk_rounds_oracle(
+                    g, eps, k, mechanism, np.random.default_rng(seed)
+                )
+                assert drawn == oracle
+                assert len(set(drawn)) == k
+
+    @pytest.mark.parametrize("mechanism", mechanisms.MECHANISMS)
+    @pytest.mark.parametrize("name", sorted(SELECTOR_GRAPHS))
+    def test_repeated_draws_equal_fresh_priv_topk(self, mechanism, name):
+        g = SELECTOR_GRAPHS[name]
+        for k in (1, g.num_nodes()):
+            selector = TopKSelector(g, 2.0, k, mechanism)
+            for seed in range(4):
+                acc = BudgetAccountant()
+                again = selector.draw(np.random.default_rng(seed),
+                                      accountant=acc, scope="s")
+                fresh = priv_topk(g, 2.0, k, mechanism,
+                                  np.random.default_rng(seed), scope="s")
+                assert again == fresh
+                assert acc.scope_total("s") == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mechanism", ("ld", "sld"))
+    @pytest.mark.parametrize("bad", (float("nan"), -1.0))
+    @pytest.mark.parametrize("k", (1, 8))
+    def test_broken_delta_still_refused(self, bridge_graph, mechanism, bad, k):
+        delta = _broken_at("a", bad)
+        with pytest.raises(ContractViolationError, match="broken"):
+            TopKSelector(bridge_graph, 1.0, k, mechanism,
+                         delta=delta).draw(np.random.default_rng(0))
+        with pytest.raises(ContractViolationError, match="broken"):
+            priv_topk(bridge_graph, 1.0, k, mechanism,
+                      np.random.default_rng(0), delta=delta)
+
+    def test_restrict_refuses_pf_and_sld(self, bridge_problem):
+        delta = bound_sensitivity(delta_ebc(), 7.5, bridge_problem.database_size)
+        for mechanism in ("pf", "sld"):
+            dist = mechanisms.distribution(mechanism, bridge_problem, 1.0, delta)
+            with pytest.raises(InvalidInputError, match="restricted"):
+                mechanisms.restrict(dist, [0, 1])
+
+    def test_restrict_equals_distribution_over_the_subset(self, bridge_problem):
+        flat = bound_sensitivity(
+            flat_delta_ebc(), 7.5, bridge_problem.database_size
+        )
+        nodes = bridge_problem.candidates
+        for mechanism in ("em", "ld"):
+            full = mechanisms.distribution(mechanism, bridge_problem, 1.5, flat)
+            for keep in ([0, 2, 5], [1], list(range(len(nodes)))):
+                sub = mechanisms.restrict(full, keep)
+                direct = mechanisms.distribution(
+                    mechanism,
+                    ebc_problem(bridge_problem.database,
+                                candidates=[nodes[i] for i in keep],
+                                global_sensitivity=7.5),
+                    1.5, flat,
+                )
+                assert sub.candidates == direct.candidates
+                assert np.array_equal(sub.scores, direct.scores)
+                assert np.array_equal(sub.probabilities, direct.probabilities)
+
+    def test_em_and_ld_score_each_node_once(self, bridge_graph, monkeypatch):
+        calls = []
+        real = mechanisms.dampen
+
+        def counted(problem, delta, r, u):
+            calls.append(r)
+            return real(problem, delta, r, u)
+
+        monkeypatch.setattr(mechanisms, "dampen", counted)
+        selector = TopKSelector(bridge_graph, 1.0, 8, "ld")
+        for seed in range(3):
+            selector.draw(np.random.default_rng(seed))
+        assert sorted(calls) == sorted(bridge_graph.nodes)
+
+    def test_validation_at_construction(self, bridge_graph):
+        with pytest.raises(InvalidInputError):
+            TopKSelector(bridge_graph, 0.0, 1, "em")
+        with pytest.raises(InvalidInputError):
+            TopKSelector(bridge_graph, 1.0, 9, "em")
+        with pytest.raises(InvalidInputError):
+            TopKSelector(bridge_graph, 1.0, 1, "gumbel")
+        with pytest.raises(InvalidInputError):
+            TopKSelector(bridge_graph, float("inf"), 1, "ld")
+
+
 class TestTopkAccuracy:
     def test_overlap_fractions(self, bridge_graph):
         truth = true_topk(bridge_graph, 2)
@@ -306,6 +435,37 @@ class TestEdgeGraphMemo:
         flipped = g.flip_edge("a", "b")
         assert ebc_scores(flipped)["a"] == ebc(flipped, "a")
         assert len(calls) == 2 * len(g.nodes)
+
+
+class TestDegreeBound:
+    def test_negative_bound_rejected(self):
+        with pytest.raises(InvalidInputError, match=">= 0"):
+            EdgeGraph(["x"], [], max_degree_bound=-1)
+
+    def test_bound_below_observed_degree_rejected(self):
+        star = [("c", "x"), ("c", "y"), ("c", "z")]
+        with pytest.raises(InvalidInputError, match="observed max degree 3"):
+            EdgeGraph("cxyz", star, max_degree_bound=2)
+        with pytest.raises(InvalidInputError):
+            example_graph(max_degree_bound=4)
+        assert EdgeGraph("cxyz", star, max_degree_bound=3).max_degree() == 3
+        assert EdgeGraph(["x"], [], max_degree_bound=0).max_degree() == 0
+
+    def test_flip_neighbors_keep_the_bound_unchecked(self):
+        path = EdgeGraph("cxyz", [("c", "x"), ("c", "y")], max_degree_bound=2)
+        flipped = path.flip_edge("c", "z")
+        assert flipped.degree("c") == 3
+        assert flipped.max_degree() == 2
+
+
+class TestTrueTopk:
+    def test_order_is_kept_and_ties_follow_node_order(self):
+        g = example_graph()
+        full = true_topk(g, g.num_nodes())
+        assert full == ("a", "b", "v0", "v1", "v2", "v3", "v4", "v5")
+        assert all(true_topk(g, k) == full[:k] for k in range(1, 9))
+        assert g._ebc_order == full
+        assert true_topk(_cycle(5), 3) == ("c0", "c1", "c2")
 
 
 class TestSaturatedWalkOnGraphs:
