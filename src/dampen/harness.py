@@ -50,6 +50,8 @@ class ExperimentSpec:
             raise InvalidInputError("epsilon list must be nonempty")
         if any(not (e > 0) for e in self.epsilons):
             raise InvalidInputError("all epsilons must be positive")
+        if not all(math.isfinite(e) for e in self.epsilons):
+            raise InvalidInputError("all epsilons must be finite")
         if not self.mechanisms:
             raise InvalidInputError("mechanism list must be nonempty")
         tags = _CELLS[self.application][0]
@@ -146,9 +148,11 @@ def _topk_cells(spec: ExperimentSpec, graph):
 
 
 def _tree_cells(spec: ExperimentSpec, table):
-    """Cross-validated accuracy of one induction variant."""
+    """Cross-validated accuracy of one induction variant.  The table is
+    checked and binned once here, for every cell."""
     depth = int(spec.params.get("depth", 2))
     folds = int(spec.params.get("folds", 10))
+    table = trees_mod.cv_table(table)
 
     def cell(variant, eps_ix, epsilon):
         score = trees_mod.cross_validate(

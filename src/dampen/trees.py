@@ -92,7 +92,7 @@ class LabeledTable:
     stored canonically so tables hash and compare as multisets.
     """
 
-    __slots__ = ("schema", "rows", "_key", "_hash")
+    __slots__ = ("schema", "rows", "_key", "_hash", "_cell_counts")
 
     def __init__(self, schema: TableSchema, rows: Iterable[Mapping]):
         canonical = []
@@ -129,6 +129,7 @@ class LabeledTable:
         self.rows = rows
         self._key = (schema, rows)
         self._hash = hash(self._key)
+        self._cell_counts = {}
 
     @classmethod
     def _from_canonical(cls, schema: TableSchema, rows: tuple) -> "LabeledTable":
@@ -159,7 +160,21 @@ class LabeledTable:
 
     def counts(self, attribute: str) -> dict:
         """Contingency counts tau[j][c] for one attribute, over the declared
-        domains (absent combinations count zero)."""
+        domains (absent combinations count zero).  A fresh dict each call:
+        editing it leaves the table's memo as it was."""
+        lines = self._contingency(attribute)
+        classes = dict.fromkeys(self.schema.class_values)
+        values = dict.fromkeys(self.schema.spec_of(attribute).values)
+        return {j: dict(zip(classes, line)) for j, line in zip(values, lines)}
+
+    def _contingency(self, attribute: str) -> tuple:
+        """Contingency counts as one line per distinct declared value of the
+        attribute, each holding one count per distinct declared class, in
+        declared order.  Counted once per (table, attribute) and shared by
+        every later caller, so it must not be modified."""
+        memo = self._cell_counts.get(attribute)
+        if memo is not None:
+            return memo
         spec = self.schema.spec_of(attribute)
         if not isinstance(spec, Categorical):
             raise InvalidInputError(
@@ -167,12 +182,15 @@ class LabeledTable:
             )
         a_ix = self._col_index(attribute)
         c_ix = self._col_index(self.schema.class_attribute)
-        table = {
-            j: {c: 0 for c in self.schema.class_values} for j in spec.values
+        line_of = {
+            c: k for k, c in enumerate(dict.fromkeys(self.schema.class_values))
         }
+        lines = {j: [0] * len(line_of) for j in spec.values}
         for row in self.rows:
-            table[row[a_ix]][row[c_ix]] += 1
-        return table
+            lines[row[a_ix]][line_of[row[c_ix]]] += 1
+        memo = tuple(map(tuple, lines.values()))
+        self._cell_counts[attribute] = memo
+        return memo
 
     def class_counts(self) -> dict:
         c_ix = self._col_index(self.schema.class_attribute)
@@ -213,11 +231,11 @@ def ig_utility(table: LabeledTable, attribute: str) -> float:
     if attribute == table.schema.class_attribute:
         raise InvalidInputError("cannot split on the class attribute")
     total = 0.0
-    for by_class in table.counts(attribute).values():
-        tau_j = sum(by_class.values())
+    for by_class in table._contingency(attribute):
+        tau_j = sum(by_class)
         if tau_j == 0:
             continue
-        for tau_jc in by_class.values():
+        for tau_jc in by_class:
             if tau_jc > 0:
                 total += tau_jc * math.log2(tau_jc / tau_j)
     return total
@@ -258,9 +276,11 @@ def h_pair(a: int, b: int) -> float:
 # some entries twice.
 _FG = (np.zeros(0), np.zeros(0))
 
-# Largest (cells x levels x removals) slice of the grid evaluated at once;
-# bounds the temporaries of _levels_max whatever the cell counts.
-_GRID_ELEMENTS = 1 << 15
+# Largest (levels x removal pairs) slice of the grid evaluated at once;
+# bounds every temporary of _table_levels, the pair axis included, whatever
+# the cell counts.  At 2^13 entries each grid temporary takes 64 KiB, and
+# larger slices ran no faster on the tree workload.
+_GRID_ELEMENTS = 1 << 13
 
 
 def _potentials(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,68 +297,116 @@ def _potentials(size: int) -> tuple[np.ndarray, np.ndarray]:
     return F, G
 
 
-def _levels_max(cells, lo: int, hi: int) -> np.ndarray:
+def _table_levels(frontiers: Sequence, lo: int, hi: int) -> np.ndarray:
     """Largest movement bound over pairs exactly t ungated edits away from
-    any cell ``(a0, b0)``, for each t in ``[lo, hi)``.
+    any cell ``(a0, b0)`` of each attribute, for each t in ``[lo, hi)``: row
+    k of the result covers the cells ``frontiers[k]``.
 
     Edits that matter are p removals of doubly counted rows and t - p
     additions of singly counted ones, landing on (a0 + t - 2p, b0 - p); the
     remaining edit types are dominated because the movement potentials are
     monotone with shrinking increments, and there is no size gate in the
     add/remove privacy model (a gate makes the bound undershoot and breaks
-    the admissibility the mechanisms rely on).  The (cell, t, p) grid is
-    masked to ``p <= min(b0, t)`` and ``a >= 0``, and evaluated in slices
-    over cells, p and t of at most ``_GRID_ELEMENTS`` entries each.
+    the admissibility the mechanisms rely on).
+
+    All attributes share one (t, pair) grid, whose flat pair axis runs over
+    (attribute, cell, p) with ``p <= min(b0, hi - 1)``; each row of t is
+    reduced per attribute with ``np.maximum.reduceat``.  The grid is masked
+    to ``p <= t`` alone: a cell's class count is at most its
+    attribute-value count, ``b0 <= a0``, so ``p <= t`` and ``p <= b0`` give
+    ``a = (a0 - p) + (t - p) >= 0``.  Masked entries, some with ``a < 0``,
+    are set to ``a = 0``, which indexes ``F`` and ``G`` in range and gives
+    ``max(-F[b], G[b]) <= 0`` because ``F[0] = G[0] = 0``, ``F >= 0`` and
+    ``G <= 0``.  Every level starts at 0, so they change nothing.  The
+    grid is evaluated in slices of at most ``_GRID_ELEMENTS`` entries, over
+    the pair axis and then over t; a pair slice may end inside an
+    attribute.
     """
-    best = np.zeros(max(hi - lo, 0))
-    if not cells or hi <= lo:
+    best = np.zeros((len(frontiers), max(hi - lo, 0)))
+    if hi <= lo:
         return best
-    cells = np.array(cells, dtype=np.int64)
-    F, G = _potentials(int(cells[:, 0].max()) + hi)
-    p_step = min(int(cells[:, 1].max()) + 1, hi, _GRID_ELEMENTS)
-    cell_step = _GRID_ELEMENTS // p_step
-    for first in range(0, len(cells), cell_step):
-        a0 = cells[first:first + cell_step, 0][:, None, None]
-        b0 = cells[first:first + cell_step, 1][:, None, None]
-        p_end = min(int(b0.max()) + 1, hi)
-        for p_lo in range(0, p_end, p_step):
-            p = np.arange(p_lo, min(p_lo + p_step, p_end))
-            b = b0 - p
-            b_ok = b >= 0
-            b = np.maximum(b, 0)
-            fb, gb = F[b], G[b]
-            rows = max(1, _GRID_ELEMENTS // (len(a0) * len(p)))
-            # levels below p_lo mask out every removal count in this slice
-            for start in range(max(lo, p_lo), hi, rows):
-                stop = min(start + rows, hi)
-                t = np.arange(start, stop)[:, None]
-                a = a0 + t - 2 * p
-                ok = b_ok & (p <= t) & (a >= 0)
-                a = np.maximum(a, 0)
-                h = np.maximum(F[a] - fb, gb - G[a])
-                level = best[start - lo:stop - lo]
-                np.maximum(level, np.where(ok, h, 0.0).max(axis=(0, 2)),
-                           out=level)
+    a0s, b0s, starts, ends = [], [], [], []
+    spans = []                          # (attribute, its first pair, end)
+    for row, cells in enumerate(frontiers):
+        begin = ends[-1] if ends else 0
+        for a0, b0 in cells:
+            a0s.append(a0)
+            b0s.append(b0)
+            starts.append(ends[-1] if ends else 0)
+            # one pair per removal count p = 0 .. min(b0, hi - 1)
+            ends.append(starts[-1] + min(b0, hi - 1) + 1)
+        if cells:
+            spans.append((row, begin, ends[-1]))
+    if not ends:
+        return best
+    F, G = _potentials(max(a0s) + hi)
+    total = ends[-1]
+    a0s, b0s, starts, ends = map(np.array, (a0s, b0s, starts, ends))
+    for first in range(0, total, _GRID_ELEMENTS):
+        last = min(first + _GRID_ELEMENTS, total)
+        pair = np.arange(first, last)
+        cell = np.searchsorted(ends, pair, side="right")
+        p = pair - starts[cell]
+        a_at_0 = a0s[cell] - 2 * p                      # a at t = 0
+        b = b0s[cell] - p
+        fb, gb = F[b], G[b]
+        inside = [(row, max(begin, first) - first)
+                  for row, begin, end in spans if begin < last and end > first]
+        rows = [row for row, _ in inside]
+        runs = [run for _, run in inside]
+        step = _GRID_ELEMENTS // (last - first)
+        # levels below the slice's smallest p mask out every pair in it
+        for start in range(max(lo, int(p.min())), hi, step):
+            stop = min(start + step, hi)
+            t = np.arange(start, stop)[:, None]
+            a = a_at_0 + t
+            np.copyto(a, 0, where=p > t)
+            h = F[a]
+            np.subtract(h, fb, out=h)
+            g = G[a]
+            np.subtract(gb, g, out=g)
+            np.maximum(h, g, out=h)
+            at = (rows, slice(start - lo, stop - lo))
+            best[at] = np.maximum(best[at],
+                                  np.maximum.reduceat(h, runs, axis=1).T)
     return best
 
 
 def ls0_ig(table: LabeledTable, attribute: str) -> float:
     """Element local sensitivity of the split score at distance 0."""
     best = 0.0
-    for by_class in table.counts(attribute).values():
-        tau_j = sum(by_class.values())
-        for tau_jc in by_class.values():
+    for by_class in table._contingency(attribute):
+        tau_j = sum(by_class)
+        for tau_jc in by_class:
             best = max(best, h_pair(tau_j, tau_jc))
     return best
 
 
 class CandidateCache:
-    """Per-table memo shared across t: the frontier cells and filled levels
-    of :func:`ls_t_ig`."""
+    """Per-table memo of :func:`ls_t_ig`, shared across t and attributes.
+
+    ``ls_frontiers`` maps every categorical attribute of the table's schema
+    to its frontier cells, and ``ls_best`` maps it to its filled levels.
+    The level lists are filled together, one chunk of t for all of them at
+    once, so they always have the same length.
+    """
 
     def __init__(self):
         self.ls_best: dict = {}
         self.ls_frontiers: dict = {}
+
+
+def _frontier(lines: tuple) -> list:
+    """Pareto frontier of the cells ``(a0, b0)`` (attribute-value count,
+    class count) of one contingency table: larger a0 first, each cell with
+    a smaller b0 than every cell before it."""
+    every = {(sum(by_class), b0) for by_class in lines for b0 in by_class}
+    cells, low = [], math.inf
+    for a0, b0 in sorted(every, key=lambda cell: (-cell[0], cell[1])):
+        if b0 < low:
+            cells.append((a0, b0))
+            low = b0
+    return cells
 
 
 def ls_t_ig(
@@ -351,10 +419,19 @@ def ls_t_ig(
 
     The cell movement bound is maximized over every count pair reachable
     within t typed row edits, over all attribute values and classes, via the
-    closed-form per-distance scan of :func:`_levels_max`.  Nondecreasing in
-    t as a running maximum.  Levels are filled through the cache in doubling
-    chunks (up to the table size, or t when that is larger), so a walk up t
-    costs a few array passes rather than one scan per level.
+    closed-form per-distance scan of :func:`_table_levels`.  Nondecreasing
+    in t as a running maximum.
+
+    On a miss the levels of every categorical attribute of the schema are
+    filled through the cache in one kernel call, for the t in ``[lo, hi)``
+    with ``lo`` the levels held so far and
+    ``hi = max(t + 1, min(2 lo, n), 8)`` for a table of n rows: doubling
+    chunks up to the table size, or t when that is larger.  So a walk up t
+    costs a few array passes rather than one scan per level, and the other
+    candidates of the same node find their levels filled.  An attribute the
+    node already split on is constant in its table and adds at most two
+    frontier cells.  The levels do not depend on which attribute asks
+    first: a running maximum is exact whichever chunk a level lands in.
 
     Only the Pareto frontier of the cells ``(a0, b0)`` (attribute-value
     count, class count) is scanned: a cell ``(a0', b0')`` with
@@ -374,28 +451,27 @@ def ls_t_ig(
         raise InvalidInputError("t must be >= 0")
     if cache is None:
         cache = CandidateCache()
-    levels = cache.ls_best.setdefault(attribute, [])
+    levels = cache.ls_best.get(attribute)
+    if levels is None:
+        table._contingency(attribute)      # unknown or continuous: raises
+        cache.ls_frontiers = {
+            name: _frontier(table._contingency(name))
+            for name, spec in table.schema.attributes
+            if isinstance(spec, Categorical)
+        }
+        cache.ls_best = {name: [] for name in cache.ls_frontiers}
+        levels = cache.ls_best[attribute]
     if t < len(levels):
         return levels[t]
-    cells = cache.ls_frontiers.get(attribute)
-    if cells is None:
-        spec = table.schema.spec_of(attribute)
-        counts = table.counts(attribute)
-        every = {
-            (sum(counts[j].values()), counts[j][c])
-            for j in spec.values
-            for c in table.schema.class_values
-        }
-        cells, low = [], math.inf
-        for a0, b0 in sorted(every, key=lambda cell: (-cell[0], cell[1])):
-            if b0 < low:
-                cells.append((a0, b0))
-                low = b0
-        cache.ls_frontiers[attribute] = cells
     lo = len(levels)
     hi = max(t + 1, min(2 * lo, len(table)), 8)
-    block = np.maximum.accumulate(_levels_max(cells, lo, hi))
-    levels.extend(np.maximum(block, levels[-1] if levels else 0.0).tolist())
+    block = _table_levels(list(cache.ls_frontiers.values()), lo, hi)
+    np.maximum.accumulate(block, axis=1, out=block)
+    if lo:
+        np.maximum(block, [[held[-1]] for held in cache.ls_best.values()],
+                   out=block)
+    for held, filled in zip(cache.ls_best.values(), block.tolist()):
+        held.extend(filled)
     return levels[t]
 
 
@@ -517,17 +593,23 @@ STOP_THRESHOLD = math.sqrt(2.0) / 2.0
 VARIANTS = ("global", "local", "shifted")
 
 
-def _leaf_majority(node) -> Counter:
-    if isinstance(node, Leaf):
-        return Counter({node.label: 1})
-    total = Counter()
-    for _, child in node.children:
-        total.update(_leaf_majority(child))
-    return total
-
-
 def _pick_majority(counter: Counter, class_values: Sequence) -> Hashable:
     return max(class_values, key=lambda c: (counter.get(c, 0), ))
+
+
+def _internal(attribute: str, children: list, class_values: Sequence):
+    """Internal node over ``(value, (subtree, its leaf-label votes))``
+    children, and its own votes: the fallback label is the majority over
+    the leaves below, first declared class on ties."""
+    votes = Counter()
+    for _, (_, child_votes) in children:
+        votes.update(child_votes)
+    node = Internal(
+        attribute=attribute,
+        children=tuple((value, child) for value, (child, _) in children),
+        majority=_pick_majority(votes, class_values),
+    )
+    return node, votes
 
 
 def build_diffp_id3(
@@ -596,7 +678,7 @@ def build_diffp_id3(
                 if noisy[c] == best:
                     label = c
                     break
-            return Leaf(label)
+            return Leaf(label), Counter({label: 1})
         problem = ig_problem(node_table, attrs)
         if variant == "global":
             chosen, _ = mechanisms.select_exponential(problem, eps_stage, node_rng)
@@ -616,19 +698,13 @@ def build_diffp_id3(
         remaining = tuple(a for a in attrs if a != chosen)
         parts = node_table.partition(chosen)
         child_rngs = node_rng.spawn(len(parts))
-        children = []
-        for child_rng, (value, part) in zip(child_rngs, parts.items()):
-            children.append((value, build(part, remaining, d - 1, child_rng)))
-        label_votes = Counter()
-        for _, child in children:
-            label_votes.update(_leaf_majority(child))
-        return Internal(
-            attribute=chosen,
-            children=tuple(children),
-            majority=_pick_majority(label_votes, class_values),
-        )
+        children = [
+            (value, build(part, remaining, d - 1, child_rng))
+            for child_rng, (value, part) in zip(child_rngs, parts.items())
+        ]
+        return _internal(chosen, children, class_values)
 
-    tree = build(table, tuple(attributes), depth, rng)
+    tree, _ = build(table, tuple(attributes), depth, rng)
     return tree, accountant
 
 
@@ -651,7 +727,7 @@ def build_id3(table: LabeledTable, attributes: Sequence[str], depth: int):
                 if counts[c] == best:
                     label = c
                     break
-            return Leaf(label)
+            return Leaf(label), Counter({label: 1})
         scores = {a: ig_utility(node_table, a) for a in attrs}
         chosen = max(attrs, key=lambda a: scores[a])
         best = scores[chosen]
@@ -660,20 +736,13 @@ def build_id3(table: LabeledTable, attributes: Sequence[str], depth: int):
                 chosen = a
                 break
         remaining = tuple(a for a in attrs if a != chosen)
-        children = tuple(
+        children = [
             (value, build(part, remaining, d - 1))
             for value, part in node_table.partition(chosen).items()
-        )
-        return Internal(
-            attribute=chosen,
-            children=children,
-            majority=_pick_majority(
-                sum((_leaf_majority(c) for _, c in children), Counter()),
-                class_values,
-            ),
-        )
+        ]
+        return _internal(chosen, children, class_values)
 
-    return build(table, tuple(attributes), depth)
+    return build(table, tuple(attributes), depth)[0]
 
 
 def classify(tree, row: Mapping) -> Hashable:
@@ -739,6 +808,18 @@ def discretize_all(table: LabeledTable) -> LabeledTable:
     return table
 
 
+def cv_table(table: LabeledTable) -> LabeledTable:
+    """The table with its continuous attributes binned, ready for
+    :func:`cross_validate` (a binned table comes back as it is).  Fewer
+    than 2 rows leave no fold with both a training and a test row, so
+    such a table is refused."""
+    if len(table) < 2:
+        raise InvalidInputError(
+            f"cross-validation needs at least 2 rows, the table has {len(table)}"
+        )
+    return discretize_all(table)
+
+
 def cross_validate(
     table: LabeledTable,
     depth: int,
@@ -749,11 +830,11 @@ def cross_validate(
 ) -> float:
     """Mean held-out accuracy over a seeded fold split.
 
-    Continuous attributes are binned first; fold assignment shuffles row
-    order deterministically from the seed."""
+    Continuous attributes are binned first (see :func:`cv_table`); fold
+    assignment shuffles row order deterministically from the seed."""
     if folds < 2:
         raise InvalidInputError("need at least 2 folds")
-    table = discretize_all(table)
+    table = cv_table(table)
     rows = table.rows
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(rows))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -27,6 +28,7 @@ from dampen.harness import (
     run_experiment,
 )
 from dampen.percentile import PercentileQuery, percentile_problem
+from dampen.trees import Categorical, Continuous, LabeledTable, TableSchema
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,12 @@ class TestSpecValidation:
     def test_unknown_application_rejected(self):
         with pytest.raises(InvalidInputError):
             ExperimentSpec("nope", "d", epsilons=(1.0,), mechanisms=("em",))
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_nonfinite_epsilon_rejected(self, epsilon):
+        with pytest.raises(InvalidInputError):
+            ExperimentSpec("tree", "d", epsilons=(1.0, epsilon),
+                           mechanisms=("global",))
 
 
 class TestRunExperiment:
@@ -183,6 +191,54 @@ class TestRunExperiment:
         (row,) = run_experiment(spec, dataset)
         assert row.metric == "cvAccuracy"
         assert row.value == 1.0
+
+
+GOLDEN_SCHEMA = TableSchema(
+    attributes=(
+        ("x", Continuous(0.0, 10.0, 3)),
+        ("a", Categorical(("p", "q", "r"))),
+        ("b", Categorical(("p", "q"))),
+        ("c", Categorical(("p", "q", "r", "s"))),
+    ),
+    class_attribute="y",
+    class_values=("k", "m", "n"),
+)
+
+
+def golden_table():
+    """150 seeded rows: the class follows x and a, with 15% of the labels
+    redrawn."""
+    rng = np.random.default_rng(2020)
+    rows = []
+    for _ in range(150):
+        x = round(float(rng.uniform(0.0, 10.0)), 2)
+        a = ("p", "q", "r")[int(rng.integers(3))]
+        label = int(x > 5.0) + int(a == "q")
+        if rng.random() < 0.15:
+            label = int(rng.integers(3))
+        rows.append({"x": x, "a": a, "b": ("p", "q")[int(rng.integers(2))],
+                     "c": ("p", "q", "r", "s")[int(rng.integers(4))],
+                     "y": GOLDEN_SCHEMA.class_values[label]})
+    return LabeledTable(GOLDEN_SCHEMA, rows)
+
+
+def test_tree_rows_equal_recorded_values():
+    # recorded from the per-attribute level fill that the batched one
+    # replaced; any change to a level, a majority label or a fold shows here
+    spec = ExperimentSpec(
+        "tree", "golden", epsilons=(0.5, 5.0),
+        mechanisms=("global", "local", "shifted"), base_seed=7,
+        params={"depth": 3, "folds": 5},
+    )
+    rows = run_experiment(spec, golden_table())
+    assert [(r.mechanism, r.epsilon, r.value) for r in rows] == [
+        ("global", 0.5, 0.37333333333333335),
+        ("global", 5.0, 0.6599999999999999),
+        ("local", 0.5, 0.3466666666666666),
+        ("local", 5.0, 0.5933333333333334),
+        ("shifted", 0.5, 0.38666666666666666),
+        ("shifted", 5.0, 0.6599999999999999),
+    ]
 
 
 class TestEmit:
@@ -322,6 +378,53 @@ class TestCli:
         assert code == 1
         assert captured.err == "dampen: walk refused\n"
         assert "Traceback" not in captured.out + captured.err
+
+
+def write_toy_table(base, rows):
+    data = base / "rows.csv"
+    data.write_text("A,label\n" + "".join(f"{a},{c}\n" for a, c in rows))
+    schema = base / "rows.schema.json"
+    schema.write_text(json.dumps({"A": {"categorical": ["x", "z"]},
+                                  "class": "label", "classes": ["no", "yes"]}))
+    return str(data), str(schema)
+
+
+class TestRejectedBeforeAnyCell:
+    """Inputs that used to end in NaN or Infinity in the JSON output are
+    refused at load with one line on stderr and exit code 1."""
+
+    @pytest.mark.parametrize("rows", [[], [("x", "no")]])
+    def test_tree_table_with_fewer_than_two_rows(self, tmp_path, capsys, rows):
+        data, schema = write_toy_table(tmp_path, rows)
+        code = cli.main(["tree", "--data", data, "--schema", schema,
+                         "--epsilon", "1", "--variant", "global,local"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "dampen: cross-validation needs at least 2 rows, "
+            f"the table has {len(rows)}\n")
+
+    def test_two_rows_are_enough(self, tmp_path, capsys):
+        data, schema = write_toy_table(tmp_path, [("x", "no"), ("z", "yes")])
+        code = cli.main(["tree", "--data", data, "--schema", schema,
+                         "--epsilon", "1", "--folds", "2"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(r["value"]) for r in doc["results"])
+
+    @pytest.mark.parametrize("command", ["tree", "percentile"])
+    def test_infinite_epsilon(self, tmp_path, capsys, vector_file, command):
+        if command == "tree":
+            data, schema = write_toy_table(tmp_path, [("x", "no"), ("z", "yes")])
+            argv = ["tree", "--data", data, "--schema", schema]
+        else:
+            argv = ["percentile", "--data", vector_file, "--lambda", "100"]
+        code = cli.main(argv + ["--epsilon", "1,inf"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "dampen: all epsilons must be finite\n"
 
 
 class TestLoaderRejections:

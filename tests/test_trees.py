@@ -39,6 +39,7 @@ from dampen.trees import (
     ls_t_ig,
     noisy_count,
     row_edit_enumerator,
+    VARIANTS,
     schema_from_json,
 )
 from dampen.sensitivity import bound_sensitivity, check_admissibility
@@ -290,16 +291,20 @@ class TestDistanceT:
         for cells, lo in cases:
             hi = lo + 10 if len(cells) > 1 else lo + 5
             trees._potentials(max(a for a, _ in cells) + hi)
-            tracemalloc.start()
-            try:
-                got = trees._levels_max(cells, lo, hi)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 4 * 2**20, (len(cells), peak)
-            want = [max(cell_level_max(a0, b0, t) for a0, b0 in cells)
-                    for t in range(lo, hi)]
-            assert got.tolist() == want
+            # the same cells as one attribute, and split over two
+            for frontiers in ([cells], [cells[:1], cells[1:]]):
+                tracemalloc.start()
+                try:
+                    got = trees._table_levels(frontiers, lo, hi)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 4 * 2**20, (len(cells), peak)
+                for row, part in zip(got, frontiers):
+                    want = [max((cell_level_max(a0, b0, t) for a0, b0 in part),
+                                default=0.0)
+                            for t in range(lo, hi)]
+                    assert row.tolist() == want
 
     def test_growth_interleaved_with_another_growth(self, rng, monkeypatch):
         # another thread may grow the shared F/G tables while this one is
@@ -419,12 +424,12 @@ def frontier_stress_table(rng):
 
 
 def levels_over_all_cells(table, attribute, t_max):
-    """Running max over t = 0..t_max of _levels_max over every cell."""
+    """Running max over t = 0..t_max of the level kernel over every cell."""
     counts = table.counts(attribute)
     cells = [(sum(by_class.values()), b) for by_class in counts.values()
              for b in by_class.values()]
     return np.maximum.accumulate(
-        trees._levels_max(cells, 0, t_max + 1)).tolist()
+        trees._table_levels([cells], 0, t_max + 1)[0]).tolist()
 
 
 class TestFrontierCells:
@@ -472,6 +477,176 @@ class TestFrontierCells:
         # totals 6, 9, 6, 0 and 18: an A value keeps only its smallest
         # class count, and (0, 0) falls to (6, 0), which has a larger total
         assert sorted(cache.ls_frontiers["A"]) == [(6, 0), (9, 2), (18, 6)]
+
+
+FIVE_ATTRIBUTES = (
+    ("A", Categorical((0, 1, 2))),
+    ("B", Categorical(("x", "z"))),
+    ("C", Categorical((0, 1, 2, 3, 4))),
+    ("D", Categorical(("only",))),
+    ("E", Categorical((0, 1, 2, 3))),
+)
+FIVE_NAMES = tuple(name for name, _ in FIVE_ATTRIBUTES)
+FIVE_ATTRIBUTE_SCHEMA = TableSchema(
+    attributes=FIVE_ATTRIBUTES,
+    class_attribute="y",
+    class_values=("c0", "c1", "c2"),
+)
+# the same attributes with a continuous one left unbinned in the middle
+WITH_CONTINUOUS_SCHEMA = TableSchema(
+    attributes=FIVE_ATTRIBUTES[:2] + (("X", Continuous(0.0, 1.0, 4)),)
+    + FIVE_ATTRIBUTES[2:],
+    class_attribute="y",
+    class_values=("c0", "c1", "c2"),
+)
+
+
+def five_attribute_table(rng, rows, schema=FIVE_ATTRIBUTE_SCHEMA):
+    """Random table on five categorical attributes (D is constant by its
+    domain) where class c2 never meets A = 2 or C = 4, so some class counts
+    are zero whatever the draw."""
+    out = []
+    for _ in range(rows):
+        row = {}
+        for name, spec in schema.attributes:
+            if isinstance(spec, Categorical):
+                row[name] = spec.values[int(rng.integers(len(spec.values)))]
+            else:
+                row[name] = float(rng.uniform(spec.lo, spec.hi))
+        cls = int(rng.integers(3))
+        if cls == 2 and (row["A"] == 2 or row["C"] == 4):
+            cls = 0
+        row["y"] = schema.class_values[cls]
+        out.append(row)
+    return LabeledTable(schema, out)
+
+
+def batched_test_tables(rng):
+    """Whole tables, and subtables already split on one and on two
+    attributes (constant in them), some with empty cells."""
+    tables = []
+    for rows in (0, 1, 9, 40, 70):
+        table = five_attribute_table(rng, rows)
+        tables.append(table)
+        if rows >= 40:
+            part = table.partition("A")[int(rng.integers(3))]
+            tables.append(part)
+            tables.append(part.partition("C")[int(rng.integers(5))])
+    return tables
+
+
+class TestBatchedLevels:
+    """ls_t_ig fills the levels of every categorical attribute of a table in
+    one kernel call per chunk; each level is the float the scalar scans
+    give for that attribute alone."""
+
+    def test_every_attribute_equals_the_scalar_oracles(self, rng):
+        for table in batched_test_tables(rng):
+            t_max = len(table) + 3
+            cache = CandidateCache()
+            for name in FIVE_NAMES:
+                got = [ls_t_ig(table, t, name, cache) for t in range(t_max + 1)]
+                assert got == scalar_levels(table, name, t_max), (name, len(table))
+                assert got == levels_over_all_cells(table, name, t_max)
+            assert len({len(levels) for levels in cache.ls_best.values()}) == 1
+
+    def test_both_sides_of_chunk_ends(self, rng):
+        # chunks end at 8, 16, 32, ... up to the table size, then one level
+        # at a time; each probe asks another attribute than the one before
+        for table in batched_test_tables(rng):
+            n = len(table)
+            wants = {name: scalar_levels(table, name, n + 3)
+                     for name in FIVE_NAMES}
+            probes = [t for t in (7, 8, 15, 16, 31, 32, 63, 64, n - 1, n, n + 1)
+                      if 0 <= t <= n + 3]
+            for order in (probes, probes[::-1]):
+                cache = CandidateCache()
+                for ix, t in enumerate(order):
+                    name = FIVE_NAMES[ix % len(FIVE_NAMES)]
+                    assert ls_t_ig(table, t, name, cache) == wants[name][t], (
+                        name, t, n)
+
+    @pytest.mark.parametrize("grid_elements", [3, 8, 21, 29])
+    def test_pair_slices_ending_inside_an_attribute(self, rng, monkeypatch,
+                                                    grid_elements):
+        monkeypatch.setattr(trees, "_GRID_ELEMENTS", grid_elements)
+        table = five_attribute_table(rng, 60)
+        n = len(table)
+        cache = CandidateCache()
+        ls_t_ig(table, 0, "A", cache)
+        # the first chunk, t < 8, has a pair per (cell, p <= min(b0, 7)); a
+        # multiple of the slice size falls strictly inside some attribute
+        ends = np.cumsum([sum(min(b0, 7) + 1 for _, b0 in cells)
+                          for cells in cache.ls_frontiers.values()])
+        begins = np.concatenate([[0], ends[:-1]])
+        assert any(b < k < e for b, e in zip(begins, ends)
+                   for k in range(grid_elements, int(ends[-1]), grid_elements))
+        for name in FIVE_NAMES:
+            assert [ls_t_ig(table, t, name, cache) for t in range(n + 3)] == (
+                scalar_levels(table, name, n + 2)), name
+
+    def test_levels_do_not_depend_on_the_order_of_requests(self, rng):
+        table = five_attribute_table(rng, 50)
+        n = len(table)
+        want = None
+        for _ in range(6):
+            names = list(rng.permutation(FIVE_NAMES))
+            ts = [int(t) for t in rng.integers(0, n + 4, size=8)]
+            cache = CandidateCache()
+            asked = {(name, t): ls_t_ig(table, t, name, cache)
+                     for name in names for t in ts}
+            for name in FIVE_NAMES:
+                ls_t_ig(table, n + 3, name, cache)
+            lists = {name: cache.ls_best[name][:n + 4] for name in FIVE_NAMES}
+            want = want or lists
+            assert lists == want
+            for (name, t), value in asked.items():
+                assert value == want[name][t]
+
+    def test_continuous_attribute_left_in_the_schema(self, rng):
+        table = five_attribute_table(rng, 45, WITH_CONTINUOUS_SCHEMA)
+        n = len(table)
+        cache = CandidateCache()
+        with pytest.raises(InvalidInputError, match="discretized"):
+            ls_t_ig(table, 0, "X", cache)
+        for name in FIVE_NAMES:
+            assert [ls_t_ig(table, t, name, cache) for t in range(n + 3)] == (
+                scalar_levels(table, name, n + 2)), name
+        assert list(cache.ls_best) == list(FIVE_NAMES)
+        with pytest.raises(InvalidInputError, match="discretized"):
+            ls_t_ig(table, 0, "X", cache)
+        with pytest.raises(InvalidInputError, match="unknown"):
+            ls_t_ig(table, 0, "nope", cache)
+
+
+class TestCountsMemo:
+    def test_returned_counts_cannot_change_later_results(self, rng):
+        table = five_attribute_table(rng, 40)
+        want = table.counts("C")
+        scores = (ig_utility(table, "C"), ls0_ig(table, "C"),
+                  [ls_t_ig(table, t, "C") for t in range(6)])
+        got = table.counts("C")
+        assert got == want and got is not want
+        got[0]["c0"] += 100
+        got[1].clear()
+        got[9] = {"c0": 1}
+        del got[2]
+        assert table.counts("C") == want
+        assert (ig_utility(table, "C"), ls0_ig(table, "C"),
+                [ls_t_ig(table, t, "C") for t in range(6)]) == scores
+
+    def test_counted_once_per_attribute(self, rng):
+        table = five_attribute_table(rng, 30)
+        first = table._contingency("A")
+        ig_utility(table, "A")
+        ls_t_ig(table, 3, "A")
+        assert table._contingency("A") is first
+        assert table.counts("A") == {
+            j: {c: sum(1 for row in table.row_dicts()
+                       if row["A"] == j and row["y"] == c)
+                for c in table.schema.class_values}
+            for j in (0, 1, 2)
+        }
 
 
 class TestIgSensitivityCache:
@@ -631,6 +806,49 @@ class TestDiscretize:
         assert sorted(binned.column("x")) == [0, 0, 1]
 
 
+def leaf_votes(node):
+    if isinstance(node, Leaf):
+        return {node.label: 1}
+    votes = {}
+    for _, child in node.children:
+        for label, count in leaf_votes(child).items():
+            votes[label] = votes.get(label, 0) + count
+    return votes
+
+
+def assert_majorities_over_leaves(node, class_values):
+    """Every internal node falls back on the most frequent leaf label below
+    it, the first declared class on ties."""
+    if isinstance(node, Internal):
+        votes = leaf_votes(node)
+        assert node.majority == max(class_values,
+                                    key=lambda c: votes.get(c, 0))
+        for _, child in node.children:
+            assert_majorities_over_leaves(child, class_values)
+
+
+class TestLeafVotes:
+    def test_private_trees_fall_back_on_the_leaf_majority(self):
+        table = five_attribute_table(np.random.default_rng(8), 120)
+        internal = 0
+        for seed in range(6):
+            for variant in VARIANTS:
+                tree, _ = build_diffp_id3(
+                    table, FIVE_NAMES, 3, 4.0, variant,
+                    np.random.default_rng(seed),
+                )
+                assert_majorities_over_leaves(tree, table.schema.class_values)
+                internal += isinstance(tree, Internal)
+        assert internal > 0
+
+    def test_exact_trees_fall_back_on_the_leaf_majority(self, rng):
+        for _ in range(5):
+            table = five_attribute_table(rng, 150)
+            tree = build_id3(table, FIVE_NAMES, 4)
+            assert isinstance(tree, Internal)
+            assert_majorities_over_leaves(tree, table.schema.class_values)
+
+
 class TestClassification:
     def test_cross_validation_perfect_at_huge_budget(self):
         table = separable_table()
@@ -666,6 +884,12 @@ class TestClassification:
         monkeypatch.setattr(LabeledTable, "__init__", counted)
         assert cross_validate(table, 2, 1.0, "local", seed=4, folds=3) == want
         assert built == []
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_rejected(self, rows):
+        table = two_value_table([{"A": 0, "y": "c0"}] * rows)
+        with pytest.raises(InvalidInputError, match="at least 2 rows"):
+            cross_validate(table, 1, 1.0, "global", seed=0, folds=2)
 
     def test_unseen_branch_falls_back_to_majority(self):
         tree = Internal(
