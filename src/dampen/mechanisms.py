@@ -46,9 +46,10 @@ class SelectionDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if np.any(p < 0):
-            raise ContractViolationError("negative probability")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
+        # written so that NaN fails both checks
+        if not np.all(p >= 0):
+            raise ContractViolationError("negative or NaN probability")
+        if not (abs(float(p.sum()) - 1.0) <= 1e-9):
             raise ContractViolationError("probabilities do not sum to 1")
         object.__setattr__(self, "probabilities", p)
 
@@ -57,7 +58,8 @@ class SelectionDistribution:
 
 
 def _stable_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
+    with np.errstate(invalid="ignore"):     # all -inf: NaN, which is refused
+        shifted = scores - scores.max()
     weights = np.exp(shifted)
     return weights / weights.sum()
 
@@ -296,11 +298,14 @@ def distribution(
     if problem.global_sensitivity == 0:
         scores, probabilities = np.zeros(k), np.full(k, 1.0 / k)
     else:
-        scores = _scores(mechanism, problem, epsilon, delta, shift)
-        if mechanism == "pf":
-            probabilities = _pf_probabilities(scores)
-        else:
-            probabilities = _stable_softmax(scores)
+        # a score that overflows is -inf, a candidate of probability zero;
+        # a NaN this makes is refused by SelectionDistribution
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = _scores(mechanism, problem, epsilon, delta, shift)
+            if mechanism == "pf":
+                probabilities = _pf_probabilities(scores)
+            else:
+                probabilities = _stable_softmax(scores)
     return SelectionDistribution(
         mechanism=mechanism,
         epsilon=epsilon,

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import InvalidInputError, SelectionProblem, SensitivityFunction
-from .sensitivity import NeighborEnumerator, bound_sensitivity
+from .sensitivity import NeighborEnumerator, bound_sensitivity, level_table
 
 
 class NumericVector:
@@ -41,6 +41,12 @@ class NumericVector:
             )
             records = tuple(
                 (rank + 1, value) for rank, (value, _) in enumerate(decorated)
+            )
+        # shifted dampening scores utilities as low as -(n cap + cap)
+        if not math.isfinite((len(records) + 1) * self.lambda_cap):
+            raise InvalidInputError(
+                f"value cap {self.lambda_cap} is too large for "
+                f"{len(records)} records: (n + 1) * cap is not finite"
             )
         for label, value in records:
             if not (0.0 <= value <= self.lambda_cap):
@@ -399,51 +405,29 @@ def percentile_sensitivity(x: NumericVector, q: PercentileQuery) -> SensitivityF
     delta nondecreasing in t.  ``ls_t_of_record`` is the exact value it is
     tested against.
 
-    The levels of all records are kept for the last vector seen, filled in
-    chunks (``hi = max(t + 1, min(2 lo, n + 1), 8)``) by one masked numpy
-    grid each, so a dampening walk costs a few array passes per vector.
-    The table is replaced whole, never mutated, so threads need no lock.
+    The levels are one :func:`~dampen.sensitivity.level_table` per vector,
+    a row per record, filled in chunks by one masked numpy grid each; its
+    running maximum changes nothing, as the levels are nondecreasing.
     """
     if len(x) != q.n:
         raise InvalidInputError(
             f"query is for {q.n} records, vector has {len(x)}"
         )
-    last = None          # (vector, levels array with one row per rank)
 
-    def grow(db: NumericVector, levels: np.ndarray, t: int) -> np.ndarray:
-        n, lo = len(db), levels.shape[1]
-        hi = max(t + 1, min(2 * lo, n + 1), 8)
-        block = np.minimum(
-            _window_levels(np.array(db.values()), q.k, db.lambda_cap,
-                           max(lo, 1), hi),
-            db.lambda_cap,
-        )
-        if lo == 0:
-            first = [ls0_of_record(db, q, label) for label in db.labels()]
-            block = np.column_stack([first, block])
-        return np.hstack([levels, block])
+    def open_table(db: NumericVector):
+        values, cap = np.array(db.values()), db.lambda_cap
 
-    def eval_fn(db: NumericVector, t: int, label) -> float:
-        nonlocal last
-        if t < 0:
-            raise InvalidInputError("t must be >= 0")
-        state = last
-        if state is None or (state[0] is not db and state[0] != db):
-            state = (db, np.zeros((len(db), 0)))
-        seen, levels = state
-        if t >= levels.shape[1]:
-            levels = grow(db, levels, t)
-            last = (seen, levels)
-        return float(levels[seen.rank_of(label) - 1, t])
+        def fill(lo: int, hi: int) -> np.ndarray:
+            block = np.minimum(
+                _window_levels(values, q.k, cap, max(lo, 1), hi), cap)
+            if lo == 0:
+                first = [ls0_of_record(db, q, label) for label in db.labels()]
+                block = np.column_stack([first, block])
+            return block
 
-    return SensitivityFunction(
-        eval=eval_fn,
-        declared_admissible=True,
-        declared_bounded=False,
-        declared_nondecreasing_in_t=True,
-        monotonicity="none",
-        name="ls_percentile_windows",
-    )
+        return {label: row for row, label in enumerate(db.labels())}, fill
+
+    return level_table(open_table, "ls_percentile_windows")
 
 
 def percentile_problem(x: NumericVector, q: PercentileQuery) -> SelectionProblem:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
+import numpy as np
+
 from .core import (
     InvalidInputError,
     PreconditionError,
@@ -230,6 +232,66 @@ def bound_sensitivity(
         monotonicity=delta.monotonicity,
         name=f"min({delta.name}, GS)",
         levels=levels_fn,
+    )
+
+
+def level_table(open_table: Callable[[Any], tuple], name: str
+                ) -> SensitivityFunction:
+    """Sensitivity function read from a table of levels (one row per
+    candidate, one column per t) kept for the last database seen.
+
+    ``open_table(db)`` returns ``(rows, fill)``: ``rows`` maps each
+    candidate to its row, and ``fill(lo, hi)`` returns the raw levels of
+    every row at t in ``[lo, hi)`` as a float64 array.  A read past the
+    filled columns fills ``hi = max(t + 1, min(2 lo, len(db)), 8)``:
+    doubling chunks up to the database size, or t when that is larger.
+
+    A level is the running maximum of the raw levels along t, carried
+    across chunk ends; a maximum is exact, so a level is the same float in
+    whichever chunk it lands.  The running max is nondecreasing in t and
+    keeps admissibility: if ``f(y, s, r) <= f(x, s + 1, r)`` for every
+    neighbour y of x and every s, then ``max_{s <= t} f(y, s, r) <=
+    max_{s <= t} f(x, s + 1, r) <= max_{s <= t + 1} f(x, s, r)``, and
+    level 0 is ``f(x, 0, r)``.  The caller vouches for ``f``.
+
+    The levels are one float64 array per database; the ``levels`` hook
+    returns a row as a list, since the walk is faster on Python floats.
+    The table is replaced whole, never mutated, so threads need no lock.
+    """
+    last = None          # (database, rows, fill, levels array)
+
+    def read(db: Any, t: int, r: Hashable) -> np.ndarray:
+        nonlocal last
+        state = last
+        if state is None or (state[0] is not db and state[0] != db):
+            rows, fill = open_table(db)
+            state = last = (db, rows, fill, np.zeros((len(rows), 0)))
+        seen, rows, fill, levels = state
+        if r not in rows:
+            raise InvalidInputError(f"{name}: unknown candidate {r!r}")
+        lo = levels.shape[1]
+        if t >= lo:
+            block = fill(lo, max(t + 1, min(2 * lo, len(db)), 8))
+            np.maximum.accumulate(block, axis=1, out=block)
+            if lo:
+                np.maximum(block, levels[:, -1:], out=block)
+            levels = np.hstack([levels, block])
+            last = (seen, rows, fill, levels)
+        return levels[rows[r]]
+
+    def eval_fn(db, t, r):
+        if t < 0:
+            raise InvalidInputError("t must be >= 0")
+        return float(read(db, t, r)[t])
+
+    return SensitivityFunction(
+        eval=eval_fn,
+        declared_admissible=True,
+        declared_bounded=False,
+        declared_nondecreasing_in_t=True,
+        monotonicity="none",
+        name=name,
+        levels=lambda db, r, upto: read(db, max(upto, 1) - 1, r)[:upto].tolist(),
     )
 
 
@@ -503,8 +565,6 @@ def accuracy_order_check(
         )
     if not check_dominance(delta_a, delta_b, problem, ts).dominates:
         raise PreconditionError("delta_a does not dominate delta_b")
-
-    import numpy as np
 
     rng = np.random.default_rng(0)
     _, dist_a = mechanisms.select_shifted_local_dampening(

@@ -26,7 +26,7 @@ from .core import (
     SensitivityFunction,
 )
 from . import mechanisms
-from .sensitivity import NeighborEnumerator, bound_sensitivity
+from .sensitivity import NeighborEnumerator, bound_sensitivity, level_table
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -382,24 +382,24 @@ def ls0_ig(table: LabeledTable, attribute: str) -> float:
     return best
 
 
-class CandidateCache:
-    """Per-table memo of :func:`ls_t_ig`, shared across t and attributes.
-
-    ``ls_frontiers`` maps every categorical attribute of the table's schema
-    to its frontier cells, and ``ls_best`` maps it to its filled levels.
-    The level lists are filled together, one chunk of t for all of them at
-    once, so they always have the same length.
-    """
-
-    def __init__(self):
-        self.ls_best: dict = {}
-        self.ls_frontiers: dict = {}
-
-
 def _frontier(lines: tuple) -> list:
     """Pareto frontier of the cells ``(a0, b0)`` (attribute-value count,
     class count) of one contingency table: larger a0 first, each cell with
-    a smaller b0 than every cell before it."""
+    a smaller b0 than every cell before it.
+
+    A cell ``(a0', b0')`` with ``a0' >= a0`` and ``b0' <= b0`` dominates
+    ``(a0, b0)`` at every t, so the levels over the frontier are the same
+    floats as over every cell.  Each point ``(a0 + t - 2p, b0 - p)`` that
+    the weaker cell reaches is matched at the same t.  When
+    ``p >= b0 - b0'`` the dominating cell takes ``p' = p - (b0 - b0')``
+    removals and lands on the same b with a larger a; otherwise it takes
+    none and lands on ``(a0' + t, b0')``, with a larger a and a smaller b.
+    The bound ``max(F[a] - F[b], G[b] - G[a])`` is nondecreasing in a and
+    nonincreasing in b, because the stored ``F`` is nondecreasing and ``G``
+    nonincreasing (``dampen check tree`` checks both exactly), and float
+    subtraction and max are monotone in their operands.  So every dropped
+    entry is at most a kept one.
+    """
     every = {(sum(by_class), b0) for by_class in lines for b0 in by_class}
     cells, low = [], math.inf
     for a0, b0 in sorted(every, key=lambda cell: (-cell[0], cell[1])):
@@ -409,70 +409,19 @@ def _frontier(lines: tuple) -> list:
     return cells
 
 
-def ls_t_ig(
-    table: LabeledTable,
-    t: int,
-    attribute: str,
-    cache: CandidateCache | None = None,
-) -> float:
+def ls_t_ig(table: LabeledTable, t: int, attribute: str) -> float:
     """Exact element local sensitivity of the split score at distance t.
 
     The cell movement bound is maximized over every count pair reachable
     within t typed row edits, over all attribute values and classes, via the
-    closed-form per-distance scan of :func:`_table_levels`.  Nondecreasing
-    in t as a running maximum.
+    closed-form per-distance scan of :func:`_table_levels` over the
+    :func:`_frontier` cells.  Nondecreasing in t as a running maximum.
 
-    On a miss the levels of every categorical attribute of the schema are
-    filled through the cache in one kernel call, for the t in ``[lo, hi)``
-    with ``lo`` the levels held so far and
-    ``hi = max(t + 1, min(2 lo, n), 8)`` for a table of n rows: doubling
-    chunks up to the table size, or t when that is larger.  So a walk up t
-    costs a few array passes rather than one scan per level, and the other
-    candidates of the same node find their levels filled.  An attribute the
-    node already split on is constant in its table and adds at most two
-    frontier cells.  The levels do not depend on which attribute asks
-    first: a running maximum is exact whichever chunk a level lands in.
-
-    Only the Pareto frontier of the cells ``(a0, b0)`` (attribute-value
-    count, class count) is scanned: a cell ``(a0', b0')`` with
-    ``a0' >= a0`` and ``b0' <= b0`` dominates ``(a0, b0)`` at every t.
-    Each point ``(a0 + t - 2p, b0 - p)`` that the weaker cell reaches is
-    matched at the same t.  When ``p >= b0 - b0'`` the dominating cell
-    takes ``p' = p - (b0 - b0')`` removals and lands on the same b with a
-    larger a; otherwise it takes none and lands on ``(a0' + t, b0')``, with
-    a larger a and a smaller b.  The bound ``max(F[a] - F[b], G[b] - G[a])``
-    is nondecreasing in a and nonincreasing in b, because the stored ``F``
-    is nondecreasing and ``G`` nonincreasing (``dampen check tree`` checks
-    both exactly), and float subtraction and max are monotone in their
-    operands.  So every dropped entry is at most a kept one, and each level
-    is the same float as the scan over all cells.
+    A one-shot read of a fresh :func:`ig_sensitivity`; a caller asking
+    for many levels of one table should keep one ``ig_sensitivity()``.
     """
-    if t < 0:
-        raise InvalidInputError("t must be >= 0")
-    if cache is None:
-        cache = CandidateCache()
-    levels = cache.ls_best.get(attribute)
-    if levels is None:
-        table._contingency(attribute)      # unknown or continuous: raises
-        cache.ls_frontiers = {
-            name: _frontier(table._contingency(name))
-            for name, spec in table.schema.attributes
-            if isinstance(spec, Categorical)
-        }
-        cache.ls_best = {name: [] for name in cache.ls_frontiers}
-        levels = cache.ls_best[attribute]
-    if t < len(levels):
-        return levels[t]
-    lo = len(levels)
-    hi = max(t + 1, min(2 * lo, len(table)), 8)
-    block = _table_levels(list(cache.ls_frontiers.values()), lo, hi)
-    np.maximum.accumulate(block, axis=1, out=block)
-    if lo:
-        np.maximum(block, [[held[-1]] for held in cache.ls_best.values()],
-                   out=block)
-    for held, filled in zip(cache.ls_best.values(), block.tolist()):
-        held.extend(filled)
-    return levels[t]
+    table._contingency(attribute)          # unknown or continuous: raises
+    return ig_sensitivity()(table, t, attribute)
 
 
 def ig_sensitivity() -> SensitivityFunction:
@@ -480,37 +429,25 @@ def ig_sensitivity() -> SensitivityFunction:
     (admissible, nondecreasing in t as a running maximum; bound with the
     size-matched global sensitivity before use).
 
-    The cells and levels of the last table seen are kept in one
-    :class:`CandidateCache`, replaced whole when another table comes, and
-    the ``levels`` hook hands the walk that cache's level list.
+    The levels are one :func:`~dampen.sensitivity.level_table` per table,
+    a row per categorical attribute of the schema, filled for all of them
+    at once by :func:`_table_levels` over their frontiers, so a node's other
+    candidates find theirs filled.  An attribute the node already split on
+    is constant in its table and adds at most two frontier cells.  The
+    running maximum turns the kernel's exactly-t bounds into within-t ones.
     """
-    last = (None, None)          # (table, its CandidateCache)
 
-    def cache_for(table: LabeledTable) -> CandidateCache:
-        nonlocal last
-        seen, cache = last
-        if seen is not table and seen != table:
-            cache = CandidateCache()
-            last = (table, cache)
-        return cache
+    def open_table(table: LabeledTable):
+        frontiers = {
+            name: _frontier(table._contingency(name))
+            for name, spec in table.schema.attributes
+            if isinstance(spec, Categorical)
+        }
+        cells = list(frontiers.values())
+        return ({name: row for row, name in enumerate(frontiers)},
+                lambda lo, hi: _table_levels(cells, lo, hi))
 
-    def eval_fn(table: LabeledTable, t: int, attribute: str) -> float:
-        return ls_t_ig(table, t, attribute, cache_for(table))
-
-    def levels_fn(table: LabeledTable, attribute: str, upto: int) -> list:
-        cache = cache_for(table)
-        ls_t_ig(table, max(upto, 1) - 1, attribute, cache)
-        return cache.ls_best[attribute]
-
-    return SensitivityFunction(
-        eval=eval_fn,
-        declared_admissible=True,
-        declared_bounded=False,
-        declared_nondecreasing_in_t=True,
-        monotonicity="none",
-        name="ls_ig",
-        levels=levels_fn,
-    )
+    return level_table(open_table, "ls_ig")
 
 
 def ig_problem(table: LabeledTable, attributes: Sequence[str]) -> SelectionProblem:

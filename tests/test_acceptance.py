@@ -397,9 +397,9 @@ def test_criterion_7_split_score_sensitivity_vs_oracles():
                 default=0.0,
             )
             assert trees.ls0_ig(table, "A") == pytest.approx(want0, abs=1e-9)
-            cache = trees.CandidateCache()
+            delta = trees.ig_sensitivity()
             for t in (1, 2, 3):
-                got = trees.ls_t_ig(table, t, "A", cache)
+                got = delta(table, t, "A")
                 want = _count_matrix_oracle(table, t)
                 assert got == pytest.approx(want, abs=1e-9), (table.rows, t)
 

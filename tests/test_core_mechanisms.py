@@ -34,6 +34,7 @@ from dampen.mechanisms import (
     error_tail,
     expected_error,
     gauss_legendre,
+    restrict,
     select,
     select_exponential,
     select_local_dampening,
@@ -485,6 +486,25 @@ class TestExpectedError:
         assert error_tail(dist, problem, 0.0) == 1.0
         assert error_tail(dist, problem, 1.0) == pytest.approx(0.25)
         assert error_tail(dist, problem, 2.5) == 0.0
+
+    @pytest.mark.parametrize("probabilities", [
+        [np.nan, np.nan], [np.nan, 1.0], [-0.5, 1.5], [0.5, 0.6]])
+    def test_nan_or_bad_probabilities_refused(self, probabilities):
+        with pytest.raises(ContractViolationError):
+            SelectionDistribution(
+                mechanism="em", epsilon=1.0, candidates=(0, 1),
+                probabilities=np.array(probabilities), scores=np.zeros(2),
+            )
+
+    def test_minus_inf_scores_are_zero_probability(self):
+        # an overflowing score is -inf: probability zero while another
+        # candidate keeps a finite score, NaN (refused) when none does
+        problem = make_abstract_problem([-10.0, -5.0, 0.0], gs=10.0)
+        dist = distribution("em", problem, 1e308)
+        assert dist.probabilities.tolist() == [0.0, 0.0, 1.0]
+        assert restrict(dist, [2]).probabilities.tolist() == [1.0]
+        with pytest.raises(ContractViolationError, match="NaN"):
+            restrict(dist, [0, 1])
 
     def test_requires_full_range(self, rng):
         problem = make_abstract_problem([0.0, 2.0], gs=1.0)

@@ -27,7 +27,7 @@ from dampen.harness import (
     rows_to_text,
     run_experiment,
 )
-from dampen.percentile import PercentileQuery, percentile_problem
+from dampen.percentile import NumericVector, PercentileQuery, percentile_problem
 from dampen.trees import Categorical, Continuous, LabeledTable, TableSchema
 
 
@@ -241,6 +241,98 @@ def test_tree_rows_equal_recorded_values():
     ]
 
 
+def golden_vector(n):
+    """n seeded records on [0, 100]: half on a coarse grid with ties and
+    both caps, half uniform to two decimals."""
+    rng = np.random.default_rng(3000 + n)
+    values = [float(v) for v in rng.choice((0.0, 12.5, 50.0, 100.0), size=n // 2)]
+    values += [round(float(v), 2) for v in rng.uniform(0.0, 100.0, size=n - n // 2)]
+    return NumericVector(values, 100.0)
+
+
+# recorded from the per-module percentile table that the shared level table
+# replaced, at sizes on both sides of the chunk ends 8, 16 and 32
+PERCENTILE_GOLDEN = {
+    7: [
+        ("em", 0.1, 30.40153557984407),
+        ("em", 1.0, 28.277210100222526),
+        ("em", 10.0, 11.977362404711862),
+        ("ld", 0.1, 30.277585434179414),
+        ("ld", 1.0, 27.072105014595408),
+        ("ld", 10.0, 7.1731154959124055),
+        ("sld", 0.1, 30.61616270964825),
+        ("sld", 1.0, 30.398378491518095),
+        ("sld", 10.0, 28.148527850958082),
+    ],
+    8: [
+        ("em", 0.1, 32.31328476674684),
+        ("em", 1.0, 29.234348197352467),
+        ("em", 10.0, 10.680607771334465),
+        ("ld", 0.1, 32.20468353438208),
+        ("ld", 1.0, 28.23042316317424),
+        ("ld", 10.0, 7.852265148489893),
+        ("sld", 0.1, 32.429337595572804),
+        ("sld", 1.0, 30.185411274465668),
+        ("sld", 10.0, 8.100189708767893),
+    ],
+    9: [
+        ("em", 0.1, 29.509618226325436),
+        ("em", 1.0, 27.301988667856605),
+        ("em", 10.0, 13.739904454954292),
+        ("ld", 0.1, 29.409591769385838),
+        ("ld", 1.0, 26.385551486210307),
+        ("ld", 10.0, 10.925303528015641),
+        ("sld", 0.1, 29.68247191657676),
+        ("sld", 1.0, 28.909750809971904),
+        ("sld", 10.0, 18.77841697500345),
+    ],
+    16: [
+        ("em", 0.1, 34.16315098357788),
+        ("em", 1.0, 32.5612276503563),
+        ("em", 10.0, 14.873538449828324),
+        ("ld", 0.1, 34.01216492433913),
+        ("ld", 1.0, 30.907618245062924),
+        ("ld", 10.0, 5.887031459263327),
+        ("sld", 0.1, 34.20894358614872),
+        ("sld", 1.0, 33.06713877588477),
+        ("sld", 10.0, 23.251147697795314),
+    ],
+    17: [
+        ("em", 0.1, 29.22570835038848),
+        ("em", 1.0, 27.556996072775597),
+        ("em", 10.0, 13.564462567001703),
+        ("ld", 0.1, 29.09732660208627),
+        ("ld", 1.0, 26.28126508218538),
+        ("ld", 10.0, 7.969296736764388),
+        ("sld", 0.1, 29.30750427422756),
+        ("sld", 1.0, 28.340867724085893),
+        ("sld", 10.0, 18.278123186800453),
+    ],
+    33: [
+        ("em", 0.1, 28.882372782734567),
+        ("em", 1.0, 27.56009340883439),
+        ("em", 10.0, 16.015571320643193),
+        ("ld", 0.1, 28.766611651367597),
+        ("ld", 1.0, 26.409673898258927),
+        ("ld", 10.0, 10.140787974733648),
+        ("sld", 0.1, 28.934060110060756),
+        ("sld", 1.0, 28.036595905258146),
+        ("sld", 10.0, 17.99152665848173),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PERCENTILE_GOLDEN))
+def test_percentile_rows_equal_recorded_values(n):
+    spec = ExperimentSpec(
+        "percentile", "golden", epsilons=(0.1, 1.0, 10.0),
+        mechanisms=("em", "ld", "sld"), base_seed=7, params={"p": 50},
+    )
+    rows = run_experiment(spec, golden_vector(n))
+    assert [(r.mechanism, r.epsilon, r.value) for r in rows] == (
+        PERCENTILE_GOLDEN[n])
+
+
 class TestEmit:
     def _rows(self):
         return [
@@ -425,6 +517,58 @@ class TestRejectedBeforeAnyCell:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "dampen: all epsilons must be finite\n"
+
+
+    def write_values(self, tmp_path, values):
+        path = tmp_path / "values.txt"
+        path.write_text("".join(f"{v}\n" for v in values))
+        return str(path)
+
+    @pytest.mark.parametrize("values, cap", [
+        (["0", "0", "5e307"], "5e307"),
+        (["0", "0", "0"], "1e308"),
+    ])
+    def test_cap_too_large_for_the_record_count(self, tmp_path, capsys,
+                                                values, cap):
+        data = self.write_values(tmp_path, values)
+        code = cli.main(["percentile", "--data", data, "--lambda", cap,
+                         "--epsilon", "1", "--mechanism", "sld"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"dampen: value cap {float(cap)} is too large for 3 records: "
+            "(n + 1) * cap is not finite\n")
+
+    def test_largest_cap_that_fits(self, tmp_path, capsys):
+        data = self.write_values(tmp_path, ["0", "0", "4e307"])
+        code = cli.main(["percentile", "--data", data, "--lambda", "4e307",
+                         "--epsilon", "1", "--mechanism", "sld"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(r["value"]) for r in doc["results"])
+
+    def test_every_score_overflowing_is_refused(self, tmp_path, capsys):
+        # every shifted score overflows to -inf, and the softmax of those
+        # is NaN
+        data = self.write_values(tmp_path, ["0", "0", "0"])
+        code = cli.main(["percentile", "--data", data, "--lambda", "10",
+                         "--epsilon", "1e308", "--mechanism", "sld"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "dampen: negative or NaN probability\n"
+
+    def test_some_scores_overflowing_is_allowed(self, tmp_path, capsys):
+        # -inf scores with one finite score left are candidates of
+        # probability zero
+        data = self.write_values(tmp_path, ["0", "5", "10"])
+        code = cli.main(["percentile", "--data", data, "--lambda", "10",
+                         "--epsilon", "1e308", "--mechanism", "em"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        (row,) = json.loads(captured.out)["results"]
+        assert row["value"] == 0.0
 
 
 class TestLoaderRejections:

@@ -99,6 +99,15 @@ class TestVectorAndQuery:
         q99 = PercentileQuery(99, 3)
         assert utility_percentile(x, q99, 1) == -6.0
 
+    def test_cap_too_large_for_the_record_count_rejected(self):
+        # shifted dampening scores utilities down to -(n cap + cap)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            NumericVector([0.0, 0.0, 5e307], 5e307)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            NumericVector([0.0], float("inf"))
+        x = NumericVector([0.0, 0.0, 4e307], 4e307)
+        assert x.replace(1, 4e307).values() == (0.0, 4e307, 4e307)
+
     def test_global_sensitivity_is_the_cap(self):
         for cap in (10.0, 1.0, float(2 ** 20)):
             assert global_sensitivity_percentile(NumericVector([0.0], cap)) == cap
@@ -351,6 +360,33 @@ class TestWindowBound:
         for t in (0, 1, 7, 8, 31, 32, 63):
             assert levels[t] == window_bound_reference(x, q, t, label)
 
+    def test_levels_equal_one_grid_at_chunk_ends(self):
+        # the table fills chunks [0, 8), [8, 16), [16, 32), ... up to n and
+        # keeps a running max; every level must be the float of one grid
+        # call over every t: the ls0 column, then the capped window bound
+        rng = np.random.default_rng(46)
+        for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40):
+            cap = float(rng.choice([1.0, 10.0, 100.0]))
+            x = random_vector_instance(rng, n=n, cap=cap,
+                                       levels=int(rng.choice([2, 4, 9])))
+            q = PercentileQuery(int(rng.choice([1, 10, 50, 90, 100])), n)
+            probes = [t for t in (7, 8, 15, 16, 31, 32, n - 1, n, n + 1)
+                      if t >= 0]
+            t_max = max(probes)
+            grid = np.minimum(percentile._window_levels(
+                np.array(x.values()), q.k, cap, 1, t_max + 1), cap)
+            want = np.column_stack(
+                [[ls0_of_record(x, q, label) for label in x.labels()], grid])
+            for order in (probes, probes[::-1]):
+                delta = percentile_sensitivity(x, q)
+                for t in order:
+                    for row, label in enumerate(x.labels()):
+                        assert delta(x, t, label) == want[row, t], (
+                            x.values(), q.p, label, t)
+            delta = percentile_sensitivity(x, q)
+            for row, label in enumerate(x.labels()):
+                assert delta.levels(x, label, t_max + 1) == want[row].tolist()
+
     def test_threads_share_one_table_slot(self):
         rng = np.random.default_rng(45)
         vectors = [varied_vector(rng, 12, 10.0) for _ in range(3)]
@@ -418,6 +454,10 @@ class TestLoading:
         assert x.values() == (1.5, 2.0)
         y = load_values(io.StringIO("value\n1.5\n2.0\n"), 10.0)
         assert y.values() == (1.5, 2.0)
+
+    def test_cap_too_large_is_refused_at_load(self):
+        with pytest.raises(InvalidInputError, match="3 records"):
+            load_values(io.StringIO("0\n0\n5e307\n"), 5e307)
 
     def test_out_of_range_is_line_numbered(self):
         with pytest.raises(InvalidInputError, match="line 3"):

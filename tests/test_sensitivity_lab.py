@@ -1,8 +1,10 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from dampen.core import (
+    InvalidInputError,
     PreconditionError,
     SearchBudgetError,
     SelectionProblem,
@@ -24,6 +26,7 @@ from dampen.sensitivity import (
     check_dominance,
     check_monotonicity,
     flatten_sensitivity,
+    level_table,
     utility_order,
 )
 
@@ -123,6 +126,104 @@ class TestBoundSensitivity:
         raw = SensitivityFunction(eval=lambda db, t, r: 1.0)
         with pytest.raises(PreconditionError):
             bound_sensitivity(raw, 1.0)
+
+
+def toy_raw(db, rows, lo, hi):
+    """Raw levels that go up and down along t, different per row."""
+    t = np.arange(lo, hi)
+    return np.array([(7 * t + 3 * row + len(db)) % 5 * 0.5 for row in rows])
+
+
+class TestLevelTable:
+    """One table of levels per database: a running maximum of the raw fill
+    along t, filled in chunks by the rule hi = max(t + 1, min(2 lo, N), 8)."""
+
+    def make(self):
+        opened, fills = [], []
+
+        def open_table(db):
+            opened.append(db)
+            rows = {"a": 0, "b": 1, "c": 2}
+
+            def fill(lo, hi):
+                fills.append((lo, hi))
+                return toy_raw(db, rows.values(), lo, hi)
+
+            return rows, fill
+
+        return level_table(open_table, "toy"), opened, fills
+
+    @staticmethod
+    def want(db, t_max):
+        raw = toy_raw(db, range(3), 0, t_max + 1)
+        return np.maximum.accumulate(raw, axis=1)
+
+    def test_running_max_holds_across_chunk_ends(self):
+        db = tuple(range(20))
+        want = self.want(db, 40)
+        probes = [0, 7, 8, 15, 16, 19, 20, 21, 31, 32, 40]
+        for order in (probes, probes[::-1]):
+            delta, _, _ = self.make()
+            for t in order:
+                for row, r in enumerate("abc"):
+                    assert delta(db, t, r) == want[row, t], (r, t)
+        # the raw fill is not monotone, so the running max does move levels
+        assert not np.array_equal(want, toy_raw(db, range(3), 0, 41))
+
+    def test_chunk_rule(self):
+        delta, _, fills = self.make()
+        db = tuple(range(20))
+        for t in range(23):
+            delta(db, t, "a")
+        assert fills == [(0, 8), (8, 16), (16, 20), (20, 21), (21, 22),
+                         (22, 23)]
+        delta(db, 40, "b")
+        assert fills[-1] == (23, 41)
+
+    def test_same_database_reads_without_a_fill(self):
+        delta, opened, fills = self.make()
+        db = tuple(range(12))
+        delta(db, 5, "a")
+        assert len(opened) == 1 and len(fills) == 1
+        for r in "abc":
+            for t in range(8):
+                delta(db, t, r)
+            delta.levels(db, r, 8)
+        delta(tuple(range(12)), 3, "c")     # an equal database
+        assert len(opened) == 1 and len(fills) == 1
+
+    def test_new_database_refills(self):
+        delta, opened, fills = self.make()
+        first, second = tuple(range(12)), tuple(range(13))
+        assert delta(first, 3, "a") == self.want(first, 3)[0, 3]
+        assert delta(second, 3, "a") == self.want(second, 3)[0, 3]
+        assert delta(first, 3, "b") == self.want(first, 3)[1, 3]
+        assert opened == [first, second, first]
+        assert fills == [(0, 8)] * 3
+
+    def test_refusals(self):
+        delta, _, _ = self.make()
+        db = tuple(range(5))
+        with pytest.raises(InvalidInputError, match="t must be >= 0"):
+            delta(db, -1, "a")
+        with pytest.raises(InvalidInputError, match="unknown candidate 'z'"):
+            delta(db, 0, "z")
+        with pytest.raises(InvalidInputError, match="unknown candidate 'z'"):
+            delta.levels(db, "z", 4)
+
+    def test_levels_hook_equals_eval(self):
+        delta, _, _ = self.make()
+        db = tuple(range(20))
+        for upto in (0, 1, 7, 8, 9, 20, 33):
+            for r in "abc":
+                got = delta.levels(db, r, upto)
+                assert got[:upto] == [delta(db, t, r) for t in range(upto)]
+                assert all(type(v) is float for v in got)
+
+    def test_declarations(self):
+        delta, _, _ = self.make()
+        assert delta.declared_admissible and delta.declared_nondecreasing_in_t
+        assert not delta.declared_bounded and delta.name == "toy"
 
 
 class TestFlattenSensitivity:

@@ -15,7 +15,6 @@ from dampen.fixtures import (
     separable_table,
 )
 from dampen.trees import (
-    CandidateCache,
     Categorical,
     Continuous,
     Internal,
@@ -205,35 +204,35 @@ class TestDistanceT:
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(120):
             table = random_table_instance(rng, max_rows=6)
-            cache = CandidateCache()
+            delta = ig_sensitivity()
             for t in (0, 1, 2, 3):
-                got = ls_t_ig(table, t, "A", cache)
+                got = delta(table, t, "A")
                 want = exhaustive_ls_t(table, t)
                 assert got == pytest.approx(want, abs=1e-9), (table.rows, t)
 
     def test_monotone_and_incremental(self, rng):
         table = random_table_instance(rng, max_rows=5)
-        cache = CandidateCache()
-        values = [ls_t_ig(table, t, "A", cache) for t in range(6)]
+        delta = ig_sensitivity()
+        values = [delta(table, t, "A") for t in range(6)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_levels_equal_scalar_scan_one_at_a_time(self, rng):
         for _ in range(12):
             table = cell_table(rng, max_cell=40)
             t_max = min(len(table) + 3, 90)
-            cache = CandidateCache()
-            got = [ls_t_ig(table, t, "A", cache) for t in range(t_max + 1)]
+            delta = ig_sensitivity()
+            got = [delta(table, t, "A") for t in range(t_max + 1)]
             assert got == scalar_levels(table, "A", t_max), table.counts("A")
 
     def test_levels_equal_scalar_scan_after_a_jump(self, rng):
         for max_cell in (3, 20, 133):
             table = cell_table(rng, max_cell=max_cell)
             t_max = len(table) + 5
-            cache = CandidateCache()
-            top = ls_t_ig(table, t_max, "A", cache)
+            delta = ig_sensitivity()
+            top = delta(table, t_max, "A")
             want = scalar_levels(table, "A", t_max)
             assert top == want[-1]
-            assert [ls_t_ig(table, t, "A", cache)
+            assert [delta(table, t, "A")
                     for t in range(t_max + 1)] == want
 
     def test_levels_equal_scalar_scan_across_chunk_boundaries(self, rng):
@@ -246,15 +245,15 @@ class TestDistanceT:
         probes = [7, 8, 15, 16, 31, 32, 63, 64, 127, 128, n - 1, n, n + 1]
         probes = [t for t in probes if t <= n + 1]
         for order in (probes, sorted(probes, reverse=True)):
-            cache = CandidateCache()
+            delta = ig_sensitivity()
             for t in order:
-                assert ls_t_ig(table, t, "A", cache) == want[t], t
+                assert delta(table, t, "A") == want[t], t
 
     def test_empty_and_tiny_tables_equal_scalar_scan(self, rng):
         for _ in range(40):
             table = random_table_instance(rng, max_rows=4)
-            cache = CandidateCache()
-            got = [ls_t_ig(table, t, "A", cache) for t in range(12)]
+            delta = ig_sensitivity()
+            got = [delta(table, t, "A") for t in range(12)]
             assert got == scalar_levels(table, "A", 11)
 
     def test_long_walk_memory_is_bounded(self, rng):
@@ -270,10 +269,10 @@ class TestDistanceT:
             {"A": int(rng.integers(3)), "y": schema.class_values[int(rng.integers(3))]}
             for _ in range(2000)
         ])
-        cache = CandidateCache()
+        delta = ig_sensitivity()
         tracemalloc.start()
         try:
-            levels = [ls_t_ig(table, t, "A", cache) for t in range(2000)]
+            levels = [delta(table, t, "A") for t in range(2000)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -322,8 +321,8 @@ class TestDistanceT:
 
         monkeypatch.setattr(trees, "_FG", (np.zeros(0), np.zeros(0)))
         monkeypatch.setattr(trees, "f_add", f_add)
-        cache = CandidateCache()
-        got = [ls_t_ig(table, t, "A", cache) for t in range(len(table) + 1)]
+        delta = ig_sensitivity()
+        got = [delta(table, t, "A") for t in range(len(table) + 1)]
         assert interleaved
         assert got == want
         F, G = trees._FG
@@ -346,8 +345,8 @@ class TestDistanceT:
 
                 def walk(ix):
                     barrier.wait()
-                    cache = CandidateCache()
-                    got[ix] = [ls_t_ig(tables[ix], t, "A", cache)
+                    delta = ig_sensitivity()
+                    got[ix] = [delta(tables[ix], t, "A")
                                for t in range(len(tables[ix]) + 1)]
 
                 threads = [threading.Thread(target=walk, args=(ix,))
@@ -442,11 +441,12 @@ class TestFrontierCells:
             table = frontier_stress_table(rng)
             n = len(table)
             want = levels_over_all_cells(table, "A", n + 5)
-            cache = CandidateCache()
-            assert [ls_t_ig(table, t, "A", cache)
+            delta = ig_sensitivity()
+            assert [delta(table, t, "A")
                     for t in range(n + 6)] == want, table.counts("A")
             totals = {sum(row.values()) for row in table.counts("A").values()}
-            dropped_values += len(cache.ls_frontiers["A"]) < len(totals)
+            frontier = trees._frontier(table._contingency("A"))
+            dropped_values += len(frontier) < len(totals)
         assert dropped_values > 0
 
     def test_levels_equal_scan_across_chunk_ends(self, rng):
@@ -460,9 +460,9 @@ class TestFrontierCells:
                       n - 1, n, n + 1, n + 5]
             probes = [t for t in probes if 0 <= t <= n + 5]
             for order in (probes, probes[::-1]):
-                cache = CandidateCache()
+                delta = ig_sensitivity()
                 for t in order:
-                    assert ls_t_ig(table, t, "A", cache) == want[t], (t, n)
+                    assert delta(table, t, "A") == want[t], (t, n)
 
     def test_frontier_keeps_only_undominated_cells(self):
         table = LabeledTable(FIVE_BY_THREE, [
@@ -472,11 +472,10 @@ class TestFrontierCells:
             for c, count in zip(FIVE_BY_THREE.class_values, row)
             for _ in range(count)
         ])
-        cache = CandidateCache()
-        ls_t_ig(table, 0, "A", cache)
         # totals 6, 9, 6, 0 and 18: an A value keeps only its smallest
         # class count, and (0, 0) falls to (6, 0), which has a larger total
-        assert sorted(cache.ls_frontiers["A"]) == [(6, 0), (9, 2), (18, 6)]
+        assert sorted(trees._frontier(table._contingency("A"))) == [
+            (6, 0), (9, 2), (18, 6)]
 
 
 FIVE_ATTRIBUTES = (
@@ -536,19 +535,34 @@ def batched_test_tables(rng):
 
 
 class TestBatchedLevels:
-    """ls_t_ig fills the levels of every categorical attribute of a table in
-    one kernel call per chunk; each level is the float the scalar scans
-    give for that attribute alone."""
+    """ig_sensitivity fills the levels of every categorical attribute of a
+    table in one kernel call per chunk; each level is the float the scalar
+    scans give for that attribute alone."""
 
-    def test_every_attribute_equals_the_scalar_oracles(self, rng):
+    def test_every_attribute_equals_the_scalar_oracles(self, rng, monkeypatch):
+        kernel = trees._table_levels
+        chunks = []
+
+        def counted(frontiers, lo, hi):
+            chunks.append((lo, hi))
+            return kernel(frontiers, lo, hi)
+
         for table in batched_test_tables(rng):
             t_max = len(table) + 3
-            cache = CandidateCache()
+            delta = ig_sensitivity()
+            monkeypatch.setattr(trees, "_table_levels", counted)
+            gots = {}
             for name in FIVE_NAMES:
-                got = [ls_t_ig(table, t, name, cache) for t in range(t_max + 1)]
+                gots[name] = [delta(table, t, name) for t in range(t_max + 1)]
+                if name == FIVE_NAMES[0]:
+                    first_walk = len(chunks)
+            # the first attribute's walk filled every other attribute too
+            assert len(chunks) == first_walk
+            monkeypatch.setattr(trees, "_table_levels", kernel)
+            chunks.clear()
+            for name, got in gots.items():
                 assert got == scalar_levels(table, name, t_max), (name, len(table))
                 assert got == levels_over_all_cells(table, name, t_max)
-            assert len({len(levels) for levels in cache.ls_best.values()}) == 1
 
     def test_both_sides_of_chunk_ends(self, rng):
         # chunks end at 8, 16, 32, ... up to the table size, then one level
@@ -560,10 +574,10 @@ class TestBatchedLevels:
             probes = [t for t in (7, 8, 15, 16, 31, 32, 63, 64, n - 1, n, n + 1)
                       if 0 <= t <= n + 3]
             for order in (probes, probes[::-1]):
-                cache = CandidateCache()
+                delta = ig_sensitivity()
                 for ix, t in enumerate(order):
                     name = FIVE_NAMES[ix % len(FIVE_NAMES)]
-                    assert ls_t_ig(table, t, name, cache) == wants[name][t], (
+                    assert delta(table, t, name) == wants[name][t], (
                         name, t, n)
 
     @pytest.mark.parametrize("grid_elements", [3, 8, 21, 29])
@@ -572,17 +586,18 @@ class TestBatchedLevels:
         monkeypatch.setattr(trees, "_GRID_ELEMENTS", grid_elements)
         table = five_attribute_table(rng, 60)
         n = len(table)
-        cache = CandidateCache()
-        ls_t_ig(table, 0, "A", cache)
+        delta = ig_sensitivity()
+        delta(table, 0, "A")
         # the first chunk, t < 8, has a pair per (cell, p <= min(b0, 7)); a
         # multiple of the slice size falls strictly inside some attribute
-        ends = np.cumsum([sum(min(b0, 7) + 1 for _, b0 in cells)
-                          for cells in cache.ls_frontiers.values()])
+        ends = np.cumsum([sum(min(b0, 7) + 1 for _, b0 in
+                              trees._frontier(table._contingency(name)))
+                          for name in FIVE_NAMES])
         begins = np.concatenate([[0], ends[:-1]])
         assert any(b < k < e for b, e in zip(begins, ends)
                    for k in range(grid_elements, int(ends[-1]), grid_elements))
         for name in FIVE_NAMES:
-            assert [ls_t_ig(table, t, name, cache) for t in range(n + 3)] == (
+            assert [delta(table, t, name) for t in range(n + 3)] == (
                 scalar_levels(table, name, n + 2)), name
 
     def test_levels_do_not_depend_on_the_order_of_requests(self, rng):
@@ -592,12 +607,13 @@ class TestBatchedLevels:
         for _ in range(6):
             names = list(rng.permutation(FIVE_NAMES))
             ts = [int(t) for t in rng.integers(0, n + 4, size=8)]
-            cache = CandidateCache()
-            asked = {(name, t): ls_t_ig(table, t, name, cache)
+            delta = ig_sensitivity()
+            asked = {(name, t): delta(table, t, name)
                      for name in names for t in ts}
             for name in FIVE_NAMES:
-                ls_t_ig(table, n + 3, name, cache)
-            lists = {name: cache.ls_best[name][:n + 4] for name in FIVE_NAMES}
+                delta(table, n + 3, name)
+            lists = {name: delta.levels(table, name, n + 4)
+                     for name in FIVE_NAMES}
             want = want or lists
             assert lists == want
             for (name, t), value in asked.items():
@@ -606,17 +622,19 @@ class TestBatchedLevels:
     def test_continuous_attribute_left_in_the_schema(self, rng):
         table = five_attribute_table(rng, 45, WITH_CONTINUOUS_SCHEMA)
         n = len(table)
-        cache = CandidateCache()
+        delta = ig_sensitivity()
         with pytest.raises(InvalidInputError, match="discretized"):
-            ls_t_ig(table, 0, "X", cache)
+            ls_t_ig(table, 0, "X")
         for name in FIVE_NAMES:
-            assert [ls_t_ig(table, t, name, cache) for t in range(n + 3)] == (
+            assert [delta(table, t, name) for t in range(n + 3)] == (
                 scalar_levels(table, name, n + 2)), name
-        assert list(cache.ls_best) == list(FIVE_NAMES)
+        # the level table has a row for each categorical attribute only
+        with pytest.raises(InvalidInputError, match="unknown candidate 'X'"):
+            delta(table, 0, "X")
         with pytest.raises(InvalidInputError, match="discretized"):
-            ls_t_ig(table, 0, "X", cache)
+            ls_t_ig(table, 0, "X")
         with pytest.raises(InvalidInputError, match="unknown"):
-            ls_t_ig(table, 0, "nope", cache)
+            ls_t_ig(table, 0, "nope")
 
 
 class TestCountsMemo:
@@ -650,17 +668,26 @@ class TestCountsMemo:
 
 
 class TestIgSensitivityCache:
-    def test_keeps_the_last_table_only(self, rng):
+    def test_keeps_the_last_table_only(self, rng, monkeypatch):
+        kernel = trees._table_levels
+        fills = []
+
+        def counted(frontiers, lo, hi):
+            fills.append((lo, hi))
+            return kernel(frontiers, lo, hi)
+
+        monkeypatch.setattr(trees, "_table_levels", counted)
         delta = ig_sensitivity()
         first, second = cell_table(rng, 10), cell_table(rng, 12)
         levels = delta.levels(first, "A", 8)
-        assert len(levels) >= 8
-        assert delta.levels(first, "A", 4) is levels
+        assert len(levels) >= 8 and len(fills) == 1
+        assert delta.levels(first, "A", 4) == levels[:4]
         assert delta(first, 3, "A") == levels[3]
-        other = delta.levels(second, "A", 8)
-        assert other is not levels
+        assert len(fills) == 1              # held: no second fill
+        delta.levels(second, "A", 8)
+        assert len(fills) == 2
         again = delta.levels(first, "A", 8)
-        assert again is not levels          # refilled: the cache was replaced
+        assert len(fills) == 3              # refilled: the table was replaced
         assert again[:8] == levels[:8]
 
     def test_levels_hook_equals_per_level_calls(self, rng):
