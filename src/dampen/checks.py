@@ -17,6 +17,7 @@ import numpy as np
 from . import fixtures, graphs, mechanisms, percentile, trees
 from .core import (
     BudgetAccountant,
+    InvalidInputError,
     SelectionProblem,
     SensitivityFunction,
     constant_sensitivity,
@@ -591,7 +592,7 @@ def run_checks(suite: str, seed: int = 0, budget_s: float | None = None) -> Chec
     exceeds it.
     """
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise InvalidInputError(f"unknown suite {suite!r}; choose from {SUITES}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     start = time.perf_counter()
     results = []

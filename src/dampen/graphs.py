@@ -329,16 +329,14 @@ class TopKResult:
 class TopKSelector:
     """Private EBC top-k on one graph, prepared once and drawn many times.
 
-    The constructor validates the arguments, builds the full-range EBC
-    problem and the default sensitivity function, and for ``em`` and ``ld``
-    also the full-range :func:`mechanisms.distribution` at the per-round
-    budget ``epsilon / k``.  An EM or LD score depends only on the graph,
-    GS, the database size, ``delta``, the node and its utility, so every
-    round of :meth:`draw` restricts that one distribution to the remaining
-    nodes (:func:`mechanisms.restrict`) instead of rescoring them.
-    Permute-and-flip and shifted dampening score against the best remaining
-    node, so their rounds build the smaller problem and call
-    :func:`mechanisms.select` as before.
+    The constructor validates the arguments and builds the full-range EBC
+    problem, the default sensitivity function and one
+    :class:`mechanisms.Prepared` selection over it.  Every round of
+    :meth:`draw`, for every mechanism, reads that one selection over the
+    remaining nodes at the per-round budget ``epsilon / k``, so each node's
+    utility is looked up once and each dampened score is computed once per
+    value it is dampened at; the picks are those of a fresh selection
+    problem per round.
 
     The default sensitivity function is the bounded degree-based delta for
     the shifted mechanism and its flattened version for plain local
@@ -354,12 +352,9 @@ class TopKSelector:
         delta: SensitivityFunction | None = None,
         global_sensitivity: float | None = None,
     ):
-        if not (epsilon > 0):
-            raise InvalidInputError("epsilon must be positive")
         if k < 1 or k > graph.num_nodes():
             raise InvalidInputError("k must be in [1, number of nodes]")
-        if mechanism not in mechanisms.MECHANISMS:
-            raise InvalidInputError(f"unknown mechanism {mechanism!r}")
+        mechanisms._check_epsilon(epsilon / k)
         base = ebc_problem(graph, global_sensitivity=global_sensitivity)
         if delta is None and mechanism in ("ld", "sld"):
             raw = delta_ebc() if mechanism == "sld" else flat_delta_ebc()
@@ -370,11 +365,7 @@ class TopKSelector:
         self.mechanism = mechanism
         self.delta = delta
         self.epsilon_per_round = epsilon / k
-        self._base = base
-        self._dist = (
-            mechanisms.distribution(mechanism, base, self.epsilon_per_round, delta)
-            if mechanism in ("em", "ld") else None
-        )
+        self._prepared = mechanisms.Prepared(mechanism, base, delta)
 
     def draw(
         self,
@@ -389,32 +380,13 @@ class TopKSelector:
             accountant = BudgetAccountant()
         accountant.open_scope(scope, "sequential")
         eps_i = self.epsilon_per_round
-        base = self._base
-        nodes = base.candidates
+        nodes = self._prepared.problem.candidates
         remaining = list(range(len(nodes)))
         chosen: list = []
         for iter_rng in rng.spawn(self.k):
-            if self._dist is not None:
-                dist = mechanisms.restrict(self._dist, remaining)
-                pos = mechanisms._sample(
-                    range(len(remaining)), dist.probabilities, iter_rng
-                )
-                picked = dist.candidates[pos]
-            else:
-                problem = SelectionProblem(
-                    database=base.database,
-                    candidates=tuple(nodes[i] for i in remaining),
-                    utility=base.utility,
-                    global_sensitivity=base.global_sensitivity,
-                    database_size=base.database_size,
-                )
-                picked = mechanisms.select(
-                    self.mechanism, problem, eps_i, iter_rng, delta=self.delta
-                )
-                pos = problem.candidates.index(picked)
-            del remaining[pos]
+            pos = self._prepared.select(eps_i, iter_rng, remaining)
+            chosen.append(nodes[remaining.pop(pos)])
             accountant.account(scope, eps_i)
-            chosen.append(picked)
         return TopKResult(
             chosen=tuple(chosen),
             per_iteration_epsilon=eps_i,

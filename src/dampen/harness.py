@@ -106,17 +106,20 @@ def load_dataset(path: str, kind: str, **options):
 
 
 def _percentile_cells(spec: ExperimentSpec, dataset):
-    """Exact expected error of each (mechanism, epsilon); nothing is drawn."""
+    """Exact expected error of each (mechanism, epsilon); nothing is drawn.
+    Each mechanism scores the problem once, for every epsilon."""
     p = int(spec.params.get("p", 50))
     query = percentile_mod.PercentileQuery(p, len(dataset))
     problem = percentile_mod.percentile_problem(dataset, query)
     delta = percentile_mod.bounded_ls_percentile(dataset, query)
     deltas = {"ld": flatten_sensitivity(delta, problem), "sld": delta}
+    prepared = {}
 
     def cell(mechanism, eps_ix, epsilon):
-        dist = mechanisms.distribution(
-            mechanism, problem, epsilon, deltas.get(mechanism)
-        )
+        if mechanism not in prepared:
+            prepared[mechanism] = mechanisms.Prepared(
+                mechanism, problem, deltas.get(mechanism))
+        dist = prepared[mechanism].distribution(epsilon)
         return "expectedError", mechanisms.expected_error(dist, problem), 0.0
 
     return cell
@@ -125,8 +128,8 @@ def _percentile_cells(spec: ExperimentSpec, dataset):
 def _topk_cells(spec: ExperimentSpec, graph):
     """Mean top-k accuracy over ``runs`` seeded private selections, with
     its standard error.  Each cell prepares one
-    :class:`graphs.TopKSelector` and draws from it ``runs`` times, so EM
-    and LD score every node once per cell."""
+    :class:`graphs.TopKSelector` and draws from it ``runs`` times, so every
+    node is scored once per cell."""
     k = int(spec.params.get("k", 1))
     runs = int(spec.params.get("runs", DEFAULT_TOPK_RUNS))
     if runs < 1:

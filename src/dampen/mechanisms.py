@@ -10,7 +10,8 @@ neighbor movement of the rescaled score at one.
 every mechanism without drawing: a max-stabilized softmax for the
 exponential and dampening mechanisms, Gauss-Legendre quadrature of the
 closed form for permute-and-flip.  Expected errors are derived from it
-without sampling.
+without sampling.  :class:`Prepared` scores one problem once and reads it
+at any epsilon over any subset of the candidates.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ class SelectionDistribution:
 
 
 def _stable_softmax(scores: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):     # all -inf: NaN, which is refused
-        shifted = scores - scores.max()
-    weights = np.exp(shifted)
+    weights = np.exp(scores - scores.max())
     return weights / weights.sum()
 
 
@@ -241,29 +240,122 @@ def _pf_probabilities(log_p: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _scores(mechanism, problem, epsilon, delta, shift) -> np.ndarray:
-    gs = problem.global_sensitivity
-    if mechanism == "em":
-        return epsilon * np.array(problem.utilities()) / (2.0 * gs)
-    if mechanism == "pf":
-        u = np.array(problem.utilities())
-        return epsilon / (2.0 * gs) * (u - u.max())
-    u = problem.utilities()
-    if mechanism == "sld":
-        n_gs = problem.database_size * gs
-        if delta.monotonicity == "non_increasing":
-            offset = n_gs - min(u) if shift is None else shift
-            u = [ur + offset for ur in u]
-        else:
-            offset = n_gs + max(u) if shift is None else shift
-            u = [ur - offset for ur in u]
-    damped = np.array(
-        [dampen(problem, delta, r, ur) for r, ur in zip(problem.candidates, u)]
-    )
-    return epsilon * damped / 2.0
-
-
 MECHANISMS = ("em", "pf", "ld", "sld")
+
+
+class Prepared:
+    """One mechanism on one selection problem, scored once.
+
+    A score depends only on the database, GS, ``delta``, the candidate and
+    its utility, plus the shift for ``sld``.  The constructor checks the
+    tag and ``delta`` as :func:`distribution` does and reads the utilities
+    once; each dampened score is memoised per (position, value dampened
+    at).  :meth:`distribution` and :meth:`select` read any epsilon over the
+    candidates at positions ``keep`` (ascending, default all) with the same
+    float operations as over a fresh problem of just those candidates.
+    """
+
+    def __init__(self, mechanism: str, problem: SelectionProblem,
+                 delta: SensitivityFunction | None = None):
+        if mechanism in ("ld", "sld"):
+            _check_delta(mechanism, delta)
+        elif mechanism not in MECHANISMS:
+            raise InvalidInputError(f"unknown mechanism {mechanism!r}")
+        self.mechanism = mechanism
+        self.problem = problem
+        self.delta = delta
+        self.utilities = np.array(problem.utilities())
+        # offset (None for ld) -> D at every position, NaN until needed
+        self._rows: dict = {}
+
+    def _dampened(self, pos: np.ndarray, shift) -> np.ndarray:
+        """``D`` at positions ``pos``, of the utilities shifted for ``sld``
+        as described in :func:`distribution`."""
+        problem, delta, u = self.problem, self.delta, self.utilities
+        if self.mechanism == "ld":
+            shift = None
+        else:   # from here on, the offset added to every utility
+            n_gs = problem.database_size * problem.global_sensitivity
+            if delta.monotonicity == "non_increasing":
+                shift = n_gs - u[pos].min() if shift is None else shift
+            else:
+                shift = -(n_gs + u[pos].max() if shift is None else shift)
+        row = self._rows.get(shift)
+        if row is None:
+            row = self._rows[shift] = np.full(len(u), np.nan)
+        damped = row[pos]
+        for j in np.flatnonzero(np.isnan(damped)):
+            i = pos[j]
+            v = float(u[i] if shift is None else u[i] + shift)
+            damped[j] = row[i] = dampen(problem, delta, problem.candidates[i], v)
+        return damped
+
+    def distribution(self, epsilon: float, keep: Sequence[int] | None = None,
+                     shift: float | None = None) -> SelectionDistribution:
+        """Exact output distribution over the candidates at ``keep``.
+
+        When the largest score overflows (``+inf``, ``-inf`` for every
+        candidate, or permute-and-flip's ``inf * 0``), this is the limit
+        as epsilon grows: uniform over the kept candidates whose unscaled
+        score (``u``, or ``D`` for ``ld``/``sld``) is largest.  Otherwise
+        an overflowing ``-inf`` score is a candidate of probability zero.
+        """
+        _check_epsilon(epsilon)
+        problem, mechanism = self.problem, self.mechanism
+        gs = problem.global_sensitivity
+        candidates = problem.candidates
+        if keep is None:
+            pos = np.arange(len(candidates))
+        else:
+            pos = np.asarray(keep, dtype=int)
+            candidates = tuple(candidates[i] for i in keep)
+        k = len(candidates)
+        if gs == 0:
+            scores, probabilities = np.zeros(k), np.full(k, 1.0 / k)
+        else:
+            # a NaN this makes is refused by SelectionDistribution
+            with np.errstate(over="ignore", invalid="ignore"):
+                if mechanism in ("ld", "sld"):
+                    unscaled = self._dampened(pos, shift)
+                    scores = epsilon * unscaled / 2.0
+                else:
+                    unscaled = u = self.utilities[pos]
+                    scores = (epsilon * u / (2.0 * gs) if mechanism == "em"
+                              else epsilon / (2.0 * gs) * (u - u.max()))
+                if not math.isfinite(scores.max()):
+                    top = unscaled == unscaled.max()
+                    probabilities = top / top.sum()
+                elif mechanism == "pf":
+                    probabilities = _pf_probabilities(scores)
+                else:
+                    probabilities = _stable_softmax(scores)
+        return SelectionDistribution(mechanism, epsilon, candidates,
+                                     probabilities, scores)
+
+    def select(self, epsilon: float, rng, keep: Sequence[int] | None = None) -> int:
+        """Draw one candidate at ``keep`` and return its index in ``keep``.
+
+        Permute-and-flip walks a random permutation of the kept candidates
+        and returns the first whose ``Bernoulli(exp(eps * (u - u*) / 2GS))``
+        coin lands heads; a maximizer flips heads with probability one, so
+        the walk always terminates.  Every other tag samples
+        :meth:`distribution`.
+        """
+        if self.mechanism != "pf":
+            probabilities = self.distribution(epsilon, keep).probabilities
+            return _sample(range(len(probabilities)), probabilities, rng)
+        _check_epsilon(epsilon)
+        u = self.utilities if keep is None else self.utilities[keep]
+        gs = self.problem.global_sensitivity
+        if gs == 0:
+            return int(rng.integers(len(u)))
+        u_star = u.max()
+        rate = epsilon / (2.0 * gs)
+        for idx in rng.permutation(len(u)):
+            gap = u_star - u[idx]   # 0 at a maximizer: heads at any rate
+            if rng.random() < (math.exp(-rate * gap) if gap else 1.0):
+                return int(idx)
+        raise AssertionError("unreachable: some candidate attains u*")
 
 
 def distribution(
@@ -287,61 +379,10 @@ def distribution(
     ``ld`` needs a ``delta`` declared admissible, the hypothesis under which
     it is differentially private; ``sld`` needs one also declared bounded.
     A zero global sensitivity means the utility carries no private signal,
-    and every mechanism degenerates to uniform.
+    and every mechanism degenerates to uniform.  One-shot form of
+    :class:`Prepared`.
     """
-    _check_epsilon(epsilon)
-    if mechanism in ("ld", "sld"):
-        _check_delta(mechanism, delta)
-    elif mechanism not in MECHANISMS:
-        raise InvalidInputError(f"unknown mechanism {mechanism!r}")
-    k = len(problem.candidates)
-    if problem.global_sensitivity == 0:
-        scores, probabilities = np.zeros(k), np.full(k, 1.0 / k)
-    else:
-        # a score that overflows is -inf, a candidate of probability zero;
-        # a NaN this makes is refused by SelectionDistribution
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = _scores(mechanism, problem, epsilon, delta, shift)
-            if mechanism == "pf":
-                probabilities = _pf_probabilities(scores)
-            else:
-                probabilities = _stable_softmax(scores)
-    return SelectionDistribution(
-        mechanism=mechanism,
-        epsilon=epsilon,
-        candidates=problem.candidates,
-        probabilities=probabilities,
-        scores=scores,
-    )
-
-
-def restrict(
-    dist: SelectionDistribution, keep: Sequence[int]
-) -> SelectionDistribution:
-    """The same ``em`` or ``ld`` run over the candidates at positions
-    ``keep`` of ``dist`` (ascending), without rescoring them.
-
-    An EM score ``epsilon * u / (2 GS)`` and an LD score ``epsilon * D(u) /
-    2`` are computed one candidate at a time and do not depend on the other
-    candidates, so softmaxing the kept scores gives the same floats as
-    :func:`distribution` over the smaller range.  Zero scores, which a zero
-    global sensitivity gives, softmax to exactly ``1 / len(keep)``.
-    Permute-and-flip and shifted dampening score against the best remaining
-    candidate, so they are refused.
-    """
-    if dist.mechanism not in ("em", "ld"):
-        raise InvalidInputError(
-            f"only em and ld distributions can be restricted, "
-            f"not {dist.mechanism!r}"
-        )
-    scores = dist.scores[keep]
-    return SelectionDistribution(
-        mechanism=dist.mechanism,
-        epsilon=dist.epsilon,
-        candidates=tuple(dist.candidates[i] for i in keep),
-        probabilities=_stable_softmax(scores),
-        scores=scores,
-    )
+    return Prepared(mechanism, problem, delta).distribution(epsilon, shift=shift)
 
 
 def _draw(dist: SelectionDistribution, rng):
@@ -356,23 +397,10 @@ def select_exponential(problem: SelectionProblem, epsilon: float, rng):
 
 
 def select_permute_and_flip(problem: SelectionProblem, epsilon: float, rng):
-    """Permute-and-flip: walk a random permutation of the candidates and
-    return the first one whose ``Bernoulli(exp(eps * (u - u*) / 2GS))``
-    coin lands heads.  A maximizer flips heads with probability one, so the
-    walk always terminates.  Returns the candidate only; its exact
-    distribution is ``distribution("pf", ...)``.
-    """
-    _check_epsilon(epsilon)
-    candidates = problem.candidates
-    if problem.global_sensitivity == 0:
-        return candidates[int(rng.integers(len(candidates)))]
-    u = np.array(problem.utilities())
-    u_star = u.max()
-    rate = epsilon / (2.0 * problem.global_sensitivity)
-    for idx in rng.permutation(len(candidates)):
-        if rng.random() < math.exp(rate * (u[idx] - u_star)):
-            return candidates[int(idx)]
-    raise AssertionError("unreachable: some candidate attains u*")
+    """Permute-and-flip (see :meth:`Prepared.select`); returns the
+    candidate only, whose exact distribution is ``distribution("pf",
+    ...)``."""
+    return problem.candidates[Prepared("pf", problem).select(epsilon, rng)]
 
 
 def select_local_dampening(
@@ -417,7 +445,7 @@ def expected_error(dist: SelectionDistribution, problem: SelectionProblem) -> fl
     """Exact expected utility regret ``sum_r Pr[r] * (u* - u(x, r))``."""
     if set(dist.candidates) != set(problem.candidates):
         raise InvalidInputError("distribution does not cover the full range")
-    u = {r: problem.utility(problem.database, r) for r in problem.candidates}
+    u = dict(zip(problem.candidates, problem.utilities()))
     u_star = max(u.values())
     return float(
         sum(
@@ -431,7 +459,7 @@ def error_tail(
     dist: SelectionDistribution, problem: SelectionProblem, theta: float
 ) -> float:
     """Exact ``Pr[u* - u(x, M(x)) >= theta]``."""
-    u = {r: problem.utility(problem.database, r) for r in problem.candidates}
+    u = dict(zip(problem.candidates, problem.utilities()))
     u_star = max(u.values())
     return float(
         sum(
@@ -449,15 +477,8 @@ def select(
     rng,
     delta: SensitivityFunction | None = None,
 ):
-    """Draw one candidate with the mechanism named by its tag.
-
-    Permute-and-flip walks its permutation; every other tag samples its
-    exact :func:`distribution`.
-    """
-    if mechanism == "pf":
-        return select_permute_and_flip(problem, epsilon, rng)
-    return _sample(
-        problem.candidates,
-        distribution(mechanism, problem, epsilon, delta).probabilities,
-        rng,
-    )
+    """Draw one candidate with the mechanism named by its tag
+    (:meth:`Prepared.select`)."""
+    return problem.candidates[
+        Prepared(mechanism, problem, delta).select(epsilon, rng)
+    ]

@@ -25,16 +25,17 @@ from dampen.fixtures import (
     separable_table,
 )
 from dampen.graphs import delta_ebc, ebc_problem, edge_flip_enumerator, flat_delta_ebc
+from dampen import mechanisms as mechanisms_mod
 from dampen.mechanisms import (
     MAX_BREAKPOINT_STEPS,
     MECHANISMS,
+    Prepared,
     SelectionDistribution,
     dampen,
     distribution,
     error_tail,
     expected_error,
     gauss_legendre,
-    restrict,
     select,
     select_exponential,
     select_local_dampening,
@@ -328,6 +329,94 @@ class TestDistribution:
                 distribution(tag, problem, 1.0, delta)
 
 
+def sub_problem(problem, keep):
+    return dataclasses.replace(
+        problem, candidates=tuple(problem.candidates[i] for i in keep))
+
+
+def dampen_calls(monkeypatch):
+    """Record the (candidate, value) of every ``dampen`` call."""
+    calls = []
+    real = mechanisms_mod.dampen
+
+    def counted(problem, delta, r, u):
+        calls.append((r, u))
+        return real(problem, delta, r, u)
+
+    monkeypatch.setattr(mechanisms_mod, "dampen", counted)
+    return calls
+
+
+class TestPrepared:
+    UTILITIES = [0.0, 4.0, 1.5, 4.0, -2.5]
+    KEEPS = ([2], [0, 3, 4], [1, 2, 3, 4], [0, 1, 2, 3, 4])
+    UP = step_delta([0.5, 1.0, 2.0], tail=3.0, declared_bounded=True)
+    DOWN = SensitivityFunction(
+        eval=lambda db, t, r: min(0.5 + 0.25 * r + 0.5 * t, 3.0),
+        declared_admissible=True, declared_bounded=True,
+        monotonicity="non_increasing",
+    )
+    CASES = [("em", None, None), ("pf", None, None), ("ld", UP, None),
+             ("sld", UP, None), ("sld", UP, 40.0), ("sld", DOWN, None),
+             ("sld", DOWN, 40.0)]
+
+    @pytest.mark.parametrize("gs", (3.0, 0.0))
+    @pytest.mark.parametrize("tag, delta, shift", CASES)
+    def test_subset_equals_a_fresh_problem(self, tag, delta, shift, gs):
+        problem = make_abstract_problem(self.UTILITIES, gs=gs)
+        prepared = Prepared(tag, problem, delta)
+        for eps in (0.3, 2.0):
+            for keep in self.KEEPS:
+                sub = sub_problem(problem, keep)
+                got = prepared.distribution(eps, keep, shift)
+                want = distribution(tag, sub, eps, delta, shift)
+                assert got.candidates == want.candidates
+                assert np.array_equal(got.scores, want.scores)
+                assert np.array_equal(got.probabilities, want.probabilities)
+                if shift is None:
+                    a, b = np.random.default_rng(7), np.random.default_rng(7)
+                    picked = prepared.select(eps, a, keep)
+                    assert sub.candidates[picked] == select(tag, sub, eps, b, delta)
+                    assert a.random() == b.random()
+
+    def test_full_range_is_the_default(self):
+        problem = make_abstract_problem(self.UTILITIES, gs=3.0)
+        got = Prepared("ld", problem, self.UP).distribution(0.7)
+        want = distribution("ld", problem, 0.7, self.UP)
+        assert np.array_equal(got.probabilities, want.probabilities)
+
+    @pytest.mark.parametrize("delta, sld_calls", ((UP, 5 + 3), (DOWN, 5 + 2)))
+    def test_each_value_is_dampened_once(self, delta, sld_calls, monkeypatch):
+        calls = dampen_calls(monkeypatch)
+        problem = make_abstract_problem(self.UTILITIES, gs=3.0)
+        # rounds as in top-k: the UP shift moves once both candidates of
+        # utility 4.0 are gone, the DOWN shift once -2.5 is gone
+        rounds = ([0, 1, 2, 3, 4], [0, 2, 3, 4], [0, 2, 4], [0, 2])
+        for tag, expected in (("ld", 5), ("sld", sld_calls)):
+            calls.clear()
+            prepared = Prepared(tag, problem, delta)
+            for eps in (0.3, 1.0, 4.0):
+                for keep in rounds:
+                    prepared.distribution(eps, keep)
+            assert len(calls) == len(set(calls)) == expected
+
+    @pytest.mark.parametrize("tag, gs", [("em", 1.0), ("pf", 0.25),
+                                         ("ld", 1.0), ("sld", 1.0)])
+    def test_overflowing_scores_give_the_limit(self, tag, gs):
+        # +inf scores (em, ld), -inf for all (sld), inf * 0 (pf): the limit
+        # as epsilon grows is uniform over the top utilities
+        problem = make_abstract_problem([1.0, 3.0, 3.0, -2.0], gs=gs)
+        prepared = Prepared(tag, problem, constant_sensitivity(gs))
+        dist = prepared.distribution(1e308)
+        assert not np.isfinite(dist.scores.max())
+        assert dist.probabilities.tolist() == [0.0, 0.5, 0.5, 0.0]
+        assert prepared.distribution(1e308, [0, 3]).probabilities.tolist() == [
+            1.0, 0.0]
+        picks = {prepared.select(1e308, np.random.default_rng(s))
+                 for s in range(20)}
+        assert picks == {1, 2}
+
+
 class TestLocalDampening:
     def test_constant_delta_equals_exponential(self, rng):
         for _ in range(50):
@@ -498,13 +587,15 @@ class TestExpectedError:
 
     def test_minus_inf_scores_are_zero_probability(self):
         # an overflowing score is -inf: probability zero while another
-        # candidate keeps a finite score, NaN (refused) when none does
+        # candidate keeps a finite score, the limit as epsilon grows when
+        # none does
         problem = make_abstract_problem([-10.0, -5.0, 0.0], gs=10.0)
         dist = distribution("em", problem, 1e308)
         assert dist.probabilities.tolist() == [0.0, 0.0, 1.0]
-        assert restrict(dist, [2]).probabilities.tolist() == [1.0]
-        with pytest.raises(ContractViolationError, match="NaN"):
-            restrict(dist, [0, 1])
+        prepared = Prepared("em", problem)
+        assert prepared.distribution(1e308, [2]).probabilities.tolist() == [1.0]
+        assert prepared.distribution(1e308, [0, 1]).probabilities.tolist() == [
+            0.0, 1.0]
 
     def test_requires_full_range(self, rng):
         problem = make_abstract_problem([0.0, 2.0], gs=1.0)

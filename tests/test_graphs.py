@@ -275,32 +275,42 @@ class TestTopKSelector:
             priv_topk(bridge_graph, 1.0, k, mechanism,
                       np.random.default_rng(0), delta=delta)
 
-    def test_restrict_refuses_pf_and_sld(self, bridge_problem):
-        delta = bound_sensitivity(delta_ebc(), 7.5, bridge_problem.database_size)
-        for mechanism in ("pf", "sld"):
-            dist = mechanisms.distribution(mechanism, bridge_problem, 1.0, delta)
-            with pytest.raises(InvalidInputError, match="restricted"):
-                mechanisms.restrict(dist, [0, 1])
-
-    def test_restrict_equals_distribution_over_the_subset(self, bridge_problem):
-        flat = bound_sensitivity(
-            flat_delta_ebc(), 7.5, bridge_problem.database_size
-        )
+    def test_prepared_equals_distribution_over_the_subset(self, bridge_problem):
+        n = bridge_problem.database_size
+        deltas = {"em": None, "pf": None,
+                  "ld": bound_sensitivity(flat_delta_ebc(), 7.5, n),
+                  "sld": bound_sensitivity(delta_ebc(), 7.5, n)}
         nodes = bridge_problem.candidates
-        for mechanism in ("em", "ld"):
-            full = mechanisms.distribution(mechanism, bridge_problem, 1.5, flat)
+        for mechanism, delta in deltas.items():
+            prepared = mechanisms.Prepared(mechanism, bridge_problem, delta)
             for keep in ([0, 2, 5], [1], list(range(len(nodes)))):
-                sub = mechanisms.restrict(full, keep)
+                sub = prepared.distribution(1.5, keep)
                 direct = mechanisms.distribution(
                     mechanism,
                     ebc_problem(bridge_problem.database,
                                 candidates=[nodes[i] for i in keep],
                                 global_sensitivity=7.5),
-                    1.5, flat,
+                    1.5, delta,
                 )
                 assert sub.candidates == direct.candidates
                 assert np.array_equal(sub.scores, direct.scores)
                 assert np.array_equal(sub.probabilities, direct.probabilities)
+
+    def test_sld_rounds_dampen_each_value_once(self, bridge_graph, monkeypatch):
+        calls = []
+        real = mechanisms.dampen
+
+        def counted(problem, delta, r, u):
+            calls.append((r, u))
+            return real(problem, delta, r, u)
+
+        monkeypatch.setattr(mechanisms, "dampen", counted)
+        selector = TopKSelector(bridge_graph, 1.0, 8, "sld")
+        for seed in range(3):
+            selector.draw(np.random.default_rng(seed))
+        assert len(calls) == len(set(calls))
+        # the shift moves only when a round picks a node of top utility
+        assert len(calls) < 3 * 8 * 9 / 2
 
     def test_em_and_ld_score_each_node_once(self, bridge_graph, monkeypatch):
         calls = []
@@ -312,6 +322,22 @@ class TestTopKSelector:
 
         monkeypatch.setattr(mechanisms, "dampen", counted)
         selector = TopKSelector(bridge_graph, 1.0, 8, "ld")
+        for seed in range(3):
+            selector.draw(np.random.default_rng(seed))
+        assert sorted(calls) == sorted(bridge_graph.nodes)
+
+    @pytest.mark.parametrize("mechanism", mechanisms.MECHANISMS)
+    def test_every_mechanism_looks_each_node_up_once(self, bridge_graph,
+                                                     mechanism, monkeypatch):
+        calls = []
+        real = graphs.EdgeGraph.ebc_score
+
+        def counted(graph, v):
+            calls.append(v)
+            return real(graph, v)
+
+        monkeypatch.setattr(graphs.EdgeGraph, "ebc_score", counted)
+        selector = TopKSelector(bridge_graph, 1.0, 8, mechanism)
         for seed in range(3):
             selector.draw(np.random.default_rng(seed))
         assert sorted(calls) == sorted(bridge_graph.nodes)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from dampen import cli, harness
+from dampen import cli, harness, mechanisms
 from dampen.checks import run_checks
 from dampen.core import (
     ContractViolationError,
@@ -99,6 +99,26 @@ class TestSpecValidation:
 
 
 class TestRunExperiment:
+    def test_percentile_epsilons_share_one_scoring(self, vector_file,
+                                                   monkeypatch):
+        dataset = load_dataset(vector_file, "vector", lambda_cap=100.0)
+        calls = []
+        real = mechanisms.dampen
+
+        def counted(problem, delta, r, u):
+            calls.append((r, u))
+            return real(problem, delta, r, u)
+
+        monkeypatch.setattr(mechanisms, "dampen", counted)
+        counts = []
+        for epsilons in ((1.0,), (0.1, 1.0, 10.0)):
+            calls.clear()
+            run_experiment(ExperimentSpec(
+                "percentile", "values", epsilons=epsilons,
+                mechanisms=("ld", "sld")), dataset)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_percentile_rows_and_ordering(self, vector_file):
         dataset = load_dataset(vector_file, "vector", lambda_cap=100.0)
         spec = ExperimentSpec(
@@ -436,6 +456,24 @@ class TestCli:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
+    def test_unknown_check_suite_is_one_line(self):
+        proc = run_cli("check", "bogus")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("dampen: unknown suite 'bogus'")
+        assert proc.stderr.count("\n") == 1
+
+    def test_cli_import_leaves_the_checks_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dampen.cli; "
+             "print(sorted({'dampen.checks', 'dampen.fixtures'} "
+             "& set(sys.modules)))"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_missing_file_is_io_error(self):
         proc = run_cli(
             "percentile", "--data", "/definitely/missing", "--lambda", "10",
@@ -548,16 +586,38 @@ class TestRejectedBeforeAnyCell:
         doc = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(r["value"]) for r in doc["results"])
 
-    def test_every_score_overflowing_is_refused(self, tmp_path, capsys):
-        # every shifted score overflows to -inf, and the softmax of those
-        # is NaN
+    def test_every_score_overflowing_gives_the_limit(self, tmp_path, capsys):
+        # every shifted score overflows to -inf; the limit as epsilon grows
+        # is uniform over the best candidates, whose error is 0
         data = self.write_values(tmp_path, ["0", "0", "0"])
         code = cli.main(["percentile", "--data", data, "--lambda", "10",
                          "--epsilon", "1e308", "--mechanism", "sld"])
         captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "dampen: negative or NaN probability\n"
+        assert code == 0 and captured.err == ""
+        (row,) = json.loads(captured.out)["results"]
+        assert row["value"] == 0.0
+
+    def test_overflowing_topk_runs_to_completion(self, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text("1 2\n2 3\n3 4\n")
+        code = cli.main(["topk", "--graph", str(path), "--k", "1",
+                         "--epsilon", "1e308", "--mechanism", "em,pf,ld,sld",
+                         "--runs", "4"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rows = json.loads(captured.out)["results"]
+        assert [r["mechanism"] for r in rows] == ["em", "pf", "ld", "sld"]
+        assert all(math.isfinite(r["value"]) for r in rows)
+
+    def test_overflowing_tree_runs_to_completion(self, table_files, capsys):
+        data, schema = table_files
+        code = cli.main(["tree", "--data", data, "--schema", schema,
+                         "--epsilon", "1e308", "--folds", "4"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rows = json.loads(captured.out)["results"]
+        assert len(rows) == 3
+        assert all(math.isfinite(r["value"]) for r in rows)
 
     def test_some_scores_overflowing_is_allowed(self, tmp_path, capsys):
         # -inf scores with one finite score left are candidates of
