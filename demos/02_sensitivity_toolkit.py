@@ -15,8 +15,8 @@ from dampen import (
 )
 from dampen.core import SensitivityFunction
 from dampen.fixtures import example_graph
-from dampen.graphs import delta_ebc, ebc_problem, edge_flip_enumerator
-from dampen.sensitivity import BruteForceExplorer
+from dampen.graphs import delta_ebc, ebc_problem
+from dampen.oracles import BruteForceExplorer, edge_flip_enumerator
 
 graph = example_graph()
 problem = ebc_problem(graph, global_sensitivity=7.5)

@@ -15,10 +15,10 @@ from dampen.mechanisms import (
     select_local_dampening,
     select_shifted_local_dampening,
 )
+from dampen.oracles import ls0_percentile
 from dampen.percentile import (
     PercentileQuery,
     bounded_ls_percentile,
-    ls0_percentile,
     percentile_problem,
 )
 from dampen.sensitivity import flatten_sensitivity

@@ -28,17 +28,19 @@ from .mechanisms import (
     select_permute_and_flip,
     select_shifted_local_dampening,
 )
-from .sensitivity import (
-    NeighborEnumerator,
-    bound_sensitivity,
-    brute_element_ls,
-    brute_sensitivity,
-    check_admissibility,
-    check_dominance,
-    check_monotonicity,
-    flatten_sensitivity,
-    truncated_sensitivity,
-)
+from .sensitivity import bound_sensitivity, flatten_sensitivity, truncated_sensitivity
+
+
+def __getattr__(name):
+    # the brute-force references load on first use, never on a CLI run
+    if name in ("NeighborEnumerator", "brute_element_ls", "brute_sensitivity",
+                "check_admissibility", "check_dominance",
+                "check_monotonicity"):
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

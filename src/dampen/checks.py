@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fixtures, graphs, mechanisms, percentile, trees
+from . import fixtures, graphs, mechanisms, oracles, percentile, trees
 from .core import (
     BudgetAccountant,
     InvalidInputError,
@@ -22,14 +22,7 @@ from .core import (
     SensitivityFunction,
     constant_sensitivity,
 )
-from .sensitivity import (
-    BruteForceExplorer,
-    bound_sensitivity,
-    brute_sensitivity,
-    check_admissibility,
-    check_dominance,
-    flatten_sensitivity,
-)
+from .sensitivity import bound_sensitivity, flatten_sensitivity
 
 SUITES = ("core", "sensitivity", "percentile", "graph", "tree", "all")
 
@@ -174,8 +167,8 @@ def _check_faulty_delta_detected(rng):
     zero = SensitivityFunction(
         eval=lambda g, t, v: 0.0, declared_admissible=True, name="zero"
     )
-    report = check_admissibility(
-        zero, problem, graphs.edge_flip_enumerator(), max_t=1
+    report = oracles.check_admissibility(
+        zero, problem, oracles.edge_flip_enumerator(), max_t=1
     )
     return (not report.passed) and report.witness is not None, (
         "zero sensitivity function slipped through" if report.passed else ""
@@ -198,8 +191,8 @@ def _tiny_graph_problem(rng):
 def _check_minimum_admissibility(rng, trials=8):
     for _ in range(trials):
         problem = _tiny_graph_problem(rng)
-        enum = graphs.edge_flip_enumerator()
-        explorer = BruteForceExplorer(problem, enum)
+        enum = oracles.edge_flip_enumerator()
+        explorer = oracles.BruteForceExplorer(problem, enum)
         delta = bound_sensitivity(
             graphs.delta_ebc(), problem.global_sensitivity, problem.database_size
         )
@@ -214,10 +207,10 @@ def _check_minimum_admissibility(rng, trials=8):
 def _check_flatten_is_max(rng, trials=6):
     for _ in range(trials):
         problem = _tiny_graph_problem(rng)
-        enum = graphs.edge_flip_enumerator()
-        raw = brute_sensitivity(problem, enum)
+        enum = oracles.edge_flip_enumerator()
+        raw = oracles.brute_sensitivity(problem, enum)
         flat = flatten_sensitivity(raw, problem)
-        explorer = BruteForceExplorer(problem, enum)
+        explorer = oracles.BruteForceExplorer(problem, enum)
         for t in range(3):
             want = max(explorer.element_ls(t, r) for r in problem.candidates)
             got = flat(problem.database, t, problem.candidates[0])
@@ -239,8 +232,8 @@ def _check_bound_caps(rng, trials=6):
                     return False, f"bounded value {v} above GS"
                 if t >= problem.database_size and v != problem.global_sensitivity:
                     return False, "bounded tail must equal GS"
-        report = check_admissibility(
-            bounded, problem, graphs.edge_flip_enumerator(), max_t=2
+        report = oracles.check_admissibility(
+            bounded, problem, oracles.edge_flip_enumerator(), max_t=2
         )
         if not report.passed:
             return False, f"bounded delta lost admissibility: {report.detail}"
@@ -250,14 +243,14 @@ def _check_bound_caps(rng, trials=6):
 def _check_bounded_dominates_constant(rng, trials=6):
     for _ in range(trials):
         problem = _tiny_graph_problem(rng)
-        enum = graphs.edge_flip_enumerator()
-        raw = brute_sensitivity(problem, enum)
+        enum = oracles.edge_flip_enumerator()
+        raw = oracles.brute_sensitivity(problem, enum)
         flat = flatten_sensitivity(raw, problem)   # flat => stable ordering
         bounded = bound_sensitivity(
             flat, problem.global_sensitivity, problem.database_size
         )
         const = constant_sensitivity(problem.global_sensitivity)
-        report = check_dominance(bounded, const, problem, ts=range(4))
+        report = oracles.check_dominance(bounded, const, problem, ts=range(4))
         if not report.dominates:
             return False, f"violation at {report.first_violation}"
     return True, ""
@@ -273,7 +266,7 @@ def _check_percentile_ls0(rng, trials=40):
         q = percentile.PercentileQuery(int(rng.choice([1, 25, 50, 75, 99])), n)
         for label in x.labels():
             got = percentile.ls0_of_record(x, q, label)
-            want = percentile.oracle_ls0(x, q, label, grid=32)
+            want = oracles.oracle_ls0(x, q, label, grid=32)
             if abs(got - want) > 1e-9:
                 return False, f"{x.values()} p={q.p} label={label}: {got} vs {want}"
     return True, ""
@@ -284,31 +277,18 @@ def _check_percentile_ls_t(rng, trials=6):
         n = int(rng.integers(2, 5))
         x = fixtures.random_vector_instance(rng, n=n, cap=8.0, levels=4)
         q = percentile.PercentileQuery(50, n)
-        enum = percentile.vector_enumerator(x, grid=8)
+        grid_ball = oracles.BruteForceExplorer(
+            percentile.percentile_problem(x, q),
+            oracles.vector_enumerator(x, grid=8),
+        )
         for label in x.labels():
             for t in (1, 2):
-                got = percentile.ls_t_of_record(x, q, t, label)
-                want = _bfs_vector_ls(x, q, t, label, enum)
+                got = oracles.ls_t_of_record(x, q, t, label)
+                want = max(percentile.ls0_of_record(z, q, label)
+                           for z in grid_ball.ball(t))
                 if abs(got - want) > 1e-9:
                     return False, f"{x.values()} t={t} label={label}: {got} vs {want}"
     return True, ""
-
-
-def _bfs_vector_ls(x, q, t, label, enum):
-    seen = {enum.key(x)}
-    frontier = [x]
-    best = percentile.ls0_of_record(x, q, label)
-    for _ in range(t):
-        nxt = []
-        for y in frontier:
-            for z in enum.neighbors(y):
-                k = enum.key(z)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(z)
-                    best = max(best, percentile.ls0_of_record(z, q, label))
-        frontier = nxt
-    return best
 
 
 def _check_percentile_bounded(rng, trials=10):
@@ -329,10 +309,10 @@ def _check_percentile_delta_admissible(rng, trials=6):
         n = int(rng.integers(1, 6))
         x = fixtures.random_vector_instance(rng, n=n, cap=10.0, levels=4)
         q = percentile.PercentileQuery(int(rng.choice([1, 25, 50, 75, 100])), n)
-        report = check_admissibility(
+        report = oracles.check_admissibility(
             percentile.bounded_ls_percentile(x, q),
             percentile.percentile_problem(x, q),
-            percentile.vector_enumerator(x, values=(0.0, 2.5, 5.0, 7.5, 10.0)),
+            oracles.vector_enumerator(x, values=(0.0, 2.5, 5.0, 7.5, 10.0)),
             max_t=3,
         )
         if not report.passed:
@@ -376,8 +356,8 @@ def _check_delta_ebc_admissible(rng, trials=12):
     for _ in range(trials):
         g = fixtures.random_graph_instance(rng, n=int(rng.integers(3, 7)))
         problem = graphs.ebc_problem(g)
-        report = check_admissibility(
-            graphs.delta_ebc(), problem, graphs.edge_flip_enumerator(), max_t=2
+        report = oracles.check_admissibility(
+            graphs.delta_ebc(), problem, oracles.edge_flip_enumerator(), max_t=2
         )
         if not report.passed:
             return False, f"witness {report.witness} on {g.edges()}"
@@ -387,7 +367,7 @@ def _check_delta_ebc_admissible(rng, trials=12):
 def _check_flip_bound(rng, trials=12):
     for _ in range(trials):
         g = fixtures.random_graph_instance(rng, n=int(rng.integers(3, 7)))
-        for flipped in graphs.edge_flip_enumerator().neighbors(g):
+        for flipped in oracles.edge_flip_enumerator().neighbors(g):
             for v in g.nodes:
                 d = max(g.degree(v), flipped.degree(v))
                 bound = max(d * (d - 1) / 4.0, float(d))
@@ -395,32 +375,6 @@ def _check_flip_bound(rng, trials=12):
                 if change > bound + 1e-9:
                     return False, f"flip moved {v} by {change} > {bound}"
     return True, ""
-
-
-def topk_rounds_oracle(graph, epsilon, k, mechanism, rng):
-    """Private EBC top-k the direct way: every round builds a fresh
-    selection problem over the nodes not chosen yet and makes one
-    :func:`mechanisms.select` call on its own spawned generator, with the
-    default sensitivity functions of :class:`graphs.TopKSelector`."""
-    base = graphs.ebc_problem(graph)
-    gs, n = base.global_sensitivity, base.database_size
-    delta = None
-    if mechanism in ("ld", "sld"):
-        raw = graphs.delta_ebc() if mechanism == "sld" else graphs.flat_delta_ebc()
-        delta = bound_sensitivity(raw, gs, n)
-    chosen = []
-    for iter_rng in rng.spawn(k):
-        problem = SelectionProblem(
-            database=graph,
-            candidates=tuple(v for v in graph.nodes if v not in chosen),
-            utility=base.utility,
-            global_sensitivity=gs,
-            database_size=n,
-        )
-        chosen.append(
-            mechanisms.select(mechanism, problem, epsilon / k, iter_rng, delta)
-        )
-    return tuple(chosen)
 
 
 def _check_privtopk(rng, trials=6):
@@ -440,7 +394,7 @@ def _check_privtopk(rng, trials=6):
                 return False, f"{mechanism}: duplicate nodes in top-k"
             if abs(acc.total() - eps) > 1e-9:
                 return False, f"{mechanism}: accountant total {acc.total()} != {eps}"
-            oracle = topk_rounds_oracle(
+            oracle = oracles.topk_rounds_oracle(
                 g, eps, k, mechanism, np.random.default_rng(seed)
             )
             if res.chosen != oracle:
@@ -453,8 +407,8 @@ def _check_privtopk(rng, trials=6):
 
 def _check_graph_ordering(rng):
     problem = graphs.ebc_problem(fixtures.example_graph(), global_sensitivity=7.5)
-    enum = graphs.edge_flip_enumerator()
-    raw = brute_sensitivity(problem, enum, node_budget=500_000)
+    enum = oracles.edge_flip_enumerator()
+    raw = oracles.brute_sensitivity(problem, enum, node_budget=500_000)
     flat = bound_sensitivity(
         flatten_sensitivity(raw, problem),
         problem.global_sensitivity, problem.database_size,
@@ -484,12 +438,12 @@ def _check_ig_global_bound(rng, trials=30):
             for _ in range(n)
         ]
         table = trees.LabeledTable(schema, rows)
-        if trees.ls0_ig(table, "A") > trees.global_sensitivity_ig(n) + 1e-9:
+        if oracles.ls0_ig(table, "A") > trees.global_sensitivity_ig(n) + 1e-9:
             return False, f"ls0 above global bound at n={n}"
     # the single-value, single-class table attains the size-n maximum f(n)
     n = 50
     worst = trees.LabeledTable(schema, [{"A": 0, "y": "c0"}] * n)
-    attained = trees.ls0_ig(worst, "A")
+    attained = oracles.ls0_ig(worst, "A")
     if abs(attained - trees.f_add(n)) > 1e-12:
         return False, f"worst case attains {attained}, expected f({n})"
     return True, ""

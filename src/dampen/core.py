@@ -8,6 +8,7 @@ spent by composed mechanisms is tracked by :class:`BudgetAccountant`.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
@@ -27,6 +28,19 @@ class SearchBudgetError(RuntimeError):
 
 class PreconditionError(RuntimeError):
     """An operation was invoked with its stated hypothesis unmet."""
+
+
+def read_utf8(path, newline: str | None = None) -> io.StringIO:
+    """The file's text as a stream read like ``open(path, encoding="utf-8",
+    newline=newline)``, decoded whole up front: bytes that are not UTF-8
+    raise :class:`InvalidInputError` naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidInputError(f"{path}: line {line} is not UTF-8 text") from None
 
 
 #: Monotonicity classes a sensitivity function may declare with respect to

@@ -18,9 +18,10 @@ from .core import (
     SearchBudgetError,
     SelectionProblem,
     SensitivityFunction,
+    read_utf8,
 )
 from . import mechanisms
-from .sensitivity import NeighborEnumerator, bound_sensitivity
+from .sensitivity import bound_sensitivity
 
 
 class EdgeGraph:
@@ -278,17 +279,6 @@ def flat_delta_ebc() -> SensitivityFunction:
     )
 
 
-def edge_flip_enumerator() -> NeighborEnumerator:
-    """All graphs one edge flip away; the natural edge-privacy neighborhood."""
-
-    def neighbors(g: EdgeGraph):
-        for a in range(len(g.nodes)):
-            for b in range(a + 1, len(g.nodes)):
-                yield g.flip_edge(g.nodes[a], g.nodes[b])
-
-    return NeighborEnumerator(neighbors=neighbors, key=lambda g: g._edges)
-
-
 def ebc_utility() -> Callable[[EdgeGraph, Hashable], float]:
     """EBC as a utility function, memoised on each graph instance
     (:meth:`EdgeGraph.ebc_score`), so repeated runs on one graph score
@@ -480,5 +470,4 @@ def parse_edge_list(lines: Iterable[str]) -> tuple[EdgeGraph, dict]:
 
 
 def load_edge_list(path) -> tuple[EdgeGraph, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh)
+    return parse_edge_list(read_utf8(path))

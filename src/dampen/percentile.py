@@ -15,8 +15,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, SelectionProblem, SensitivityFunction
-from .sensitivity import NeighborEnumerator, bound_sensitivity, level_table
+from .core import (
+    InvalidInputError,
+    SelectionProblem,
+    SensitivityFunction,
+    read_utf8,
+)
+from .sensitivity import bound_sensitivity, level_table
 
 
 class NumericVector:
@@ -87,9 +92,6 @@ class NumericVector:
         """Value at 1-based ascending rank."""
         return self.records[rank - 1][1]
 
-    def label_at_rank(self, rank: int):
-        return self.records[rank - 1][0]
-
     def replace(self, label, value: float) -> "NumericVector":
         """Copy with one record's value changed, re-sorted (labels stable,
         ties broken by label)."""
@@ -121,13 +123,6 @@ class PercentileQuery:
             raise InvalidInputError("vector must be nonempty")
         raw = math.ceil(self.p * (self.n + 1) / 100)
         object.__setattr__(self, "k", min(max(raw, 1), self.n))
-
-
-def utility_percentile(x: NumericVector, q: PercentileQuery, i: int) -> float:
-    """Negative distance from the rank-i value to the rank-k value."""
-    if not (1 <= i <= len(x)):
-        raise InvalidInputError(f"rank {i} out of range")
-    return -abs(x.rank_value(q.k) - x.rank_value(i))
 
 
 def utility_of_label(x: NumericVector, q: PercentileQuery, label) -> float:
@@ -180,107 +175,6 @@ def ls0_of_record(x: NumericVector, q: PercentileQuery, label) -> float:
         t4 = abs(vp + vplus - vr - cap)
         t5 = vr
     return max(base, t2, t3, t4, t5)
-
-
-def ls0_percentile(x: NumericVector, q: PercentileQuery, i: int) -> float:
-    """Element local sensitivity at distance 0 for the record at rank i."""
-    if not (1 <= i <= len(x)):
-        raise InvalidInputError(f"rank {i} out of range")
-    return ls0_of_record(x, q, x.label_at_rank(i))
-
-
-class _ForcedBall:
-    """Databases reachable by forcing at most t records to 0 or the cap.
-
-    The distance-0 sensitivity of a record is piecewise linear in every
-    value with its maxima driven to the caps, so this closure attains the
-    exhaustive maximum over all edit sequences (checked against a full-grid
-    breadth-first oracle in the test suite).  Levels are deduplicated and
-    grown on demand; ball and per-record running maxima are cached per
-    database, since the dampening walk asks for consecutive t.  The ball
-    grows roughly as 3^n, so this is the exact oracle for small vectors,
-    not a default sensitivity path.
-    """
-
-    def __init__(self, q: PercentileQuery):
-        self.q = q
-        self._per_db: dict = {}
-
-    def _state(self, x: NumericVector):
-        state = self._per_db.get(x)
-        if state is None:
-            state = {"levels": [[x]], "seen": {x.records}, "best": {}}
-            self._per_db[x] = state
-        return state
-
-    def _expand_to(self, state: dict, t: int) -> None:
-        levels, seen = state["levels"], state["seen"]
-        while len(levels) <= t:
-            frontier = levels[-1]
-            nxt = []
-            for y in frontier:
-                for lbl in y.labels():
-                    for v in (0.0, y.lambda_cap):
-                        z = y.replace(lbl, v)
-                        if z.records not in seen:
-                            seen.add(z.records)
-                            nxt.append(z)
-            levels.append(nxt)
-
-    def value(self, x: NumericVector, t: int, label) -> float:
-        state = self._state(x)
-        self._expand_to(state, t)
-        best = state["best"].setdefault(
-            label, [ls0_of_record(x, self.q, label)]
-        )
-        while len(best) <= t:
-            level = state["levels"][len(best)]
-            worst = best[-1]
-            for y in level:
-                worst = max(worst, ls0_of_record(y, self.q, label))
-            best.append(worst)
-        return best[t]
-
-
-def ls_t_of_record(
-    x: NumericVector, q: PercentileQuery, t: int, label
-) -> float:
-    """Exact element local sensitivity at distance t.
-
-    Maximizes the distance-0 sensitivity over every database obtained by
-    forcing up to t records to an endpoint of the value domain.  Costs
-    roughly 3^n; the reference that :func:`percentile_sensitivity` is
-    tested against.
-    """
-    if t < 0:
-        raise InvalidInputError("t must be >= 0")
-    return _ForcedBall(q).value(x, t, label)
-
-
-def ls_t_percentile(x: NumericVector, q: PercentileQuery, t: int, i: int) -> float:
-    if not (1 <= i <= len(x)):
-        raise InvalidInputError(f"rank {i} out of range")
-    return ls_t_of_record(x, q, t, x.label_at_rank(i))
-
-
-def ls_percentile_sensitivity(q: PercentileQuery) -> SensitivityFunction:
-    """Exact element local sensitivity at distance t as a sensitivity
-    function (admissible, nondecreasing in t as a running maximum over
-    growing balls; bound with the cap before mechanism use).
-
-    Exhaustive over the cap-forcing closure, so the cost grows roughly as
-    3^n; the exact oracle for vectors of at most a dozen records.
-    :func:`percentile_sensitivity` is the default at every size.
-    """
-    ball = _ForcedBall(q)
-    return SensitivityFunction(
-        eval=lambda x, t, label: ball.value(x, t, label),
-        declared_admissible=True,
-        declared_bounded=False,
-        declared_nondecreasing_in_t=True,
-        monotonicity="none",
-        name="ls_percentile",
-    )
 
 
 # Largest (records x levels x upward edits) slice of the window grid
@@ -402,8 +296,8 @@ def percentile_sensitivity(x: NumericVector, q: PercentileQuery) -> SensitivityF
     ``(u, d + 1)`` windows, again counted at ``t + 1``.  Every term is
     monotone in the window ends, so in both cases
     ``delta(y, t, r) <= delta(x, t + 1, r)``; the same monotonicity makes
-    delta nondecreasing in t.  ``ls_t_of_record`` is the exact value it is
-    tested against.
+    delta nondecreasing in t.  :func:`~dampen.oracles.ls_t_of_record` is
+    the exact value it is tested against.
 
     The levels are one :func:`~dampen.sensitivity.level_table` per vector,
     a row per record, filled in chunks by one masked numpy grid each; its
@@ -445,46 +339,6 @@ def bounded_ls_percentile(x: NumericVector, q: PercentileQuery) -> SensitivityFu
     return bound_sensitivity(percentile_sensitivity(x, q), x.lambda_cap, len(x))
 
 
-def critical_values(x: NumericVector, grid: int = 64) -> tuple:
-    """Candidate replacement values: the caps, every current value, and a
-    uniform grid.  The utility is piecewise linear in a single changed
-    value with breakpoints at the current values, so the caps and current
-    values alone are exact; the grid guards implementation error."""
-    vals = {0.0, x.lambda_cap}
-    vals.update(x.values())
-    vals.update(x.lambda_cap * j / grid for j in range(grid + 1))
-    return tuple(sorted(vals))
-
-
-def vector_enumerator(
-    x: NumericVector, grid: int = 64, values: Sequence[float] | None = None
-) -> NeighborEnumerator:
-    """Distance-one neighborhood over a fixed finite value set.
-
-    The value set is derived from the root vector, so the enumerated model
-    is finite and symmetric (required by the brute-force lab)."""
-    allowed = tuple(values) if values is not None else critical_values(x, grid)
-
-    def neighbors(y: NumericVector):
-        for label, current in y.records:
-            for v in allowed:
-                if v != current:
-                    yield y.replace(label, v)
-
-    return NeighborEnumerator(neighbors=neighbors, key=lambda y: y.records)
-
-
-def oracle_ls0(
-    x: NumericVector, q: PercentileQuery, label, grid: int = 64
-) -> float:
-    """Brute-force distance-0 sensitivity over the critical value set."""
-    base = utility_of_label(x, q, label)
-    worst = 0.0
-    for y in vector_enumerator(x, grid).neighbors(x):
-        worst = max(worst, abs(base - utility_of_label(y, q, label)))
-    return worst
-
-
 def load_values(lines: Iterable[str], lambda_cap: float) -> NumericVector:
     """Parse one value per line (or a single-column CSV with a header row);
     rejects out-of-range values with their line number."""
@@ -514,5 +368,4 @@ def load_values(lines: Iterable[str], lambda_cap: float) -> NumericVector:
 
 
 def load_vector(path, lambda_cap: float) -> NumericVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_values(fh, lambda_cap)
+    return load_values(read_utf8(path), lambda_cap)

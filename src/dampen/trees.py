@@ -24,9 +24,10 @@ from .core import (
     InvalidInputError,
     SelectionProblem,
     SensitivityFunction,
+    read_utf8,
 )
 from . import mechanisms
-from .sensitivity import NeighborEnumerator, bound_sensitivity, level_table
+from .sensitivity import bound_sensitivity, level_table
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -52,6 +53,10 @@ class Continuous:
             raise InvalidInputError("continuous attributes need at least 2 bins")
         if not (self.lo <= self.hi):
             raise InvalidInputError("continuous domain has lo > hi")
+        width = (self.hi - self.lo) / self.bins
+        if not math.isfinite(width) or (width == 0 and self.hi > self.lo):
+            raise InvalidInputError(
+                "continuous domain needs finite bins of nonzero width")
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,12 @@ class TableSchema:
     columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "class_values", tuple(self.class_values))
+        try:
+            object.__setattr__(self, "attributes", tuple(self.attributes))
+            object.__setattr__(self, "class_values", tuple(self.class_values))
+            hash(self)
+        except TypeError:
+            raise InvalidInputError("schema domains must be lists of scalars") from None
         names = [name for name, _ in self.attributes]
         if len(set(names)) != len(names) or self.class_attribute in names:
             raise InvalidInputError("attribute names must be distinct")
@@ -214,9 +223,6 @@ class LabeledTable:
             for j, rows in buckets.items()
         }
 
-    def with_rows(self, rows: Iterable[Mapping]) -> "LabeledTable":
-        return LabeledTable(self.schema, rows)
-
 
 # -- information gain utility ------------------------------------------------
 
@@ -262,18 +268,12 @@ def g_remove(x: float) -> float:
     return x * math.log2((x - 1) / x) - math.log2(x - 1)
 
 
-def h_pair(a: int, b: int) -> float:
-    """Largest one-edit score change for a cell with attribute count a and
-    class-cell count b."""
-    return max(f_add(a) - f_add(b), g_remove(b) - g_remove(a))
-
-
 # (F, G): f_add and g_remove tabulated at 0, 1, 2, ...; the tables only
 # grow, by doubling, to the largest count asked for.  The entries are the
 # scalar functions' own values, so array arithmetic on them is bit-identical
-# to h_pair.  The pair is only ever replaced whole, never mutated, so a
-# thread always reads a matching F and G; racing growths at worst compute
-# some entries twice.
+# to the scalar movement bound (dampen.oracles.h_pair).  The pair is only
+# ever replaced whole, never mutated, so a reader always holds a matching
+# F and G.
 _FG = (np.zeros(0), np.zeros(0))
 
 # Largest (levels x removal pairs) slice of the grid evaluated at once;
@@ -372,16 +372,6 @@ def _table_levels(frontiers: Sequence, lo: int, hi: int) -> np.ndarray:
     return best
 
 
-def ls0_ig(table: LabeledTable, attribute: str) -> float:
-    """Element local sensitivity of the split score at distance 0."""
-    best = 0.0
-    for by_class in table._contingency(attribute):
-        tau_j = sum(by_class)
-        for tau_jc in by_class:
-            best = max(best, h_pair(tau_j, tau_jc))
-    return best
-
-
 def _frontier(lines: tuple) -> list:
     """Pareto frontier of the cells ``(a0, b0)`` (attribute-value count,
     class count) of one contingency table: larger a0 first, each cell with
@@ -459,36 +449,6 @@ def ig_problem(table: LabeledTable, attributes: Sequence[str]) -> SelectionProbl
         global_sensitivity=global_sensitivity_ig(len(table)),
         database_size=max(len(table), 1),
     )
-
-
-def row_edit_enumerator(schema: TableSchema) -> NeighborEnumerator:
-    """Add or remove one fully typed row; the tiny-instance privacy model
-    for tables."""
-    from itertools import product
-
-    domains = []
-    for name, spec in schema.attributes:
-        if not isinstance(spec, Categorical):
-            raise InvalidInputError("enumerator needs categorical attributes")
-        domains.append([(name, v) for v in spec.values])
-    domains.append(
-        [(schema.class_attribute, c) for c in schema.class_values]
-    )
-    all_rows = [dict(combo) for combo in product(*domains)]
-
-    def neighbors(table: LabeledTable):
-        rows = table.row_dicts()
-        for extra in all_rows:
-            yield table.with_rows(rows + [extra])
-        seen = set()
-        for ix, row in enumerate(rows):
-            key = tuple(sorted(row.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield table.with_rows(rows[:ix] + rows[ix + 1:])
-
-    return NeighborEnumerator(neighbors=neighbors, key=lambda tbl: tbl.rows)
 
 
 # -- noisy counts and tree induction ----------------------------------------
@@ -803,41 +763,54 @@ def schema_from_json(doc: Mapping) -> TableSchema:
     {"categorical": [...]} or {"continuous": {"min":…, "max":…, "bins":…}},
     plus "class" naming the label column and "classes" listing its values
     (optional; inferred from data when absent)."""
-    if "class" not in doc:
-        raise InvalidInputError('schema is missing the "class" key')
-    class_attr = doc["class"]
+    if not isinstance(doc, dict) or "class" not in doc:
+        raise InvalidInputError('schema must be an object with a "class" key')
     attrs = []
     for name, spec in doc.items():
         if name in ("class", "classes"):
             continue
-        if "categorical" in spec:
-            attrs.append((name, Categorical(tuple(spec["categorical"]))))
-        elif "continuous" in spec:
-            c = spec["continuous"]
-            attrs.append(
-                (name, Continuous(float(c["min"]), float(c["max"]), int(c["bins"])))
-            )
-        else:
+        try:
+            if "categorical" in spec:
+                kind, args = Categorical, (tuple(spec["categorical"]),)
+            else:
+                c = spec["continuous"]
+                kind = Continuous
+                args = float(c["min"]), float(c["max"]), int(c["bins"])
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise InvalidInputError(
-                f"attribute {name!r} needs a categorical or continuous spec"
-            )
-    classes = tuple(doc.get("classes", ()))
+                f"attribute {name!r} needs a categorical list or a continuous "
+                f'"min", "max" and "bins", got {spec!r}'
+            ) from None
+        attrs.append((name, kind(*args)))
     return TableSchema(
         attributes=tuple(attrs),
-        class_attribute=class_attr,
-        class_values=classes,
+        class_attribute=doc["class"],
+        class_values=doc.get("classes", ()),
     )
 
 
 def load_table(data_path, schema_path) -> LabeledTable:
-    with open(schema_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        doc = json.load(read_utf8(schema_path))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{schema_path}: not valid JSON: {exc}") from None
     schema = schema_from_json(doc)
-    with open(data_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        raw_rows = list(reader)
+    reader = csv.DictReader(read_utf8(data_path, newline=""))
+    try:
+        columns = reader.fieldnames or []
+        raw_rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise InvalidInputError(f"{data_path}: line {reader.line_num}: {exc}") from None
+    for name in (*schema.attribute_names(), schema.class_attribute):
+        if name not in columns:
+            raise InvalidInputError(f"{data_path}: CSV is missing column {name!r}")
+    for line_no, row in raw_rows:
+        if None in row.values():
+            raise InvalidInputError(
+                f"{data_path}: line {line_no}: expected {len(columns)} fields"
+            )
     if not schema.class_values:
-        observed = sorted({row[schema.class_attribute] for row in raw_rows})
+        observed = sorted({row[schema.class_attribute] for _, row in raw_rows})
         schema = TableSchema(
             attributes=schema.attributes,
             class_attribute=schema.class_attribute,
@@ -853,14 +826,18 @@ def load_table(data_path, schema_path) -> LabeledTable:
         return raw
 
     rows = []
-    for row in raw_rows:
+    for line_no, row in raw_rows:
         converted = {}
         for name, spec in schema.attributes:
-            value = row.get(name)
-            if value is None:
-                raise InvalidInputError(f"CSV is missing column {name!r}")
+            value = row[name]
             if isinstance(spec, Continuous):
-                converted[name] = float(value)
+                try:
+                    converted[name] = float(value)
+                except ValueError:
+                    raise InvalidInputError(
+                        f"{data_path}: line {line_no}: column {name!r}: "
+                        f"{value!r} is not a number"
+                    ) from None
             else:
                 converted[name] = coerce(value, spec.values)
         converted[schema.class_attribute] = coerce(
@@ -868,4 +845,3 @@ def load_table(data_path, schema_path) -> LabeledTable:
         )
         rows.append(converted)
     return LabeledTable(schema, rows)
-

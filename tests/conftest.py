@@ -5,12 +5,12 @@ import pytest
 
 from dampen.core import SelectionProblem
 from dampen.fixtures import example_graph
-from dampen.graphs import ebc_problem, edge_flip_enumerator
+from dampen.graphs import ebc_problem
 from dampen.mechanisms import (
     select_local_dampening,
     select_shifted_local_dampening,
 )
-from dampen.sensitivity import BruteForceExplorer
+from dampen.oracles import BruteForceExplorer, edge_flip_enumerator
 
 
 @pytest.fixture

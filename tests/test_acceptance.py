@@ -26,17 +26,16 @@ from dampen.fixtures import (
     shared_neighbors_gadget,
     trend_graph,
 )
-from dampen import graphs, mechanisms, percentile, trees
-from dampen.sensitivity import (
+from dampen import graphs, mechanisms, oracles, percentile, trees
+from dampen.oracles import (
     BruteForceExplorer,
     accuracy_order_check,
-    bound_sensitivity,
     brute_sensitivity,
     check_admissibility,
     check_dominance,
     check_monotonicity,
-    flatten_sensitivity,
 )
+from dampen.sensitivity import bound_sensitivity, flatten_sensitivity
 
 
 class _Timer:
@@ -88,7 +87,7 @@ def test_criterion_1_worked_example_replication():
 
         problem = graphs.ebc_problem(bridge, global_sensitivity=7.5)
         explorer = BruteForceExplorer(
-            problem, graphs.edge_flip_enumerator(), node_budget=200_000
+            problem, oracles.edge_flip_enumerator(), node_budget=200_000
         )
         assert explorer.element_ls(0, "v4") == pytest.approx(2.0, abs=0.005)
         flat = {
@@ -152,7 +151,7 @@ def _tiny_instances(rng, count=100):
         out.append((
             "vector",
             percentile.percentile_problem(x, q),
-            percentile.vector_enumerator(
+            oracles.vector_enumerator(
                 x, values=[8.0 * j / 4 for j in range(5)]
             ),
         ))
@@ -161,7 +160,7 @@ def _tiny_instances(rng, count=100):
         out.append((
             "graph",
             graphs.ebc_problem(g, global_sensitivity=3.0),  # complete-graph bound
-            graphs.edge_flip_enumerator(),
+            oracles.edge_flip_enumerator(),
         ))
     for _ in range(count):
         table = random_table_instance(rng, max_rows=2)
@@ -172,7 +171,7 @@ def _tiny_instances(rng, count=100):
             global_sensitivity=trees.global_sensitivity_ig(len(table) + 1),
             database_size=max(len(table), 1),
         )
-        out.append(("table", problem, trees.row_edit_enumerator(table.schema)))
+        out.append(("table", problem, oracles.row_edit_enumerator(table.schema)))
     return out
 
 
@@ -315,7 +314,7 @@ def test_criterion_6_percentile_sensitivity_vs_oracles():
             )
             for label in x.labels():
                 got = percentile.ls0_of_record(x, q, label)
-                want = percentile.oracle_ls0(x, q, label, grid=64)
+                want = oracles.oracle_ls0(x, q, label, grid=64)
                 assert got == pytest.approx(want, abs=1e-9), (values, q.p)
 
         for _ in range(10):
@@ -325,10 +324,10 @@ def test_criterion_6_percentile_sensitivity_vs_oracles():
             values = sorted(
                 {0.0, 8.0, *x.values(), *[8.0 * j / 16 for j in range(17)]}
             )
-            enum = percentile.vector_enumerator(x, values=values)
+            enum = oracles.vector_enumerator(x, values=values)
             for label in x.labels():
                 for t in (1, 2):
-                    got = percentile.ls_t_of_record(x, q, t, label)
+                    got = oracles.ls_t_of_record(x, q, t, label)
                     want = _bfs_vector_ls_t(x, q, t, label, enum)
                     assert got == pytest.approx(want, abs=1e-9)
 
@@ -336,7 +335,7 @@ def test_criterion_6_percentile_sensitivity_vs_oracles():
 def _bfs_vector_ls_t(x, q, t, label, enum):
     seen = {enum.key(x)}
     frontier = [x]
-    best = percentile.oracle_ls0(x, q, label, grid=16)
+    best = oracles.oracle_ls0(x, q, label, grid=16)
     for _ in range(t):
         nxt = []
         for y in frontier:
@@ -345,7 +344,7 @@ def _bfs_vector_ls_t(x, q, t, label, enum):
                 if key not in seen:
                     seen.add(key)
                     nxt.append(z)
-                    best = max(best, percentile.oracle_ls0(z, q, label, grid=16))
+                    best = max(best, oracles.oracle_ls0(z, q, label, grid=16))
         frontier = nxt
     return best
 
@@ -358,7 +357,7 @@ def _count_matrix_oracle(table, t):
 
     def ls0(matrix):
         return max(
-            trees.h_pair(sum(row), b) for row in matrix for b in row
+            oracles.h_pair(sum(row), b) for row in matrix for b in row
         )
 
     seen = {start}
@@ -387,7 +386,7 @@ def test_criterion_7_split_score_sensitivity_vs_oracles():
     with _Timer(7, "split-score local sensitivity equals exhaustive oracles",
                 60.0):
         rng = np.random.default_rng(77)
-        enum = trees.row_edit_enumerator(TINY_TABLE_SCHEMA)
+        enum = oracles.row_edit_enumerator(TINY_TABLE_SCHEMA)
         for _ in range(200):
             table = random_table_instance(rng, max_rows=6)
             base = trees.ig_utility(table, "A")
@@ -396,7 +395,7 @@ def test_criterion_7_split_score_sensitivity_vs_oracles():
                  for nb in enum.neighbors(table)),
                 default=0.0,
             )
-            assert trees.ls0_ig(table, "A") == pytest.approx(want0, abs=1e-9)
+            assert oracles.ls0_ig(table, "A") == pytest.approx(want0, abs=1e-9)
             delta = trees.ig_sensitivity()
             for t in (1, 2, 3):
                 got = delta(table, t, "A")
@@ -411,14 +410,14 @@ def test_criterion_7_split_score_sensitivity_vs_oracles():
                 for _ in range(n)
             ]
             table = trees.LabeledTable(TINY_TABLE_SCHEMA, rows)
-            assert trees.ls0_ig(table, "A") <= (
+            assert oracles.ls0_ig(table, "A") <= (
                 trees.global_sensitivity_ig(n) + 1e-9
             )
         n = 200
         worst = trees.LabeledTable(
             TINY_TABLE_SCHEMA, [{"A": 0, "y": "c0"}] * n
         )
-        attained = trees.ls0_ig(worst, "A")
+        attained = oracles.ls0_ig(worst, "A")
         # the single-value single-class table attains the exact size-n
         # supremum, which sits just under the closed-form bound
         assert attained == pytest.approx(trees.f_add(n), abs=1e-12)
@@ -435,7 +434,7 @@ def test_criterion_8_degree_delta_admissibility():
             g = random_graph_instance(rng, n=n, edge_prob=float(rng.uniform(0.2, 0.8)))
             problem = graphs.ebc_problem(g)
             report = check_admissibility(
-                graphs.delta_ebc(), problem, graphs.edge_flip_enumerator(),
+                graphs.delta_ebc(), problem, oracles.edge_flip_enumerator(),
                 max_t=2,
             )
             assert report.passed, (g.edges(), report)
@@ -469,7 +468,7 @@ def test_criterion_9_desk_scale_trends():
         g = trend_graph()
         g_problem = graphs.ebc_problem(g)
         raw = brute_sensitivity(
-            g_problem, graphs.edge_flip_enumerator(), node_budget=500_000
+            g_problem, oracles.edge_flip_enumerator(), node_budget=500_000
         )
         g_flat = bound_sensitivity(
             flatten_sensitivity(raw, g_problem),

@@ -24,7 +24,7 @@ from dampen.fixtures import (
     random_vector_instance,
     separable_table,
 )
-from dampen.graphs import delta_ebc, ebc_problem, edge_flip_enumerator, flat_delta_ebc
+from dampen.graphs import delta_ebc, ebc_problem, flat_delta_ebc
 from dampen import mechanisms as mechanisms_mod
 from dampen.mechanisms import (
     MAX_BREAKPOINT_STEPS,
@@ -43,17 +43,20 @@ from dampen.mechanisms import (
     select_shifted_local_dampening,
     shift_constant,
 )
+from dampen.oracles import (
+    brute_sensitivity,
+    edge_flip_enumerator,
+    ls_percentile_sensitivity,
+)
 from dampen.percentile import (
     NumericVector,
     PercentileQuery,
     bounded_ls_percentile,
-    ls_percentile_sensitivity,
     percentile_problem,
     percentile_sensitivity,
 )
 from dampen.sensitivity import (
     bound_sensitivity,
-    brute_sensitivity,
     flatten_sensitivity,
     truncated_sensitivity,
 )
@@ -677,11 +680,12 @@ class TestShiftedPrivacyWitness:
         # fixed-size models (vectors and graphs keep their record/pair
         # count under the neighbor relation)
         from dampen.fixtures import random_graph_instance, random_vector_instance
-        from dampen.graphs import ebc_problem, edge_flip_enumerator
-        from dampen.percentile import (
-            PercentileQuery, percentile_problem, vector_enumerator,
+        from dampen.graphs import ebc_problem
+        from dampen.oracles import (
+            brute_sensitivity, edge_flip_enumerator, vector_enumerator,
         )
-        from dampen.sensitivity import brute_sensitivity, truncated_sensitivity
+        from dampen.percentile import PercentileQuery, percentile_problem
+        from dampen.sensitivity import truncated_sensitivity
 
         def instances():
             for _ in range(6):

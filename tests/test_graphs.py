@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dampen import cli, graphs, mechanisms
-from dampen.checks import topk_rounds_oracle
 from dampen.core import (
     BudgetAccountant,
     ContractViolationError,
@@ -29,7 +28,6 @@ from dampen.graphs import (
     ebc_oracle,
     ebc_problem,
     ebc_scores,
-    edge_flip_enumerator,
     flat_delta_ebc,
     global_sensitivity_ebc,
     parse_edge_list,
@@ -44,12 +42,13 @@ from dampen.mechanisms import (
     select_local_dampening,
     select_shifted_local_dampening,
 )
-from dampen.sensitivity import (
-    bound_sensitivity,
+from dampen.oracles import (
     brute_sensitivity,
     check_admissibility,
-    flatten_sensitivity,
+    edge_flip_enumerator,
+    topk_rounds_oracle,
 )
+from dampen.sensitivity import bound_sensitivity, flatten_sensitivity
 
 from conftest import assert_same_distributions, counting
 

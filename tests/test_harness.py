@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dampen import cli, harness, mechanisms
+from dampen import cli, harness, mechanisms, oracles
 from dampen.checks import run_checks
 from dampen.core import (
     ContractViolationError,
@@ -463,16 +468,46 @@ class TestCli:
         assert proc.stderr.startswith("dampen: unknown suite 'bogus'")
         assert proc.stderr.count("\n") == 1
 
-    def test_cli_import_leaves_the_checks_unloaded(self):
+    def test_cli_import_leaves_the_checks_unloaded(self, vector_file,
+                                                   graph_file, table_files,
+                                                   tmp_path):
+        # one job of each command, in one fresh interpreter: the serving
+        # path loads none of the references
+        data, schema = table_files
+        vector = ["--data", vector_file, "--lambda", "100", "--epsilon", "1"]
+        jobs = [
+            ["percentile", *vector],
+            ["mechanism-compare", *vector, "--mechanism", "em,pf,ld,sld"],
+            ["topk", "--graph", graph_file, "--epsilon", "1", "--runs", "1",
+             "--mechanism", "em,pf,ld,sld"],
+            ["tree", "--data", data, "--schema", schema, "--epsilon", "1",
+             "--depth", "1", "--folds", "2"],
+        ]
+        script = (
+            "import json, sys, dampen.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert dampen.cli.main(argv + ['--out', sys.argv[2]]) == 0\n"
+            "print(sorted({'dampen.oracles', 'dampen.checks', "
+            "'dampen.fixtures'} & set(sys.modules)))\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, dampen.cli; "
-             "print(sorted({'dampen.checks', 'dampen.fixtures'} "
-             "& set(sys.modules)))"],
+            [sys.executable, "-c", script, json.dumps(jobs),
+             str(tmp_path / "rows.json")],
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_every_exported_name_resolves(self):
+        import dampen
+        from dampen import check_admissibility, graphs
+
+        assert check_admissibility is oracles.check_admissibility
+        assert graphs.__name__ == "dampen.graphs"
+        for name in dampen.__all__:
+            assert getattr(dampen, name) is not None, name
+        with pytest.raises(AttributeError):
+            dampen.no_such_name
 
     def test_missing_file_is_io_error(self):
         proc = run_cli(
@@ -647,3 +682,174 @@ class TestLoaderRejections:
         report = run_checks("core", seed=0, budget_s=1e-9)
         assert not report.passed
         assert any(r.suite == "runtime" and not r.passed for r in report.results)
+
+
+class TestMalformedInputs:
+    """Each malformed input ends in one ``dampen: …`` line naming the file
+    and where in it the fault is, with exit code 1 and nothing on
+    stdout."""
+
+    TOY_SCHEMA = {"A": {"categorical": ["x", "z"]}, "class": "label"}
+    CONTINUOUS = {"min": 0, "max": 1, "bins": 2}
+
+    @staticmethod
+    def write(path, content):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str)
+                            else json.dumps(content))
+        return str(path)
+
+    @pytest.mark.parametrize("schema, rows, names", [
+        (TOY_SCHEMA, "A\nx\nz\n", ["rows.csv", "'label'"]),
+        ({"A": 5, "class": "label"}, "A,label\nx,no\nz,yes\n", ["'A'"]),
+        ({"A": {"continuous": {"min": 0, "max": 1}}, "class": "label"},
+         "A,label\n0,no\n1,yes\n", ["'A'", '"bins"']),
+        ({"A": {"continuous": {**CONTINUOUS, "min": "low"}}, "class": "label"},
+         "A,label\n0,no\n1,yes\n", ["'A'", '"min"']),
+        ({"A": {"continuous": {**CONTINUOUS, "bins": "many"}}, "class": "label"},
+         "A,label\n0,no\n1,yes\n", ["'A'", '"bins"']),
+        ("{not json", "A,label\nx,no\nz,yes\n", ["rows.json", "line 1"]),
+        ({"A": {"continuous": CONTINUOUS}, "class": "label"},
+         "A,label\n0.5,no\nhigh,yes\n", ["rows.csv", "line 3", "'A'", "'high'"]),
+        ({"A": {"continuous": {"min": -1e308, "max": 1e308, "bins": 2}},
+          "class": "label"}, "A,label\n0,no\n1e308,yes\n", ["finite"]),
+        ({"A": {"continuous": {"min": 0, "max": 5e-324, "bins": 2}},
+          "class": "label"}, "A,label\n0,no\n5e-324,yes\n", ["width"]),
+        (TOY_SCHEMA, b"A,label\nx,no\nz,\xffyes\n", ["rows.csv", "line 3"]),
+        (b'{"A": {"categorical": ["x", "z"]},\n"class": "\xfe"}',
+         "A,label\nx,no\nz,yes\n", ["rows.json", "line 2"]),
+    ], ids=["class-column-absent", "spec-not-an-object", "no-bins",
+            "non-numeric-min", "non-numeric-bins", "schema-not-json",
+            "non-numeric-value", "bins-of-infinite-width",
+            "bins-of-zero-width", "csv-not-utf8", "schema-not-utf8"])
+    def test_tree_inputs(self, tmp_path, capsys, schema, rows, names):
+        code = cli.main([
+            "tree", "--data", self.write(tmp_path / "rows.csv", rows),
+            "--schema", self.write(tmp_path / "rows.json", schema),
+            "--epsilon", "1", "--folds", "2",
+        ])
+        self.assert_one_line(code, capsys, names)
+
+    @pytest.mark.parametrize("command, content", [
+        ("percentile", b"1\n\xff2\n"),
+        ("topk", b"a b\nb \xfec\n"),
+    ])
+    def test_text_inputs_not_utf8(self, tmp_path, capsys, command, content):
+        path = self.write(tmp_path / "input.txt", content)
+        if command == "topk":
+            argv = ["topk", "--graph", path]
+        else:
+            argv = ["percentile", "--data", path, "--lambda", "10"]
+        code = cli.main(argv + ["--epsilon", "1"])
+        self.assert_one_line(code, capsys, ["input.txt", "line 2", "UTF-8"])
+
+    @staticmethod
+    def assert_one_line(code, capsys, names):
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("dampen: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        for name in names:
+            assert name in captured.err, (name, captured.err)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in the JSON output")
+
+
+_epsilons = st.lists(st.floats(1e-320, 1e308), min_size=1, max_size=2)
+# value lines: shares of the cap (or more), or tokens that are no number
+_share = st.one_of(st.floats(0, 1), st.floats(0, 1), st.floats(0, 2),
+                   st.sampled_from(["x", ""]))
+_shares = st.one_of(st.lists(_share, min_size=1, max_size=3),
+                    st.lists(_share, min_size=1, max_size=3), st.just([]))
+_mechanisms = st.lists(st.sampled_from(["em", "pf", "ld", "sld"]),
+                       min_size=1, max_size=4, unique=True)
+_variants = st.lists(st.sampled_from(["global", "local", "shifted"]),
+                     min_size=1, max_size=3, unique=True)
+_node = st.sampled_from("abc")
+_schemas = st.one_of(
+    st.just({"A": {"categorical": ["x", "z"]}, "class": "label"}),
+    st.just({"A": {"categorical": ["x", "z"]}, "B": {"continuous": {
+        "min": 0, "max": 1, "bins": 2}}, "class": "label",
+        "classes": ["no", "yes"]}),
+    st.sampled_from([
+        {"A": {"categorical": ["x", "z"]}, "class": "other"},
+        {"A": 5, "class": "label"},
+        {"A": {"continuous": {"min": 0, "max": 1}}, "class": "label"},
+        {"A": {"continuous": {"min": "low", "max": 1, "bins": 2}},
+         "class": "label"},
+        {"A": {"categorical": 5}, "class": "label"},
+        {"A": {"categorical": [["x"]]}, "class": "label"},
+        {"A": {"categorical": ["x"]}, "class": ["label"]},
+        {"A": {"categorical": ["x"]}, "class": "label", "classes": 5},
+        [],
+        "{not json",
+    ]),
+)
+_row = st.tuples(st.sampled_from(["x", "z"] * 4 + ["y"]),
+                 st.sampled_from(["0", "0.5", "1"] * 3 + ["2", "high"]),
+                 st.sampled_from(["no", "yes"]))
+
+
+@st.composite
+def _jobs(draw):
+    """One small ``dampen`` run: its argv, which names its inputs by file
+    name, and the text of each input file."""
+    command = draw(st.sampled_from(
+        ["percentile", "mechanism-compare", "topk", "tree"]))
+    epsilons = ",".join(map(repr, draw(_epsilons)))
+    if command == "tree":
+        rows = draw(st.lists(_row, min_size=1, max_size=4))
+        schema = draw(_schemas)
+        files = {
+            "rows.csv": "A,B,label\n" + "".join(f"{a},{b},{c}\n"
+                                                 for a, b, c in rows),
+            "rows.json": schema if isinstance(schema, str)
+            else json.dumps(schema),
+        }
+        argv = ["tree", "--data", "rows.csv", "--schema", "rows.json",
+                "--depth", "1", "--folds", "2", "--runs", "1",
+                "--variant", ",".join(draw(_variants))]
+    elif command == "topk":
+        edges = draw(st.lists(st.tuples(_node, _node), max_size=4))
+        files = {"edges.txt": "".join(f"{u} {v}\n" for u, v in edges)}
+        argv = ["topk", "--graph", "edges.txt", "--runs", "1",
+                "--k", str(draw(st.integers(1, 3))),
+                "--mechanism", ",".join(draw(_mechanisms))]
+    else:
+        cap = draw(st.floats(1e-300, 1e308))
+        values = [v * cap if isinstance(v, float) else v
+                  for v in draw(_shares)]
+        files = {"values.txt": "".join(f"{v!r}\n" for v in values)}
+        argv = [command, "--data", "values.txt", "--runs", "1",
+                "--lambda", repr(cap),
+                "--p", str(draw(st.integers(1, 100))),
+                "--mechanism", ",".join(draw(_mechanisms))]
+    return argv + ["--epsilon", epsilons], files
+
+
+@settings(max_examples=150, deadline=None)
+@given(job=_jobs())
+def test_tiny_inputs_give_json_or_one_error_line(job):
+    """Whatever the loaders are handed, a run prints JSON without NaN or
+    Infinity and exits 0, or prints one line on stderr and exits 1."""
+    argv, files = job
+    with tempfile.TemporaryDirectory() as base:
+        for name, text in files.items():
+            with open(os.path.join(base, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [os.path.join(base, a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    else:
+        assert code == 1, (code, err.getvalue())
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().startswith("dampen: ")

@@ -17,26 +17,29 @@ from dampen.mechanisms import (
     select_local_dampening,
     select_shifted_local_dampening,
 )
-from dampen.percentile import (
-    NumericVector,
-    PercentileQuery,
-    bounded_ls_percentile,
+from dampen.oracles import (
+    check_admissibility,
     critical_values,
-    global_sensitivity_percentile,
-    load_values,
-    ls0_of_record,
     ls0_percentile,
     ls_percentile_sensitivity,
     ls_t_of_record,
     ls_t_percentile,
     oracle_ls0,
-    percentile_problem,
-    percentile_sensitivity,
-    utility_of_label,
     utility_percentile,
     vector_enumerator,
 )
-from dampen.sensitivity import check_admissibility, flatten_sensitivity
+from dampen.percentile import (
+    NumericVector,
+    PercentileQuery,
+    bounded_ls_percentile,
+    global_sensitivity_percentile,
+    load_values,
+    ls0_of_record,
+    percentile_problem,
+    percentile_sensitivity,
+    utility_of_label,
+)
+from dampen.sensitivity import flatten_sensitivity
 
 
 def bfs_ls_t(x, q, t, label, values):

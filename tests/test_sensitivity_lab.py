@@ -12,23 +12,22 @@ from dampen.core import (
     constant_sensitivity,
 )
 from dampen.fixtures import random_graph_instance, random_vector_instance
-from dampen.graphs import delta_ebc, ebc_problem, edge_flip_enumerator
+from dampen.graphs import delta_ebc, ebc_problem
 from dampen.mechanisms import expected_error, select_exponential
-from dampen.percentile import vector_enumerator
-from dampen.sensitivity import (
+from dampen.oracles import (
     BruteForceExplorer,
     accuracy_order_check,
-    bound_sensitivity,
     brute_element_ls,
     brute_sensitivity,
     check_admissibility,
     check_boundedness,
     check_dominance,
     check_monotonicity,
-    flatten_sensitivity,
-    level_table,
+    edge_flip_enumerator,
     utility_order,
+    vector_enumerator,
 )
+from dampen.sensitivity import bound_sensitivity, flatten_sensitivity, level_table
 
 from conftest import counting, make_abstract_problem
 

@@ -30,18 +30,16 @@ from dampen.trees import (
     discretize,
     f_add,
     global_sensitivity_ig,
-    h_pair,
     ig_problem,
     ig_sensitivity,
     ig_utility,
-    ls0_ig,
     ls_t_ig,
     noisy_count,
-    row_edit_enumerator,
     VARIANTS,
     schema_from_json,
 )
-from dampen.sensitivity import bound_sensitivity, check_admissibility
+from dampen.oracles import check_admissibility, h_pair, ls0_ig, row_edit_enumerator
+from dampen.sensitivity import bound_sensitivity
 
 
 def two_value_table(rows):
