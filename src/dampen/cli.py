@@ -41,10 +41,10 @@ def _csv_tokens(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
-def _add_common(parser, default_mechanisms):
+def _add_common(parser, default_mechanisms, flag="--mechanism"):
     parser.add_argument("--epsilon", type=_csv_floats, required=True,
                         help="comma-separated privacy budgets")
-    parser.add_argument("--mechanism", type=_csv_tokens,
+    parser.add_argument(flag, dest="mechanism", type=_csv_tokens,
                         default=default_mechanisms,
                         help="comma-separated mechanisms/variants")
     parser.add_argument("--seed", type=int, default=0)
@@ -59,6 +59,7 @@ def _add_common(parser, default_mechanisms):
 
 
 def build_parser() -> _Parser:
+    """A new parser for every subcommand (:func:`main` keeps one)."""
     parser = _Parser(prog="dampen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -67,33 +68,26 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lambda_cap", type=float, required=True,
                    help="public upper bound on the values")
     p.add_argument("--p", type=int, default=50, help="percentile in [1, 100]")
-    _add_common(p, ["em", "ld", "sld"])
+    _add_common(p, ("em", "ld", "sld"))
 
     p = sub.add_parser("topk", help="private influential-node selection")
     p.add_argument("--graph", required=True, help="edge list file")
     p.add_argument("--k", type=int, default=1)
-    _add_common(p, ["em", "pf", "ld", "sld"])
+    _add_common(p, ("em", "pf", "ld", "sld"))
 
     p = sub.add_parser("tree", help="private decision-tree cross validation")
     p.add_argument("--data", required=True, help="CSV with a header row")
     p.add_argument("--schema", required=True, help="JSON schema sidecar")
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--variant", dest="mechanism", type=_csv_tokens,
-                   default=["global", "local", "shifted"])
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--epsilon", type=_csv_floats, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--output", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
-    p.add_argument("--timing", action="store_true")
+    _add_common(p, ("global", "local", "shifted"), flag="--variant")
 
     p = sub.add_parser("mechanism-compare",
                        help="all four mechanisms on one selection problem")
     p.add_argument("--data", required=True, help="one value per line")
     p.add_argument("--lambda", dest="lambda_cap", type=float, required=True)
     p.add_argument("--p", type=int, default=50)
-    _add_common(p, ["em", "pf", "ld", "sld"])
+    _add_common(p, ("em", "pf", "ld", "sld"))
 
     p = sub.add_parser("check", help="run the verification suites")
     p.add_argument("suite", nargs="?", default="all",
@@ -117,8 +111,22 @@ def _emit(rows, args) -> None:
         sys.stdout.write(text)
 
 
+#: The parser :func:`main` reuses, built on its first call (not at import).
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line and return its exit code.
+
+    The parser is built on the first call and reused by every later call
+    in the process, so callers that run many jobs in one process pay for
+    it once; parsing leaves it unchanged, and its list defaults are tuples
+    that no job can edit.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "check":
             from .checks import run_checks      # loaded for this command only

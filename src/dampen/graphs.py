@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
+import numpy as np
+
 from .core import (
     BudgetAccountant,
     InvalidInputError,
@@ -324,9 +326,11 @@ class TopKSelector:
     :class:`mechanisms.Prepared` selection over it.  Every round of
     :meth:`draw`, for every mechanism, reads that one selection over the
     remaining nodes at the per-round budget ``epsilon / k``, so each node's
-    utility is looked up once and each dampened score is computed once per
-    value it is dampened at; the picks are those of a fresh selection
-    problem per round.
+    utility is looked up once, each dampened score is computed once per
+    value it is dampened at, and a round that moves the SLD shift scores a
+    node from its kept breakpoint prefix instead of a new walk.  A round
+    draws from those scores directly (:meth:`mechanisms.Prepared.select`);
+    the picks are those of a fresh selection problem per round.
 
     The default sensitivity function is the bounded degree-based delta for
     the shifted mechanism and its flattened version for plain local
@@ -371,11 +375,12 @@ class TopKSelector:
         accountant.open_scope(scope, "sequential")
         eps_i = self.epsilon_per_round
         nodes = self._prepared.problem.candidates
-        remaining = list(range(len(nodes)))
+        remaining = np.arange(len(nodes))
         chosen: list = []
         for iter_rng in rng.spawn(self.k):
             pos = self._prepared.select(eps_i, iter_rng, remaining)
-            chosen.append(nodes[remaining.pop(pos)])
+            chosen.append(nodes[remaining[pos]])
+            remaining = np.delete(remaining, pos)
             accountant.account(scope, eps_i)
         return TopKResult(
             chosen=tuple(chosen),

@@ -46,16 +46,22 @@ class SelectionDistribution:
     scores: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        # written so that NaN fails both checks
-        if not np.all(p >= 0):
-            raise ContractViolationError("negative or NaN probability")
-        if not (abs(float(p.sum()) - 1.0) <= 1e-9):
-            raise ContractViolationError("probabilities do not sum to 1")
-        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "probabilities", _checked(self.probabilities))
 
     def probability_of(self, candidate) -> float:
         return float(self.probabilities[self.candidates.index(candidate)])
+
+
+def _checked(probabilities) -> np.ndarray:
+    """``probabilities`` as a float array, refused unless every entry is
+    nonnegative and they sum to 1."""
+    p = np.asarray(probabilities, dtype=float)
+    # written so that NaN fails both checks
+    if not np.all(p >= 0):
+        raise ContractViolationError("negative or NaN probability")
+    if not (abs(float(p.sum()) - 1.0) <= 1e-9):
+        raise ContractViolationError("probabilities do not sum to 1")
+    return p
 
 
 def _stable_softmax(scores: np.ndarray) -> np.ndarray:
@@ -79,6 +85,7 @@ def dampen(
     delta: SensitivityFunction,
     r: Hashable,
     u_value: float,
+    tails: dict | None = None,
 ) -> float:
     """Rescale ``u_value`` through the breakpoint grid of ``delta`` at ``r``.
 
@@ -100,6 +107,11 @@ def dampen(
     the steps walked so far.  The steps are added in the same order and
     checked one by one as on the per-step path, so the scores are the same
     floats.
+
+    A walk that ends where the constant tail starts, at step ``i`` past the
+    breakpoint ``b(i)``, stores ``tails[r] = (i, b(i))`` when ``tails`` is
+    given: every ``|u| >= b(i)`` at this (database, ``r``) then scores
+    ``sign(u) * (i + (|u| - b(i)) / GS)`` without a walk.
     """
     if not math.isfinite(u_value):
         raise InvalidInputError(f"utility value {u_value!r} is not finite")
@@ -125,7 +137,7 @@ def dampen(
                     "bounded delta with zero global sensitivity cannot "
                     f"bracket utility {u_value!r}"
                 )
-            return sign * (i + (v - b) / gs)
+            break
         if fetch is None:
             width = delta(x, i, r)
         else:
@@ -153,7 +165,7 @@ def dampen(
                     f"{previous!r} (global sensitivity {gs!r})"
                 )
             if width == gs > 0:
-                return sign * (i + (v - b) / gs)
+                break
             previous = width
         nxt = b + width
         if v < nxt:
@@ -165,6 +177,9 @@ def dampen(
                 f"no breakpoint interval brackets utility {u_value!r} "
                 f"within {MAX_BREAKPOINT_STEPS} steps"
             )
+    if tails is not None:
+        tails[r] = (i, b)
+    return sign * (i + (v - b) / gs)
 
 
 def _check_delta(mechanism: str, delta: SensitivityFunction | None) -> None:
@@ -250,9 +265,14 @@ class Prepared:
     its utility, plus the shift for ``sld``.  The constructor checks the
     tag and ``delta`` as :func:`distribution` does and reads the utilities
     once; each dampened score is memoised per (position, value dampened
-    at).  :meth:`distribution` and :meth:`select` read any epsilon over the
-    candidates at positions ``keep`` (ascending, default all) with the same
-    float operations as over a fresh problem of just those candidates.
+    at).  A candidate whose walk ended in the constant tail of a bounded
+    ``delta`` keeps that walk's ``(i_end, B)`` (see :func:`dampen`), so a
+    new ``sld`` shift scores it with the walk's own return and no walk:
+    the contract checks of its steps before ``i_end`` run once, in the
+    first walk.  :meth:`distribution` and :meth:`select` share one scoring
+    routine and read any epsilon over the candidates at positions ``keep``
+    (ascending, default all) with the same float operations as over a
+    fresh problem of just those candidates.
     """
 
     def __init__(self, mechanism: str, problem: SelectionProblem,
@@ -267,6 +287,8 @@ class Prepared:
         self.utilities = np.array(problem.utilities())
         # offset (None for ld) -> D at every position, NaN until needed
         self._rows: dict = {}
+        # candidate -> (i_end, B) where its walk entered the constant tail
+        self._tails: dict = {}
 
     def _dampened(self, pos: np.ndarray, shift) -> np.ndarray:
         """``D`` at positions ``pos``, of the utilities shifted for ``sld``
@@ -284,11 +306,51 @@ class Prepared:
         if row is None:
             row = self._rows[shift] = np.full(len(u), np.nan)
         damped = row[pos]
+        candidates, tails = problem.candidates, self._tails
+        gs = problem.global_sensitivity
         for j in np.flatnonzero(np.isnan(damped)):
             i = pos[j]
-            v = float(u[i] if shift is None else u[i] + shift)
-            damped[j] = row[i] = dampen(problem, delta, problem.candidates[i], v)
+            r = candidates[i]
+            w = float(u[i] if shift is None else u[i] + shift)
+            v = abs(w)
+            tail = tails.get(r)
+            # v < B (a rounding tie, or a shift below the constant), zero
+            # and non-finite scores take the walk
+            if tail is not None and tail[1] <= v and 0 < v < math.inf:
+                d = (1.0 if w > 0 else -1.0) * (tail[0] + (v - tail[1]) / gs)
+            else:
+                d = dampen(problem, delta, r, w, tails)
+            damped[j] = row[i] = d
         return damped
+
+    def _scored(self, epsilon: float, keep, shift) -> tuple:
+        """Scores and exact probabilities of the candidates at ``keep``, as
+        :meth:`distribution` describes them; unchecked, so a NaN this makes
+        is refused by the caller."""
+        _check_epsilon(epsilon)
+        mechanism = self.mechanism
+        gs = self.problem.global_sensitivity
+        pos = (np.arange(len(self.utilities)) if keep is None
+               else np.asarray(keep, dtype=int))
+        if gs == 0:
+            k = len(pos)
+            return np.zeros(k), np.full(k, 1.0 / k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mechanism in ("ld", "sld"):
+                unscaled = self._dampened(pos, shift)
+                scores = epsilon * unscaled / 2.0
+            else:
+                unscaled = u = self.utilities[pos]
+                scores = (epsilon * u / (2.0 * gs) if mechanism == "em"
+                          else epsilon / (2.0 * gs) * (u - u.max()))
+            if not math.isfinite(scores.max()):
+                top = unscaled == unscaled.max()
+                probabilities = top / top.sum()
+            elif mechanism == "pf":
+                probabilities = _pf_probabilities(scores)
+            else:
+                probabilities = _stable_softmax(scores)
+        return scores, probabilities
 
     def distribution(self, epsilon: float, keep: Sequence[int] | None = None,
                      shift: float | None = None) -> SelectionDistribution:
@@ -300,56 +362,34 @@ class Prepared:
         score (``u``, or ``D`` for ``ld``/``sld``) is largest.  Otherwise
         an overflowing ``-inf`` score is a candidate of probability zero.
         """
-        _check_epsilon(epsilon)
-        problem, mechanism = self.problem, self.mechanism
-        gs = problem.global_sensitivity
-        candidates = problem.candidates
-        if keep is None:
-            pos = np.arange(len(candidates))
-        else:
-            pos = np.asarray(keep, dtype=int)
+        scores, probabilities = self._scored(epsilon, keep, shift)
+        candidates = self.problem.candidates
+        if keep is not None:
             candidates = tuple(candidates[i] for i in keep)
-        k = len(candidates)
-        if gs == 0:
-            scores, probabilities = np.zeros(k), np.full(k, 1.0 / k)
-        else:
-            # a NaN this makes is refused by SelectionDistribution
-            with np.errstate(over="ignore", invalid="ignore"):
-                if mechanism in ("ld", "sld"):
-                    unscaled = self._dampened(pos, shift)
-                    scores = epsilon * unscaled / 2.0
-                else:
-                    unscaled = u = self.utilities[pos]
-                    scores = (epsilon * u / (2.0 * gs) if mechanism == "em"
-                              else epsilon / (2.0 * gs) * (u - u.max()))
-                if not math.isfinite(scores.max()):
-                    top = unscaled == unscaled.max()
-                    probabilities = top / top.sum()
-                elif mechanism == "pf":
-                    probabilities = _pf_probabilities(scores)
-                else:
-                    probabilities = _stable_softmax(scores)
-        return SelectionDistribution(mechanism, epsilon, candidates,
+        return SelectionDistribution(self.mechanism, epsilon, candidates,
                                      probabilities, scores)
 
     def select(self, epsilon: float, rng, keep: Sequence[int] | None = None) -> int:
         """Draw one candidate at ``keep`` and return its index in ``keep``.
 
-        Permute-and-flip walks a random permutation of the kept candidates
-        and returns the first whose ``Bernoulli(exp(eps * (u - u*) / 2GS))``
-        coin lands heads; a maximizer flips heads with probability one, so
-        the walk always terminates.  Every other tag samples
-        :meth:`distribution`.
+        Every tag but ``pf`` draws one ``rng.random()`` against the CDF of
+        :meth:`distribution`'s probabilities, checked the same way, without
+        building the distribution.  Permute-and-flip walks a random
+        permutation of the kept candidates and returns the first whose
+        ``Bernoulli(exp(eps * (u - u*) / 2GS))`` coin lands heads; a
+        maximizer flips heads with probability one, so the walk always
+        terminates.
         """
         if self.mechanism != "pf":
-            probabilities = self.distribution(epsilon, keep).probabilities
-            return _sample(range(len(probabilities)), probabilities, rng)
+            _, probabilities = self._scored(epsilon, keep, None)
+            return _sample(range(len(probabilities)), _checked(probabilities), rng)
         _check_epsilon(epsilon)
         u = self.utilities if keep is None else self.utilities[keep]
         gs = self.problem.global_sensitivity
         if gs == 0:
             return int(rng.integers(len(u)))
-        u_star = u.max()
+        u_star = float(u.max())
+        u = u.tolist()
         rate = epsilon / (2.0 * gs)
         for idx in rng.permutation(len(u)):
             gap = u_star - u[idx]   # 0 at a maximizer: heads at any rate

@@ -137,7 +137,7 @@ class LabeledTable:
         self.schema = schema
         self.rows = rows
         self._key = (schema, rows)
-        self._hash = hash(self._key)
+        self._hash = None
         self._cell_counts = {}
 
     @classmethod
@@ -154,6 +154,8 @@ class LabeledTable:
         return isinstance(other, LabeledTable) and self._key == other._key
 
     def __hash__(self):
+        if self._hash is None:      # hashed on first use: most tables never are
+            self._hash = hash(self._key)
         return self._hash
 
     def _col_index(self, name: str) -> int:
@@ -525,9 +527,12 @@ def build_diffp_id3(
     Every recursion level runs one noisy size count and either one private
     attribute selection (exponential mechanism, local dampening, or shifted
     local dampening on the bounded split-score sensitivity) or, at leaves,
-    noisy class counts.  Sibling partitions are disjoint, so each stage is a
-    parallel scope; the full per-stage budget is reserved up front, making
-    the accountant total exactly epsilon regardless of early stops.
+    noisy class counts.  Each selection is one draw of
+    :meth:`mechanisms.Prepared.select` over the node's problem, which
+    builds no distribution object.  Sibling partitions are disjoint, so
+    each stage is a parallel scope; the full per-stage budget is reserved
+    up front, making the accountant total exactly epsilon regardless of
+    early stops.
     """
     if not (epsilon > 0):
         raise InvalidInputError("epsilon must be positive")
@@ -550,7 +555,8 @@ def build_diffp_id3(
             accountant.account(scope, eps_stage)  # reserved whether used or not
 
     class_values = table.schema.class_values
-    delta = ig_sensitivity() if variant in ("local", "shifted") else None
+    tag = {"global": "em", "local": "ld", "shifted": "sld"}[variant]
+    delta = ig_sensitivity() if tag != "em" else None
 
     def build(node_table: LabeledTable, attrs: tuple, d: int, node_rng):
         level = depth - d
@@ -577,20 +583,11 @@ def build_diffp_id3(
                     break
             return Leaf(label), Counter({label: 1})
         problem = ig_problem(node_table, attrs)
-        if variant == "global":
-            chosen, _ = mechanisms.select_exponential(problem, eps_stage, node_rng)
-        else:
-            bounded = bound_sensitivity(
-                delta, problem.global_sensitivity, problem.database_size
-            )
-            if variant == "local":
-                chosen, _ = mechanisms.select_local_dampening(
-                    problem, bounded, eps_stage, node_rng
-                )
-            else:
-                chosen, _ = mechanisms.select_shifted_local_dampening(
-                    problem, bounded, eps_stage, node_rng
-                )
+        bounded = None if delta is None else bound_sensitivity(
+            delta, problem.global_sensitivity, problem.database_size
+        )
+        prepared = mechanisms.Prepared(tag, problem, bounded)
+        chosen = problem.candidates[prepared.select(eps_stage, node_rng)]
         accountant.account(select_scope, eps_stage)
         remaining = tuple(a for a in attrs if a != chosen)
         parts = node_table.partition(chosen)

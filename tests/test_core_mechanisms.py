@@ -342,9 +342,9 @@ def dampen_calls(monkeypatch):
     calls = []
     real = mechanisms_mod.dampen
 
-    def counted(problem, delta, r, u):
+    def counted(problem, delta, r, u, *tails):
         calls.append((r, u))
-        return real(problem, delta, r, u)
+        return real(problem, delta, r, u, *tails)
 
     monkeypatch.setattr(mechanisms_mod, "dampen", counted)
     return calls
@@ -388,20 +388,21 @@ class TestPrepared:
         want = distribution("ld", problem, 0.7, self.UP)
         assert np.array_equal(got.probabilities, want.probabilities)
 
-    @pytest.mark.parametrize("delta, sld_calls", ((UP, 5 + 3), (DOWN, 5 + 2)))
-    def test_each_value_is_dampened_once(self, delta, sld_calls, monkeypatch):
+    @pytest.mark.parametrize("delta", (UP, DOWN))
+    def test_each_candidate_is_walked_once(self, delta, monkeypatch):
         calls = dampen_calls(monkeypatch)
         problem = make_abstract_problem(self.UTILITIES, gs=3.0)
         # rounds as in top-k: the UP shift moves once both candidates of
-        # utility 4.0 are gone, the DOWN shift once -2.5 is gone
+        # utility 4.0 are gone, the DOWN shift once -2.5 is gone; a moved
+        # shift scores the kept candidates from their walk's tail
         rounds = ([0, 1, 2, 3, 4], [0, 2, 3, 4], [0, 2, 4], [0, 2])
-        for tag, expected in (("ld", 5), ("sld", sld_calls)):
+        for tag in ("ld", "sld"):
             calls.clear()
             prepared = Prepared(tag, problem, delta)
             for eps in (0.3, 1.0, 4.0):
                 for keep in rounds:
                     prepared.distribution(eps, keep)
-            assert len(calls) == len(set(calls)) == expected
+            assert sorted(r for r, _ in calls) == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("tag, gs", [("em", 1.0), ("pf", 0.25),
                                          ("ld", 1.0), ("sld", 1.0)])
@@ -418,6 +419,141 @@ class TestPrepared:
         picks = {prepared.select(1e308, np.random.default_rng(s))
                  for s in range(20)}
         assert picks == {1, 2}
+
+
+def pf_walk(u, epsilon, gs, rng):
+    """Permute-and-flip as one walk over numpy scalars."""
+    u = np.asarray(u, dtype=float)
+    if gs == 0:
+        return int(rng.integers(len(u)))
+    u_star, rate = u.max(), epsilon / (2.0 * gs)
+    for idx in rng.permutation(len(u)):
+        gap = u_star - u[idx]
+        if rng.random() < (math.exp(-rate * gap) if gap else 1.0):
+            return int(idx)
+
+
+class TestLeanSelect:
+    """``Prepared.select`` draws what sampling ``distribution`` would, with
+    the same generator state, without building the distribution."""
+
+    UTILITIES = TestPrepared.UTILITIES
+    KEEPS = (None, [3], [0, 3, 4], [0, 1, 2, 3, 4])
+    CASES = [("em", None), ("ld", TestPrepared.UP), ("sld", TestPrepared.UP),
+             ("sld", TestPrepared.DOWN)]
+
+    def assert_draws_like_distribution(self, prepared, eps, keep):
+        for seed in range(6):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = prepared.distribution(eps, keep).probabilities
+            want = mechanisms_mod._sample(range(len(p)), p, b)
+            assert prepared.select(eps, a, keep) == want
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("gs", (3.0, 0.0))
+    @pytest.mark.parametrize("tag, delta", CASES)
+    def test_same_index_and_generator_state(self, tag, delta, gs):
+        prepared = Prepared(tag, make_abstract_problem(self.UTILITIES, gs=gs),
+                            delta)
+        for eps in (0.3, 2.0):
+            for keep in self.KEEPS:
+                self.assert_draws_like_distribution(prepared, eps, keep)
+
+    @pytest.mark.parametrize("tag", ("em", "ld", "sld"))
+    def test_overflow_limit(self, tag):
+        problem = make_abstract_problem([1.0, 3.0, 3.0, -2.0], gs=1.0)
+        prepared = Prepared(tag, problem, constant_sensitivity(1.0))
+        for keep in (None, [0, 3], [1, 2, 3]):
+            self.assert_draws_like_distribution(prepared, 1e308, keep)
+
+    @pytest.mark.parametrize("gs", (3.0, 0.25, 0.0))
+    def test_pf_walk_is_unchanged(self, gs):
+        problem = make_abstract_problem(self.UTILITIES, gs=gs)
+        prepared = Prepared("pf", problem)
+        u = np.array(self.UTILITIES)
+        for eps in (0.3, 2.0, 1e308):
+            for keep in self.KEEPS:
+                sub = u if keep is None else u[keep]
+                for seed in range(20):
+                    a = np.random.default_rng(seed)
+                    b = np.random.default_rng(seed)
+                    assert prepared.select(eps, a, keep) == pf_walk(sub, eps, gs, b)
+                    assert a.bit_generator.state == b.bit_generator.state
+
+    def test_nan_is_refused(self):
+        prepared = Prepared("em", make_abstract_problem([1.0, math.nan], gs=1.0))
+        with pytest.raises(ContractViolationError, match="NaN"):
+            prepared.distribution(1.0)
+        with pytest.raises(ContractViolationError, match="NaN"):
+            prepared.select(1.0, np.random.default_rng(0))
+
+
+class TestBreakpointPrefix:
+    """A candidate's walk that reached the constant tail is kept as
+    ``(i_end, B)``; a moved shift scores it with the walk's own return."""
+
+    def test_tree_node_scores_at_explicit_shifts(self, monkeypatch):
+        calls = dampen_calls(monkeypatch)
+        table = separable_table()
+        scored = walked = 0
+        for tbl in (table, *table.partition("A").values()):
+            problem = ig_problem(tbl, tbl.schema.attribute_names())
+            delta = bound_sensitivity(ig_sensitivity(),
+                                      problem.global_sensitivity,
+                                      problem.database_size)
+            assert delta.levels is not None
+            prepared = Prepared("sld", problem, delta)
+            u = problem.utilities()
+            base = shift_constant(problem)
+            calls.clear()
+            for shift in (base, 1.5 * base, base + 0.1, 7.0 * base, 1e6):
+                # with epsilon 2, each score is its D exactly
+                got = prepared.distribution(2.0, shift=shift).scores
+                want = [dampen(problem, delta, r, ur - shift)
+                        for r, ur in zip(problem.candidates, u)]
+                assert got.tolist() == want
+                scored += len(want)
+            assert len(calls) == len(u)
+            walked += len(calls)
+        # 3 tables x 4 candidates x 5 shifts: 12 walks, 48 from the prefix
+        assert (scored, walked) == (60, 12)
+
+    def test_below_the_prefix_falls_back_to_the_walk(self, monkeypatch):
+        calls = dampen_calls(monkeypatch)
+        problem = make_abstract_problem([0.0], gs=3.0, n=10)
+        delta = step_delta([1.0, 1.0, 1.0], tail=3.0, declared_bounded=True,
+                           declared_nondecreasing_in_t=True)
+        prepared = Prepared("sld", problem, delta)
+        # shift 100 keeps (i_end, B) = (3, 3.0); v = 2.5 < B needs the walk,
+        # which ends inside the prefix: -(2 + 0.5 / 1.0)
+        for shift, d in ((100.0, -(3 + 97.0 / 3.0)), (2.5, -2.5)):
+            assert prepared.distribution(2.0, shift=shift).scores[0] == d
+            assert calls[-1] == (0, -shift)
+        assert len(calls) == 2
+        # zero-width steps: (i_end, B) = (2, 0.0), and a zero score is 0
+        prepared = Prepared("sld", problem, step_delta(
+            [0.0, 0.0], tail=3.0, declared_bounded=True,
+            declared_nondecreasing_in_t=True))
+        for shift, d in ((30.0, -10.0 - 2), (0.0, 0.0)):
+            assert prepared.distribution(2.0, shift=shift).scores[0] == d
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("steps, message", [
+        ([1.0, 2.0, 1.5, 3.0], "returned 1.5 at t=2 after 2.0"),
+        ([1.0, 4.0], "returned 4.0 at t=1 after 1.0"),
+    ])
+    def test_broken_steps_raise_the_walks_message(self, steps, message):
+        problem = make_abstract_problem([0.0, 2.0], gs=3.0, n=10)
+        delta = step_delta(steps, declared_bounded=True,
+                           declared_nondecreasing_in_t=True)
+        with pytest.raises(ContractViolationError) as direct:
+            dampen(problem, delta, 0, -40.0)
+        assert message in str(direct.value)
+        prepared = Prepared("sld", problem, delta)
+        for shift in (None, 40.0, 100.0):
+            with pytest.raises(ContractViolationError) as exc:
+                prepared.distribution(1.0, shift=shift)
+            assert str(exc.value) == str(direct.value)
 
 
 class TestLocalDampening:

@@ -299,9 +299,9 @@ class TestTopKSelector:
         calls = []
         real = mechanisms.dampen
 
-        def counted(problem, delta, r, u):
+        def counted(problem, delta, r, u, *tails):
             calls.append((r, u))
-            return real(problem, delta, r, u)
+            return real(problem, delta, r, u, *tails)
 
         monkeypatch.setattr(mechanisms, "dampen", counted)
         selector = TopKSelector(bridge_graph, 1.0, 8, "sld")
@@ -311,13 +311,56 @@ class TestTopKSelector:
         # the shift moves only when a round picks a node of top utility
         assert len(calls) < 3 * 8 * 9 / 2
 
+    def test_sld_prefix_scores_equal_the_walk_on_a_hub_graph(self, monkeypatch):
+        # three hubs over a random path plus random edges; every round
+        # removes the top node, so the shift moves every round
+        rng = np.random.default_rng(11)
+        m = 150
+        order = rng.permutation(m)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+        for hub in range(3):
+            edges |= {(hub, int(v)) for v in rng.choice(m, m // 3) if v > hub}
+        while len(edges) < 3 * m:
+            a, b = sorted(int(x) for x in rng.choice(m, 2, replace=False))
+            edges.add((a, b))
+        graph = EdgeGraph([f"n{v}" for v in range(m)],
+                          [(f"n{a}", f"n{b}") for a, b in sorted(edges)])
+        base = ebc_problem(graph)
+        delta = bound_sensitivity(delta_ebc(), base.global_sensitivity,
+                                  base.database_size)
+        real = mechanisms.dampen
+        walks = []
+
+        def counted(problem, delta, r, u, *tails):
+            walks.append(r)
+            return real(problem, delta, r, u, *tails)
+
+        monkeypatch.setattr(mechanisms, "dampen", counted)
+        prepared = mechanisms.Prepared("sld", base, delta)
+        u = base.utilities()
+        n_gs = base.database_size * base.global_sensitivity
+        keep = list(range(m))
+        scored, offsets = 0, set()
+        for _ in range(5):
+            offset = -(n_gs + max(u[i] for i in keep))
+            offsets.add(offset)
+            # with epsilon 2, each score is its D exactly
+            got = prepared.distribution(2.0, keep).scores.tolist()
+            assert got == [real(base, delta, base.candidates[i], u[i] + offset)
+                           for i in keep]
+            scored += len(keep)
+            keep.remove(max(keep, key=lambda i: (u[i], -i)))
+        # 740 scores over 5 shifts, 150 walks, 590 from the prefix
+        assert len(offsets) == 5
+        assert (scored, len(walks), len(set(walks))) == (740, m, m)
+
     def test_em_and_ld_score_each_node_once(self, bridge_graph, monkeypatch):
         calls = []
         real = mechanisms.dampen
 
-        def counted(problem, delta, r, u):
+        def counted(problem, delta, r, u, *tails):
             calls.append(r)
-            return real(problem, delta, r, u)
+            return real(problem, delta, r, u, *tails)
 
         monkeypatch.setattr(mechanisms, "dampen", counted)
         selector = TopKSelector(bridge_graph, 1.0, 8, "ld")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -110,9 +111,9 @@ class TestRunExperiment:
         calls = []
         real = mechanisms.dampen
 
-        def counted(problem, delta, r, u):
+        def counted(problem, delta, r, u, *tails):
             calls.append((r, u))
-            return real(problem, delta, r, u)
+            return real(problem, delta, r, u, *tails)
 
         monkeypatch.setattr(mechanisms, "dampen", counted)
         counts = []
@@ -543,6 +544,76 @@ class TestCli:
         assert code == 1
         assert captured.err == "dampen: walk refused\n"
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestParserReuse:
+    """``cli.main`` parses every call with one parser per process."""
+
+    @pytest.fixture
+    def jobs(self, vector_file, graph_file, table_files):
+        data, schema = table_files
+        vector = ["--data", vector_file, "--lambda", "100", "--epsilon", "0.5,2"]
+        return [
+            ["percentile", *vector, "--p", "25"],
+            ["topk", "--graph", graph_file, "--k", "2", "--epsilon", "1",
+             "--runs", "2", "--mechanism", "em,pf,ld,sld", "--seed", "3"],
+            ["tree", "--data", data, "--schema", schema, "--epsilon", "1",
+             "--depth", "1", "--folds", "2", "--variant", "global,shifted"],
+            ["mechanism-compare", *vector, "--output", "csv"],
+            ["percentile", *vector, "--mechanism", "sld"],
+            ["tree", "--data", data, "--schema", schema, "--epsilon", "2",
+             "--depth", "1", "--folds", "2"],
+            ["check", "core", "--seed", "1"],
+        ]
+
+    @staticmethod
+    def run(argv, capsys):
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        # the check report ends with its wall time
+        return code, re.sub(r"in [0-9.]+s", "in <t>s", out)
+
+    def test_interleaved_runs_equal_fresh_parser_runs(self, jobs, capsys,
+                                                      monkeypatch):
+        fresh = []
+        for argv in jobs:
+            monkeypatch.setattr(cli, "_parser", cli.build_parser())
+            fresh.append(self.run(argv, capsys))
+        monkeypatch.setattr(cli, "_parser", None)
+        shared = [self.run(argv, capsys) for argv in jobs + jobs[::-1]]
+        assert shared == fresh + fresh[::-1]
+        assert all(code == 0 for code, _ in fresh)
+        parser = cli._parser
+        assert isinstance(parser, cli._Parser)
+        self.run(jobs[0], capsys)
+        assert cli._parser is parser
+        assert cli.build_parser() is not parser
+
+    def test_usage_error_between_good_runs(self, jobs, capsys):
+        good = self.run(jobs[0], capsys)
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["percentile", "--lambda", "10", "--epsilon", "1"])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(
+                "dampen percentile: error:"), err
+            assert self.run(jobs[0], capsys) == good
+
+    def test_passed_mechanisms_leave_the_defaults(self, vector_file, capsys):
+        argv = ["percentile", "--data", vector_file, "--lambda", "100",
+                "--epsilon", "1"]
+        default = self.run(argv, capsys)
+        assert self.run(argv + ["--mechanism", "em"], capsys) != default
+        assert self.run(argv, capsys) == default
+        for command, mechanisms in (("percentile", ("em", "ld", "sld")),
+                                    ("mechanism-compare",
+                                     ("em", "pf", "ld", "sld"))):
+            args = cli._parser.parse_args([command, *argv[1:]])
+            assert args.mechanism == mechanisms
+        args = cli._parser.parse_args(["tree", "--data", "d", "--schema", "s",
+                                       "--epsilon", "1"])
+        assert args.mechanism == ("global", "local", "shifted")
 
 
 def write_toy_table(base, rows):
