@@ -113,6 +113,11 @@ class SensitivityFunction:
     entry ``t`` equals ``eval(database, t, candidate)``.  The breakpoint
     walk then reads one prefix per chunk instead of making one call per
     step, and checks every value it reads as :meth:`__call__` would.
+    ``table``, when given, is the same levels for every candidate at once:
+    ``table(database, upto)`` returns ``(rows, levels)``, where ``rows``
+    maps each candidate to a row of the float64 array ``levels``, which
+    has at least ``upto`` columns and whose entry ``[rows[r], t]`` equals
+    ``eval(database, t, r)``.  The array is shared; callers read it only.
     """
 
     eval: Callable[[Any, int, Hashable], float]
@@ -122,6 +127,7 @@ class SensitivityFunction:
     monotonicity: str = "none"
     name: str = "delta"
     levels: Callable[[Any, Hashable, int], Sequence[float]] | None = None
+    table: Callable[[Any, int], tuple] | None = None
 
     def __post_init__(self):
         if self.monotonicity not in MONOTONICITY_CLASSES:

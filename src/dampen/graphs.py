@@ -8,6 +8,7 @@ over pairs of its neighbors, the fraction of shortest paths between them
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
@@ -360,6 +361,15 @@ class TopKSelector:
         self.delta = delta
         self.epsilon_per_round = epsilon / k
         self._prepared = mechanisms.Prepared(mechanism, base, delta)
+
+    def at(self, epsilon: float) -> "TopKSelector":
+        """This selector at another total budget, sharing its prepared
+        selection: no dampened score depends on epsilon, so every score
+        and breakpoint prefix found so far is reused."""
+        mechanisms._check_epsilon(epsilon / self.k)
+        other = copy.copy(self)
+        other.epsilon_per_round = epsilon / self.k
+        return other
 
     def draw(
         self,

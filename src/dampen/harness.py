@@ -127,16 +127,21 @@ def _percentile_cells(spec: ExperimentSpec, dataset):
 
 def _topk_cells(spec: ExperimentSpec, graph):
     """Mean top-k accuracy over ``runs`` seeded private selections, with
-    its standard error.  Each cell prepares one
-    :class:`graphs.TopKSelector` and draws from it ``runs`` times, so every
-    node is scored once per cell."""
+    its standard error.  Each mechanism prepares one
+    :class:`graphs.TopKSelector` (one selection, one sensitivity function)
+    for every epsilon, and each cell draws from it ``runs`` times, so every
+    node is scored once per job."""
     k = int(spec.params.get("k", 1))
     runs = int(spec.params.get("runs", DEFAULT_TOPK_RUNS))
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
+    selectors = {}
 
     def cell(mechanism, eps_ix, epsilon):
-        selector = graphs_mod.TopKSelector(graph, epsilon, k, mechanism)
+        if mechanism not in selectors:
+            selectors[mechanism] = graphs_mod.TopKSelector(
+                graph, epsilon, k, mechanism)
+        selector = selectors[mechanism].at(epsilon)
         scores = np.empty(runs)
         for run_ix in range(runs):
             rng = np.random.default_rng(
@@ -207,21 +212,52 @@ def run_experiment(spec: ExperimentSpec, dataset=None) -> list[ResultRow]:
     return rows
 
 
+#: Each ResultRow key as ``json.dumps(..., indent=2)`` writes it in a row.
+_JSON_KEYS = tuple(f'      "{k}": ' for k in ResultRow.FIELDS)
+
+
+def _json_text(rows: Sequence[ResultRow], datasets: list) -> str | None:
+    """``json.dumps(doc, indent=2)`` of :func:`emit`'s document, byte for
+    byte, or ``None`` when a field is not a JSON scalar.
+
+    ``indent`` selects the pure-Python encoder, so every scalar is encoded
+    instead by one call of the C encoder with a newline as its item
+    separator.  The encoder escapes every newline inside a string, so
+    splitting on newlines gives back each scalar as the indented encoder
+    writes it, and the layout around them is fixed.
+    """
+    flat = [rows[0].application, *datasets]
+    flat += [getattr(r, k) for r in rows for k in ResultRow.FIELDS]
+    if not all(v is None or isinstance(v, (str, int, float)) for v in flat):
+        return None
+    enc = json.dumps(flat, separators=("\n", ": "))[1:-1].split("\n")
+    m, first = len(ResultRow.FIELDS), 1 + len(datasets)
+    results = ",\n".join(
+        "    {\n" + ",\n".join(map(str.__add__, _JSON_KEYS, enc[s:s + m]))
+        + "\n    }" for s in range(first, len(enc), m))
+    return ('{\n  "experiment": ' + enc[0]
+            + ',\n  "params": {\n    "datasets": [\n      '
+            + ",\n      ".join(enc[1:first])
+            + '\n    ]\n  },\n  "results": [\n' + results + "\n  ]\n}")
+
+
 def emit(rows: Sequence[ResultRow], fmt: str, sink) -> None:
     """Write rows as JSON ({"experiment":…, "params":…, "results":[…]}) or
     CSV with the fixed ResultRow header."""
     if not rows:
         raise InvalidInputError("no rows to emit")
     if fmt == "json":
-        doc = {
-            "experiment": rows[0].application,
-            "params": {"datasets": sorted({r.dataset for r in rows})},
-            "results": [
-                {k: getattr(r, k) for k in ResultRow.FIELDS} for r in rows
-            ],
-        }
-        json.dump(doc, sink, indent=2)
-        sink.write("\n")
+        datasets = sorted({r.dataset for r in rows})
+        text = _json_text(rows, datasets)
+        if text is None:
+            text = json.dumps({
+                "experiment": rows[0].application,
+                "params": {"datasets": datasets},
+                "results": [
+                    {k: getattr(r, k) for k in ResultRow.FIELDS} for r in rows
+                ],
+            }, indent=2)
+        sink.write(text + "\n")
     elif fmt == "csv":
         writer = csv.writer(sink)
         writer.writerow(ResultRow.FIELDS)

@@ -182,6 +182,59 @@ def dampen(
     return sign * (i + (v - b) / gs)
 
 
+#: Largest (candidate, level) slice of a level table that :func:`_prefixes`
+#: checks and sums at once, which bounds its temporaries at any table size.
+PREFIX_SLICE_ENTRIES = 1 << 16
+
+
+def _prefixes(problem: SelectionProblem, delta: SensitivityFunction,
+              candidates: Sequence) -> dict:
+    """The ``(i_end, B)`` that :func:`dampen` stores for a score in the
+    constant tail, for every one of ``candidates`` at once, read from
+    ``delta.table``.
+
+    ``delta`` is declared bounded and nondecreasing in t and GS is
+    positive, so the walk stops at the first level equal to GS, or at n,
+    and checks every level up to there: finite, at least 0 and at least
+    the level before, at most GS.  A row that passes the checks stays at
+    GS once it gets there, so the table is read in the walk's chunks (8
+    levels, then twice as many) until every row ends at GS, or for n
+    levels; then the checks run once over each row as array checks.  ``B``
+    is one ``np.cumsum`` per row from 0.0, which adds in the walk's order;
+    a level that fails a check is summed as 0.0, as no ``B`` reaches it.  A
+    candidate whose levels fail a check, or that the table does not know,
+    maps to ``None``: its walk raises its own message.  Rows are checked
+    ``PREFIX_SLICE_ENTRIES`` levels at a time.
+    """
+    x, gs = problem.database, problem.global_sensitivity
+    n = problem.database_size
+    upto = min(8, n)
+    rows, levels = delta.table(x, upto)
+    found = dict.fromkeys(r for r in candidates if r not in rows)
+    known = [r for r in candidates if r in rows]
+    at_rows = [rows[r] for r in known]
+    while upto < n and not np.all(levels[at_rows, upto - 1] == gs):
+        upto = min(2 * upto, n)
+        rows, levels = delta.table(x, upto)
+    step = max(1, PREFIX_SLICE_ENTRIES // (upto + 1))
+    for lo in range(0, len(known), step):
+        block = levels[at_rows[lo:lo + step], :upto]
+        ok = (block >= 0) & (block <= gs)
+        ok[:, 1:] &= block[:, 1:] >= block[:, :-1]
+        stop = np.where(ok, block == gs, True)
+        first = stop.argmax(axis=1)
+        at = np.arange(len(block))
+        refused = ~ok[at, first]
+        first[~stop[at, first]] = n        # read to n: the walk stops there
+        cum = np.zeros((len(block), upto + 1))
+        np.cumsum(np.where(ok, block, 0.0), axis=1, out=cum[:, 1:])
+        found.update(
+            (r, None if no else (i, b))
+            for r, no, i, b in zip(known[lo:lo + step], refused.tolist(),
+                                   first.tolist(), cum[at, first].tolist()))
+    return found
+
+
 def _check_delta(mechanism: str, delta: SensitivityFunction | None) -> None:
     name = "local" if mechanism == "ld" else "shifted"
     if delta is None:
@@ -269,10 +322,13 @@ class Prepared:
     ``delta`` keeps that walk's ``(i_end, B)`` (see :func:`dampen`), so a
     new ``sld`` shift scores it with the walk's own return and no walk:
     the contract checks of its steps before ``i_end`` run once, in the
-    first walk.  :meth:`distribution` and :meth:`select` share one scoring
-    routine and read any epsilon over the candidates at positions ``keep``
-    (ascending, default all) with the same float operations as over a
-    fresh problem of just those candidates.
+    first walk.  For ``sld`` over a ``delta`` with a ``table`` hook, the
+    ``(i_end, B)`` of every candidate being scored come from one array
+    pass (:func:`_prefixes`) instead of walks.  :meth:`distribution` and
+    :meth:`select` share one scoring routine and read any epsilon over the
+    candidates at positions ``keep`` (ascending, default all) with the
+    same float operations as over a fresh problem of just those
+    candidates.
     """
 
     def __init__(self, mechanism: str, problem: SelectionProblem,
@@ -287,7 +343,8 @@ class Prepared:
         self.utilities = np.array(problem.utilities())
         # offset (None for ld) -> D at every position, NaN until needed
         self._rows: dict = {}
-        # candidate -> (i_end, B) where its walk entered the constant tail
+        # candidate -> (i_end, B) where its walk entered the constant tail,
+        # or None where the array pass leaves the candidate to its walk
         self._tails: dict = {}
 
     def _dampened(self, pos: np.ndarray, shift) -> np.ndarray:
@@ -308,7 +365,14 @@ class Prepared:
         damped = row[pos]
         candidates, tails = problem.candidates, self._tails
         gs = problem.global_sensitivity
-        for j in np.flatnonzero(np.isnan(damped)):
+        todo = np.flatnonzero(np.isnan(damped))
+        if (shift is not None and delta.table is not None
+                and delta.declared_nondecreasing_in_t):
+            new = [candidates[i] for i in pos[todo]
+                   if candidates[i] not in tails]
+            if new:
+                tails.update(_prefixes(problem, delta, new))
+        for j in todo:
             i = pos[j]
             r = candidates[i]
             w = float(u[i] if shift is None else u[i] + shift)

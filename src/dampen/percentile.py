@@ -299,6 +299,16 @@ def percentile_sensitivity(x: NumericVector, q: PercentileQuery) -> SensitivityF
     delta nondecreasing in t.  :func:`~dampen.oracles.ls_t_of_record` is
     the exact value it is tested against.
 
+    Every level from ``t_cap = min(k + 1, n - k + 2)`` on is exactly the
+    cap, for every record, so the grid is evaluated only below ``t_cap``
+    (which is at least 2, as ``1 <= k <= n``).  For ``t >= k + 1`` take the
+    ``B`` term at ``u = 0``: its lower window end ``lo_k = o_{k+1-t}`` has
+    an index ``<= 0``, so it is ``0.0`` and ``cap - lo_k`` is the cap.  For
+    ``t >= n - k + 2`` take the ``B`` term at ``u = t - 1``: ``hi_{k-1} =
+    o_{k+t-2}`` has an index ``>= n``, so it is the cap.  Either term is a
+    float equal to the cap, and ``min(cap, .)`` of the maximum holding it
+    is the cap.
+
     The levels are one :func:`~dampen.sensitivity.level_table` per vector,
     a row per record, filled in chunks by one masked numpy grid each; its
     running maximum changes nothing, as the levels are nondecreasing.
@@ -310,13 +320,17 @@ def percentile_sensitivity(x: NumericVector, q: PercentileQuery) -> SensitivityF
 
     def open_table(db: NumericVector):
         values, cap = np.array(db.values()), db.lambda_cap
+        t_cap = min(q.k + 1, len(values) - q.k + 2)
 
         def fill(lo: int, hi: int) -> np.ndarray:
-            block = np.minimum(
-                _window_levels(values, q.k, cap, max(lo, 1), hi), cap)
+            block = np.full((len(values), hi - lo), cap)
+            start, stop = max(lo, 1), min(hi, t_cap)
+            if start < stop:
+                block[:, start - lo:stop - lo] = np.minimum(
+                    _window_levels(values, q.k, cap, start, stop), cap)
             if lo == 0:
-                first = [ls0_of_record(db, q, label) for label in db.labels()]
-                block = np.column_stack([first, block])
+                block[:, 0] = [ls0_of_record(db, q, label)
+                               for label in db.labels()]
             return block
 
         return {label: row for row, label in enumerate(db.labels())}, fill

@@ -63,25 +63,52 @@ def bound_sensitivity(
     the declaration also holds for sensitivity functions whose admissibility
     is merely assumed.  Taking a minimum with a constant preserves the
     declared monotonicity class, and so does pinning the tail to GS for a
-    ``delta`` that is nondecreasing in t.  A ``levels`` hook of ``delta`` is
-    mapped the same way; non-finite levels pass through unclipped, so the
-    walk refuses them as the inner per-step check does.
+    ``delta`` that is nondecreasing in t.
+
+    The ``table`` and ``levels`` hooks of ``delta`` are mapped the same
+    way; non-finite levels pass through unclipped, so the walk refuses them
+    as the inner per-step check does.  A ``table`` is clipped once per
+    array it returns (once per fill of a :func:`level_table`), and that
+    clipped array serves both hooks of the result; a ``delta`` with a
+    ``levels`` hook only has each prefix clipped as it is read.
     """
     if not delta.declared_admissible:
         raise PreconditionError("bound_sensitivity expects an admissible input")
+    gs = global_sensitivity
 
     def eval_fn(db, t, r):
         if database_size is not None and t >= database_size:
-            return global_sensitivity
-        return min(delta(db, t, r), global_sensitivity)
+            return gs
+        return min(delta(db, t, r), gs)
 
-    levels_fn = None
-    if delta.levels is not None:
+    def pinned(upto):
+        return upto if database_size is None else min(upto, database_size)
+
+    table_fn = levels_fn = None
+    if delta.table is not None:
+        seen = clipped = None        # the inner array, and its clipped copy
+
+        def table_fn(db, upto):
+            nonlocal seen, clipped
+            rows, raw = delta.table(db, pinned(upto))
+            if raw is not seen:
+                seen, clipped = raw, raw[:, :pinned(raw.shape[1])].copy()
+                np.minimum(clipped, gs, out=clipped, where=clipped < math.inf)
+            if clipped.shape[1] < upto:
+                clipped = np.hstack([clipped, np.full(
+                    (len(clipped), upto - clipped.shape[1]), gs)])
+            return rows, clipped
+
         def levels_fn(db, r, upto):
-            m = upto if database_size is None else min(upto, database_size)
-            out = [min(v, global_sensitivity) if v < math.inf else v
+            rows, levels = table_fn(db, upto)
+            return levels[_row(rows, r, delta.name), :upto].tolist()
+
+    elif delta.levels is not None:
+        def levels_fn(db, r, upto):
+            m = pinned(upto)
+            out = [min(v, gs) if v < math.inf else v
                    for v in delta.levels(db, r, m)[:m]]
-            out.extend([global_sensitivity] * (upto - m))
+            out.extend([gs] * (upto - m))
             return out
 
     return SensitivityFunction(
@@ -92,7 +119,15 @@ def bound_sensitivity(
         monotonicity=delta.monotonicity,
         name=f"min({delta.name}, GS)",
         levels=levels_fn,
+        table=table_fn,
     )
+
+
+def _row(rows: dict, r: Hashable, name: str) -> int:
+    row = rows.get(r)
+    if row is None:
+        raise InvalidInputError(f"{name}: unknown candidate {r!r}")
+    return row
 
 
 def level_table(open_table: Callable[[Any], tuple], name: str
@@ -114,34 +149,38 @@ def level_table(open_table: Callable[[Any], tuple], name: str
     max_{s <= t} f(x, s + 1, r) <= max_{s <= t + 1} f(x, s, r)``, and
     level 0 is ``f(x, 0, r)``.  The caller vouches for ``f``.
 
-    The levels are one float64 array per database; the ``levels`` hook
-    returns a row as a list, since the walk is faster on Python floats.
+    The levels are one float64 array per database, which the ``table``
+    hook returns whole; the ``levels`` hook returns a row as a list, since
+    the walk is faster on Python floats.
     """
     last = None          # (database, rows, fill, levels array)
 
-    def read(db: Any, t: int, r: Hashable) -> np.ndarray:
+    def table(db: Any, upto: int) -> tuple:
         nonlocal last
         state = last
         if state is None or (state[0] is not db and state[0] != db):
             rows, fill = open_table(db)
             state = last = (db, rows, fill, np.zeros((len(rows), 0)))
         seen, rows, fill, levels = state
-        if r not in rows:
-            raise InvalidInputError(f"{name}: unknown candidate {r!r}")
         lo = levels.shape[1]
-        if t >= lo:
-            block = fill(lo, max(t + 1, min(2 * lo, len(db)), 8))
+        if upto > lo:
+            block = fill(lo, max(upto, min(2 * lo, len(db)), 8))
             np.maximum.accumulate(block, axis=1, out=block)
             if lo:
                 np.maximum(block, levels[:, -1:], out=block)
             levels = np.hstack([levels, block])
             last = (seen, rows, fill, levels)
-        return levels[rows[r]]
+        return rows, levels
 
     def eval_fn(db, t, r):
         if t < 0:
             raise InvalidInputError("t must be >= 0")
-        return float(read(db, t, r)[t])
+        rows, levels = table(db, t + 1)
+        return float(levels[_row(rows, r, name), t])
+
+    def levels_fn(db, r, upto):
+        rows, levels = table(db, max(upto, 1))
+        return levels[_row(rows, r, name), :upto].tolist()
 
     return SensitivityFunction(
         eval=eval_fn,
@@ -150,7 +189,8 @@ def level_table(open_table: Callable[[Any], tuple], name: str
         declared_nondecreasing_in_t=True,
         monotonicity="none",
         name=name,
-        levels=lambda db, r, upto: read(db, max(upto, 1) - 1, r)[:upto].tolist(),
+        levels=levels_fn,
+        table=table,
     )
 
 

@@ -42,6 +42,12 @@ class Categorical:
             raise InvalidInputError("categorical domain must be nonempty")
 
 
+#: Most bins a continuous attribute may declare.  Each bin becomes a value
+#: of the binned attribute, with its own contingency line and subtable, so
+#: without a bound a one-line schema would set memory whatever the table.
+MAX_BINS = 10_000
+
+
 @dataclass(frozen=True)
 class Continuous:
     lo: float
@@ -51,6 +57,10 @@ class Continuous:
     def __post_init__(self):
         if self.bins < 2:
             raise InvalidInputError("continuous attributes need at least 2 bins")
+        if self.bins > MAX_BINS:
+            raise InvalidInputError(
+                f"continuous attributes take at most {MAX_BINS} bins, "
+                f"got {self.bins}")
         if not (self.lo <= self.hi):
             raise InvalidInputError("continuous domain has lo > hi")
         width = (self.hi - self.lo) / self.bins

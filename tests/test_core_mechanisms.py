@@ -58,6 +58,7 @@ from dampen.percentile import (
 from dampen.sensitivity import (
     bound_sensitivity,
     flatten_sensitivity,
+    level_table,
     truncated_sensitivity,
 )
 from dampen.trees import ig_problem, ig_sensitivity
@@ -493,19 +494,29 @@ class TestBreakpointPrefix:
     ``(i_end, B)``; a moved shift scores it with the walk's own return."""
 
     def test_tree_node_scores_at_explicit_shifts(self, monkeypatch):
-        calls = dampen_calls(monkeypatch)
+        # a level-table delta: every candidate's prefix is found once per
+        # Prepared, in one array pass, and every score is dampen's float
+        prefixed = []
+        real = mechanisms_mod._prefixes
+
+        def counted(problem, delta, candidates):
+            prefixed.append(tuple(candidates))
+            return real(problem, delta, candidates)
+
+        monkeypatch.setattr(mechanisms_mod, "_prefixes", counted)
+        walks = dampen_calls(monkeypatch)
         table = separable_table()
-        scored = walked = 0
+        scored = 0
         for tbl in (table, *table.partition("A").values()):
             problem = ig_problem(tbl, tbl.schema.attribute_names())
             delta = bound_sensitivity(ig_sensitivity(),
                                       problem.global_sensitivity,
                                       problem.database_size)
-            assert delta.levels is not None
+            assert delta.table is not None
             prepared = Prepared("sld", problem, delta)
             u = problem.utilities()
             base = shift_constant(problem)
-            calls.clear()
+            prefixed.clear()
             for shift in (base, 1.5 * base, base + 0.1, 7.0 * base, 1e6):
                 # with epsilon 2, each score is its D exactly
                 got = prepared.distribution(2.0, shift=shift).scores
@@ -513,10 +524,9 @@ class TestBreakpointPrefix:
                         for r, ur in zip(problem.candidates, u)]
                 assert got.tolist() == want
                 scored += len(want)
-            assert len(calls) == len(u)
-            walked += len(calls)
-        # 3 tables x 4 candidates x 5 shifts: 12 walks, 48 from the prefix
-        assert (scored, walked) == (60, 12)
+            assert prefixed == [problem.candidates]
+        # 3 tables x 4 candidates x 5 shifts, none of them walked
+        assert (scored, walks) == (60, [])
 
     def test_below_the_prefix_falls_back_to_the_walk(self, monkeypatch):
         calls = dampen_calls(monkeypatch)
@@ -554,6 +564,148 @@ class TestBreakpointPrefix:
             with pytest.raises(ContractViolationError) as exc:
                 prepared.distribution(1.0, shift=shift)
             assert str(exc.value) == str(direct.value)
+
+
+def matrix_delta(levels, gs):
+    """Bounded, nondecreasing-declared delta over an explicit (candidate,
+    t) matrix, readable through its table, its levels hook and per step;
+    nothing checks or clips the matrix."""
+    width = levels.shape[1]
+    rows = {r: r for r in range(len(levels))}
+
+    def table_fn(db, upto):
+        assert upto <= width
+        return rows, levels
+
+    return SensitivityFunction(
+        eval=lambda db, t, r: float(levels[r, t]) if t < width else gs,
+        declared_admissible=True,
+        declared_bounded=True,
+        declared_nondecreasing_in_t=True,
+        name="matrix",
+        levels=lambda db, r, upto: (levels[r].tolist()
+                                    + [gs] * max(0, upto - width)),
+        table=table_fn,
+    )
+
+
+@st.composite
+def level_rows(draw, n, gs):
+    """Nondecreasing levels in [0, GS] with zero steps, ties at GS, or no
+    GS at all (the walk ends at n); then at most one level broken: NaN,
+    infinite, negative, below the level before or above GS."""
+    pool = [st.just(0.0), st.floats(0.0, gs, exclude_max=True)]
+    if draw(st.booleans()):
+        pool.append(st.just(gs))
+    row = sorted(draw(st.lists(st.one_of(pool), min_size=n, max_size=n)))
+    at = draw(st.integers(0, n - 1))
+    broken = draw(st.sampled_from(
+        [None, None, math.nan, math.inf, -1.0, "down", 1.5 * gs]))
+    if broken == "down":
+        if at and row[at - 1] > 0:
+            row[at] = row[at - 1] / 2
+    elif broken is not None:
+        row[at] = broken
+    return row
+
+
+class TestArrayPrefix:
+    """The array pass over a level table finds the (i_end, B) that the walk
+    stores, and a prepared selection over it scores and fails as the walk
+    of every candidate in position order does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_prefixes_scores_and_messages_equal_the_walk(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        gs = data.draw(st.sampled_from([1.0, 2.5, 3.0]), label="gs")
+        rows = data.draw(st.lists(level_rows(n, gs), min_size=1, max_size=5),
+                         label="rows")
+        utilities = data.draw(st.lists(
+            st.floats(-50.0, 50.0), min_size=len(rows), max_size=len(rows)),
+            label="utilities")
+        problem = make_abstract_problem(utilities, gs=gs, n=n)
+        delta = matrix_delta(np.array(rows, dtype=float), gs)
+
+        # a score past every prefix: the walk stores (i_end, B) or raises
+        want = {}
+        for r in problem.candidates:
+            tails = {}
+            try:
+                dampen(problem, delta, r, 2 * n * gs + 1.0, tails)
+            except ContractViolationError:
+                want[r] = None
+            else:
+                want[r] = tails[r]
+        got = mechanisms_mod._prefixes(problem, delta, problem.candidates)
+        assert got == want
+        for r, row in enumerate(rows):
+            if want[r] is not None:
+                assert want[r][0] == n or row[want[r][0]] == gs
+
+        # each candidate walked on its own at the default shift, in order
+        shift = shift_constant(problem)
+        scores, message = [], None
+        for r, u in zip(problem.candidates, utilities):
+            try:
+                scores.append(dampen(problem, delta, r, u - shift))
+            except ContractViolationError as exc:
+                message = str(exc)
+                break
+        prepared = Prepared("sld", problem, delta)
+        if message is None:
+            # with epsilon 2, each score is its D exactly
+            assert prepared.distribution(2.0).scores.tolist() == scores
+        else:
+            with pytest.raises(ContractViolationError) as exc:
+                prepared.distribution(2.0)
+            assert str(exc.value) == message
+
+    def test_reads_the_chunks_the_walks_read(self):
+        # rows reach GS at t = 39, 19, 13 and 9: the walks and the array
+        # pass fill the same chunks of the level table
+        def bounded(fills):
+            def open_table(db):
+                def fill(lo, hi):
+                    fills.append((lo, hi))
+                    t = np.arange(lo, hi) + 1.0
+                    return np.minimum(np.outer([0.05, 0.1, 0.15, 0.2], t), 2.0)
+                return {r: r for r in range(4)}, fill
+            return bound_sensitivity(level_table(open_table, "toy"), 2.0, 100)
+
+        problem = make_abstract_problem([0.0, 1.0, 2.0, 3.0], gs=2.0, n=100)
+        walked, tails = [], {}
+        delta = bounded(walked)
+        for r in problem.candidates:
+            dampen(problem, delta, r, -1e3, tails)
+        read = []
+        got = mechanisms_mod._prefixes(problem, bounded(read),
+                                       problem.candidates)
+        assert got == tails and [i for i, _ in got.values()] == [39, 19, 13, 9]
+        assert read == walked == [(0, 8), (8, 16), (16, 32), (32, 64)]
+
+    def test_slices_and_chunks(self, monkeypatch):
+        # 40 rows of 100 levels in slices of 2 rows: rows reach GS at
+        # different chunks (8, 16, 32, 64) or never, and row 7 is broken
+        monkeypatch.setattr(mechanisms_mod, "PREFIX_SLICE_ENTRIES", 250)
+        n, gs = 100, 2.0
+        levels = np.tile(np.linspace(0.0, 1.9, n), (40, 1))
+        for r, t in enumerate((5, 8, 15, 16, 31, 33, 60, None) * 5):
+            if t is not None:
+                levels[r, t:] = gs
+        levels[7, 50] = 0.5
+        problem = make_abstract_problem(np.arange(40.0), gs=gs, n=n)
+        delta = matrix_delta(levels, gs)
+        got = mechanisms_mod._prefixes(problem, delta, problem.candidates)
+        for r in problem.candidates:
+            tails = {}
+            try:
+                dampen(problem, delta, r, 1e6, tails)
+            except ContractViolationError:
+                assert got[r] is None and r == 7
+            else:
+                assert got[r] == tails[r]
+        assert got[0][0] == 5 and got[6][0] == 60 and got[15][0] == n
 
 
 class TestLocalDampening:

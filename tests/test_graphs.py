@@ -262,6 +262,24 @@ class TestTopKSelector:
                 assert again == fresh
                 assert acc.scope_total("s") == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mechanism", mechanisms.MECHANISMS)
+    @pytest.mark.parametrize("name", sorted(SELECTOR_GRAPHS))
+    def test_at_another_epsilon_equals_a_fresh_selector(self, mechanism, name):
+        g = SELECTOR_GRAPHS[name]
+        for k in (1, g.num_nodes()):
+            shared = TopKSelector(g, 8.0, k, mechanism)
+            for eps in (0.5, 2.0, 8.0, 0.5):
+                selector = shared.at(eps)
+                assert selector.epsilon_per_round == eps / k
+                for seed in range(3):
+                    fresh = TopKSelector(g, eps, k, mechanism)
+                    assert selector.draw(np.random.default_rng(seed)) == (
+                        fresh.draw(np.random.default_rng(seed)))
+            assert shared.epsilon_per_round == 8.0 / k
+            for eps in (0.0, -1.0, float("inf"), float("nan")):
+                with pytest.raises(InvalidInputError):
+                    shared.at(eps)
+
     @pytest.mark.parametrize("mechanism", ("ld", "sld"))
     @pytest.mark.parametrize("bad", (float("nan"), -1.0))
     @pytest.mark.parametrize("k", (1, 8))

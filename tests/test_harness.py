@@ -22,7 +22,12 @@ from dampen.core import (
     PreconditionError,
     SearchBudgetError,
 )
-from dampen.fixtures import clustered_vector, example_graph, separable_table
+from dampen.fixtures import (
+    clustered_vector,
+    example_graph,
+    random_graph_instance,
+    separable_table,
+)
 from dampen.harness import (
     ExperimentSpec,
     ResultRow,
@@ -359,6 +364,161 @@ def test_percentile_rows_equal_recorded_values(n):
         PERCENTILE_GOLDEN[n])
 
 
+# recorded before the window table stopped at its cap column, at p on
+# both sides of the median and n on both sides of the chunk ends 16 and 32
+PERCENTILE_TAIL_GOLDEN = {
+    (10, 17): [
+        ("em", 0.1, 44.378241749489604),
+        ("em", 1.0, 39.06001011973414),
+        ("em", 10.0, 10.069513986569273),
+        ("ld", 0.1, 44.378241749489604),
+        ("ld", 1.0, 39.06001011973414),
+        ("ld", 10.0, 10.069513986569273),
+        ("sld", 0.1, 44.35801825791743),
+        ("sld", 1.0, 38.49671940640317),
+        ("sld", 10.0, 4.380692927725307),
+    ],
+    (10, 33): [
+        ("em", 0.1, 35.13672373056068),
+        ("em", 1.0, 30.928853269936088),
+        ("em", 10.0, 9.232611621840322),
+        ("ld", 0.1, 35.06729623101433),
+        ("ld", 1.0, 30.29484517977329),
+        ("ld", 10.0, 7.967396324511747),
+        ("sld", 0.1, 35.16504682768876),
+        ("sld", 1.0, 30.993140368447467),
+        ("sld", 10.0, 5.262177969169756),
+    ],
+    (10, 48): [
+        ("em", 0.1, 49.661322748432795),
+        ("em", 1.0, 43.79571638994593),
+        ("em", 10.0, 10.27486246175431),
+        ("ld", 0.1, 49.661322748432795),
+        ("ld", 1.0, 43.79571638994593),
+        ("ld", 10.0, 10.27486246175431),
+        ("sld", 0.1, 49.64934004372444),
+        ("sld", 1.0, 43.34181379653158),
+        ("sld", 10.0, 5.460972499565782),
+    ],
+    (90, 17): [
+        ("em", 0.1, 54.40264402757922),
+        ("em", 1.0, 48.825634036327074),
+        ("em", 10.0, 11.228989478994524),
+        ("ld", 0.1, 54.40264402757922),
+        ("ld", 1.0, 48.825634036327074),
+        ("ld", 10.0, 11.228989478994523),
+        ("sld", 0.1, 54.41814706286266),
+        ("sld", 1.0, 48.58913471986218),
+        ("sld", 10.0, 5.672355055434861),
+    ],
+    (90, 33): [
+        ("em", 0.1, 53.52869756549953),
+        ("em", 1.0, 48.30080590364783),
+        ("em", 10.0, 11.260101547818369),
+        ("ld", 0.1, 53.52869756549953),
+        ("ld", 1.0, 48.30080590364783),
+        ("ld", 10.0, 11.260101547818369),
+        ("sld", 0.1, 53.50626964835621),
+        ("sld", 1.0, 47.73051956051013),
+        ("sld", 10.0, 5.048696723274591),
+    ],
+    (90, 48): [
+        ("em", 0.1, 49.02749669923607),
+        ("em", 1.0, 43.194704956265745),
+        ("em", 10.0, 9.891726067858453),
+        ("ld", 0.1, 49.02749669923607),
+        ("ld", 1.0, 43.194704956265745),
+        ("ld", 10.0, 9.891726067858453),
+        ("sld", 0.1, 49.03330171561302),
+        ("sld", 1.0, 42.88492205471535),
+        ("sld", 10.0, 3.8468502097072834),
+    ],
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(PERCENTILE_TAIL_GOLDEN))
+def test_percentile_tail_rows_equal_recorded_values(p, n):
+    spec = ExperimentSpec(
+        "percentile", "golden", epsilons=(0.1, 1.0, 10.0),
+        mechanisms=("em", "ld", "sld"), base_seed=7, params={"p": p},
+    )
+    rows = run_experiment(spec, golden_vector(n))
+    assert [(r.mechanism, r.epsilon, r.value) for r in rows] == (
+        PERCENTILE_TAIL_GOLDEN[p, n])
+
+
+def golden_graph(n):
+    """Seeded G(n, p) graph of the top-k golden rows."""
+    return random_graph_instance(np.random.default_rng(500 + n), n=n,
+                                 edge_prob=0.3 if n == 12 else 0.2)
+
+
+# recorded when the top-k harness still built one selector per (mechanism,
+# epsilon) cell: (mechanism, epsilon, mean accuracy, standard error)
+TOPK_GOLDEN = {
+    12: [
+        ("em", 0.5, 0.2666666666666666, 0.04588314677411235),
+        ("em", 2.0, 0.31666666666666665, 0.0615349470431424),
+        ("em", 8.0, 0.4333333333333333, 0.05461186812727502),
+        ("pf", 0.5, 0.26666666666666666, 0.05186577368103327),
+        ("pf", 2.0, 0.18333333333333332, 0.0450795268685249),
+        ("pf", 8.0, 0.3999999999999999, 0.07091713309265872),
+        ("ld", 0.5, 0.26666666666666666, 0.04588314677411235),
+        ("ld", 2.0, 0.3, 0.06352234031660235),
+        ("ld", 8.0, 0.41666666666666663, 0.0586146100782039),
+        ("sld", 0.5, 0.2833333333333333, 0.04999999999999999),
+        ("sld", 2.0, 0.4833333333333333, 0.05115622214674853),
+        ("sld", 8.0, 0.6666666666666666, 0.04188539082916955),
+    ],
+    24: [
+        ("em", 0.5, 0.1833333333333333, 0.05115622214674854),
+        ("em", 2.0, 0.18333333333333332, 0.05115622214674853),
+        ("em", 8.0, 0.3333333333333333, 0.05407380704358751),
+        ("pf", 0.5, 0.09999999999999999, 0.03504383220252312),
+        ("pf", 2.0, 0.11666666666666665, 0.03647477699349437),
+        ("pf", 8.0, 0.3333333333333333, 0.05407380704358751),
+        ("ld", 0.5, 0.13333333333333333, 0.04459040360399591),
+        ("ld", 2.0, 0.13333333333333336, 0.04459040360399591),
+        ("ld", 8.0, 0.25, 0.05339360629309895),
+        ("sld", 0.5, 0.13333333333333336, 0.037463432463267755),
+        ("sld", 2.0, 0.15, 0.051156222146748524),
+        ("sld", 8.0, 0.41666666666666663, 0.05339360629309895),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(TOPK_GOLDEN))
+def test_topk_rows_equal_recorded_values(n):
+    spec = ExperimentSpec(
+        "topk", "golden", epsilons=(0.5, 2.0, 8.0),
+        mechanisms=("em", "pf", "ld", "sld"), base_seed=7,
+        params={"k": 3, "runs": 20},
+    )
+    rows = run_experiment(spec, golden_graph(n))
+    assert [(r.mechanism, r.epsilon, r.value, r.dispersion)
+            for r in rows] == TOPK_GOLDEN[n]
+
+
+@pytest.mark.parametrize("mechanism", ["ld", "sld"])
+def test_topk_job_walks_each_node_once(mechanism, monkeypatch):
+    # one prepared selection per (graph, mechanism), read at every epsilon
+    walked = []
+    real = mechanisms.dampen
+
+    def counted(problem, delta, r, u, *tails):
+        walked.append(r)
+        return real(problem, delta, r, u, *tails)
+
+    monkeypatch.setattr(mechanisms, "dampen", counted)
+    graph = golden_graph(24)
+    spec = ExperimentSpec(
+        "topk", "golden", epsilons=(0.5, 2.0, 8.0), mechanisms=(mechanism,),
+        base_seed=7, params={"k": 3, "runs": 5},
+    )
+    run_experiment(spec, graph)
+    assert sorted(walked) == sorted(graph.nodes)
+
+
 class TestEmit:
     def _rows(self):
         return [
@@ -385,6 +545,34 @@ class TestEmit:
     def test_empty_rows_rejected(self):
         with pytest.raises(InvalidInputError):
             rows_to_text([], "json")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.text(), st.text(), st.sampled_from(["em", "pf", "ld", "sld"]),
+        st.floats(), st.text(), st.one_of(st.floats(), st.integers()),
+        st.floats(), st.floats()), min_size=1, max_size=6))
+    def test_json_equals_the_standard_encoder(self, fields):
+        # unicode paths, NaN, infinities, -0.0, subnormals and huge floats
+        rows = [ResultRow(*f) for f in fields]
+        doc = {
+            "experiment": rows[0].application,
+            "params": {"datasets": sorted({r.dataset for r in rows})},
+            "results": [{k: getattr(r, k) for k in ResultRow.FIELDS}
+                        for r in rows],
+        }
+        assert rows_to_text(rows, "json") == json.dumps(doc, indent=2) + "\n"
+
+    def test_json_of_non_scalar_fields_equals_the_standard_encoder(self):
+        rows = [ResultRow("p", "d\n", "em", [1.0, "a\nb"], "m", {"k": 2},
+                          None, True),
+                ResultRow("p", "é", "ld", (), "m", -0.0, math.nan, 3)]
+        doc = {
+            "experiment": "p",
+            "params": {"datasets": ["d\n", "é"]},
+            "results": [{k: getattr(r, k) for k in ResultRow.FIELDS}
+                        for r in rows],
+        }
+        assert rows_to_text(rows, "json") == json.dumps(doc, indent=2) + "\n"
 
 
 class TestChecks:
@@ -802,6 +990,27 @@ class TestMalformedInputs:
             "--epsilon", "1", "--folds", "2",
         ])
         self.assert_one_line(code, capsys, names)
+
+    def run_tree_with_bins(self, tmp_path, bins):
+        schema = {"A": {"continuous": {**self.CONTINUOUS, "bins": bins}},
+                  "class": "label"}
+        return cli.main([
+            "tree", "--data", self.write(tmp_path / "rows.csv",
+                                         "A,label\n0,no\n1,yes\n0.5,no\n"),
+            "--schema", self.write(tmp_path / "rows.json", schema),
+            "--epsilon", "1", "--folds", "2",
+        ])
+
+    @pytest.mark.parametrize("bins", [10_001, 1_000_000, 10 ** 100])
+    def test_too_many_bins(self, tmp_path, capsys, bins):
+        # every declared bin is a value with its own contingency line and
+        # subtable, so a schema's bin count is bounded at load
+        code = self.run_tree_with_bins(tmp_path, bins)
+        self.assert_one_line(code, capsys, ["at most 10000 bins", str(bins)])
+
+    def test_most_bins_accepted(self, tmp_path, capsys):
+        assert self.run_tree_with_bins(tmp_path, 10_000) == 0
+        assert json.loads(capsys.readouterr().out)["results"]
 
     @pytest.mark.parametrize("command, content", [
         ("percentile", b"1\n\xff2\n"),

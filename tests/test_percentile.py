@@ -390,6 +390,40 @@ class TestWindowBound:
             for row, label in enumerate(x.labels()):
                 assert delta.levels(x, label, t_max + 1) == want[row].tolist()
 
+    def test_levels_equal_the_unclamped_grid_at_t_cap(self):
+        # the fill evaluates the grid only below t_cap = min(k + 1,
+        # n - k + 2) and writes the cap from there on; the unclamped grid
+        # is the cap there too, and every level equals it across the chunk
+        # ends and t_cap, at both ends of p and at the median
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3, 5, 8, 9, 16, 17, 31, 33, 48, 64):
+            for p in (1, 10, 50, 90, 100):
+                cap = float(rng.choice([1.0, 10.0, 100.0]))
+                x = random_vector_instance(rng, n=n, cap=cap,
+                                           levels=int(rng.choice([2, 4, 9])))
+                q = PercentileQuery(p, n)
+                t_cap = min(q.k + 1, n - q.k + 2)
+                assert t_cap >= 2
+                t_max = max(n + 1, 33)
+                grid = np.minimum(percentile._window_levels(
+                    np.array(x.values()), q.k, cap, 1, t_max + 1), cap)
+                assert np.all(grid[:, t_cap - 1:] == cap)
+                want = np.column_stack(
+                    [[ls0_of_record(x, q, label) for label in x.labels()],
+                     grid])
+                probes = {t_cap - 1, t_cap, t_cap + 1, 7, 8, 15, 16, 31, 32,
+                          n, t_max}
+                delta = percentile_sensitivity(x, q)
+                for t in sorted(probes):
+                    for row, label in enumerate(x.labels()):
+                        assert delta(x, t, label) == want[row, t], (
+                            x.values(), p, label, t)
+                rows, levels = percentile_sensitivity(x, q).table(x, t_max + 1)
+                assert levels.shape[1] >= t_max + 1
+                for label, row in rows.items():
+                    assert levels[row, :t_max + 1].tolist() == (
+                        want[row].tolist())
+
     def test_threads_share_one_table_slot(self):
         rng = np.random.default_rng(45)
         vectors = [varied_vector(rng, 12, 10.0) for _ in range(3)]

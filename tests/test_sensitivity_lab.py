@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,73 @@ class TestLevelTable:
         delta, _, _ = self.make()
         assert delta.declared_admissible and delta.declared_nondecreasing_in_t
         assert not delta.declared_bounded and delta.name == "toy"
+
+    def test_table_hook_is_the_levels_of_every_row(self):
+        delta, _, fills = self.make()
+        db = tuple(range(20))
+        rows, levels = delta.table(db, 9)
+        assert fills == [(0, 9)] and levels.shape == (3, 9)
+        for upto in (0, 5, 9):
+            assert delta.table(db, upto)[1] is levels      # no new fill
+        for r, row in rows.items():
+            assert levels[row].tolist() == [delta(db, t, r) for t in range(9)]
+
+
+def bad_raw(db, rows, lo, hi):
+    """Levels over 0..4.5 with a NaN, an infinity and a negative level at
+    fixed t, for the clip's pass-through."""
+    out = toy_raw(db, rows, lo, hi)
+    for t, bad in ((3, math.nan), (9, math.inf), (12, -math.inf), (17, -1.0)):
+        if lo <= t < hi:
+            out[0, t - lo] = bad
+    return out
+
+
+class TestBoundTable:
+    """``bound_sensitivity`` clips a level table once per fill; its table
+    and its levels hook read that one clipped array, and equal the
+    per-prefix clip of a levels-only delta."""
+
+    def make(self, raw=toy_raw):
+        def open_table(db):
+            rows = {"a": 0, "b": 1, "c": 2}
+            return rows, lambda lo, hi: raw(db, rows.values(), lo, hi)
+
+        return level_table(open_table, "toy")
+
+    @pytest.mark.parametrize("raw", [toy_raw, bad_raw])
+    @pytest.mark.parametrize("n", [None, 1, 5, 8, 9, 20])
+    def test_both_hooks_equal_the_per_prefix_clip(self, raw, n):
+        db = tuple(range(20))
+        delta = self.make(raw)
+        bounded = bound_sensitivity(delta, 1.5, n)
+        per_prefix = bound_sensitivity(
+            dataclasses.replace(self.make(raw), table=None), 1.5, n)
+        assert per_prefix.table is None and bounded.table is not None
+        for upto in (0, 3, 8, 13, 25, 40):
+            rows, clipped = bounded.table(db, upto)
+            assert clipped.shape[1] >= upto
+            for r in "abc":
+                want = per_prefix.levels(db, r, upto)
+                got = bounded.levels(db, r, upto)
+                assert repr(got) == repr(want), (r, upto)
+                assert repr(clipped[rows[r], :upto].tolist()) == repr(want)
+
+    def test_one_clip_per_fill(self):
+        db = tuple(range(20))
+        bounded = bound_sensitivity(self.make(), 1.5, 20)
+        _, first = bounded.table(db, 8)
+        for r in "abc":
+            bounded.levels(db, r, 8)
+        assert bounded.table(db, 4)[1] is first
+        _, second = bounded.table(db, 9)                # a new fill
+        assert second is not first and second.shape[1] == 16
+        assert bounded.table(db, 16)[1] is second
+
+    def test_unknown_candidate(self):
+        bounded = bound_sensitivity(self.make(), 1.5, 20)
+        with pytest.raises(InvalidInputError, match="toy: unknown candidate"):
+            bounded.levels(tuple(range(20)), "z", 4)
 
 
 class TestFlattenSensitivity:
