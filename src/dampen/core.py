@@ -108,16 +108,13 @@ class SensitivityFunction:
     declared relationship between ``delta`` and the utility ordering and
     picks the shift direction used by the shifted mechanism.
 
-    ``levels``, when given, is a bulk form of ``eval``: ``levels(database,
-    candidate, upto)`` returns a sequence of at least ``upto`` values whose
-    entry ``t`` equals ``eval(database, t, candidate)``.  The breakpoint
-    walk then reads one prefix per chunk instead of making one call per
-    step, and checks every value it reads as :meth:`__call__` would.
-    ``table``, when given, is the same levels for every candidate at once:
-    ``table(database, upto)`` returns ``(rows, levels)``, where ``rows``
-    maps each candidate to a row of the float64 array ``levels``, which
-    has at least ``upto`` columns and whose entry ``[rows[r], t]`` equals
-    ``eval(database, t, r)``.  The array is shared; callers read it only.
+    ``table``, when given, is every level of every candidate at once:
+    ``table(database, upto)`` returns ``(rows, levels)``; ``rows`` maps
+    each candidate to a row of the float64 array ``levels``, of at least
+    ``upto`` columns, whose entry ``[rows[r], t]`` is ``eval(database, t,
+    r)``.  The array is shared; callers read it only.  The dampening
+    mechanisms score a bounded, nondecreasing ``delta`` from it in one
+    array pass that checks what the per-step walk checks.
     """
 
     eval: Callable[[Any, int, Hashable], float]
@@ -126,7 +123,6 @@ class SensitivityFunction:
     declared_nondecreasing_in_t: bool = False
     monotonicity: str = "none"
     name: str = "delta"
-    levels: Callable[[Any, Hashable, int], Sequence[float]] | None = None
     table: Callable[[Any, int], tuple] | None = None
 
     def __post_init__(self):
@@ -138,14 +134,10 @@ class SensitivityFunction:
     def __call__(self, database: Any, t: int, r: Hashable) -> float:
         value = self.eval(database, t, r)
         if not math.isfinite(value) or value < 0:
-            self.refuse(value, t)
+            raise ContractViolationError(
+                f"sensitivity function {self.name} returned {value!r} at t={t}"
+            )
         return value
-
-    def refuse(self, value: float, t: int):
-        """Raise for a level that is not finite and >= 0."""
-        raise ContractViolationError(
-            f"sensitivity function {self.name} returned {value!r} at t={t}"
-        )
 
 
 def constant_sensitivity(value: float, name: str = "const") -> SensitivityFunction:

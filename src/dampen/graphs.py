@@ -256,7 +256,22 @@ def delta_ebc_value(graph: EdgeGraph, t: int, v) -> float:
     return _degree_bound(graph.degree(v) + t)
 
 
-def delta_ebc(graph: EdgeGraph | None = None) -> SensitivityFunction:
+def _degree_table(degrees: Callable[[EdgeGraph], list]) -> Callable:
+    """A ``table`` hook with a row ``_degree_bound(d + t)`` per distinct d
+    of ``degrees(graph)`` (one per node), in closed form: below 2**53 the
+    float product rounds as Python's exact integer product does."""
+
+    def table(graph: EdgeGraph, upto: int) -> tuple:
+        degs = degrees(graph)
+        row = {d: j for j, d in enumerate(sorted(set(degs)))}
+        d = np.array(list(row), dtype=float)[:, None] + np.arange(upto)
+        return ({v: row[dv] for v, dv in zip(graph.nodes, degs)},
+                np.maximum(d * (d - 1) / 4.0, d))
+
+    return table
+
+
+def delta_ebc() -> SensitivityFunction:
     """The degree-based EBC sensitivity function (admissible, unbounded,
     increasing in t, no declared monotonicity; correlation with EBC is
     checked empirically)."""
@@ -267,6 +282,7 @@ def delta_ebc(graph: EdgeGraph | None = None) -> SensitivityFunction:
         declared_nondecreasing_in_t=True,
         monotonicity="none",
         name="delta_ebc",
+        table=_degree_table(lambda g: list(map(int.bit_count, g._adj))),
     )
 
 
@@ -279,6 +295,7 @@ def flat_delta_ebc() -> SensitivityFunction:
         declared_nondecreasing_in_t=True,
         monotonicity="flat",
         name="flat_delta_ebc",
+        table=_degree_table(lambda g: [g.max_degree()] * len(g.nodes)),
     )
 
 

@@ -16,6 +16,7 @@ at any epsilon over any subset of the candidates.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Any, Hashable, Sequence
@@ -101,13 +102,6 @@ def dampen(
     step taken.  Negative scores go through the mirrored grid, which makes
     ``dampen(-u) == -dampen(u)`` hold exactly.
 
-    A ``delta`` with a ``levels`` hook is read one prefix per chunk: first
-    the ``floor(|u| / GS) + 1`` steps that a score below ``n * GS`` takes
-    at least (8 when that is fewer, and for scores in the tail), then twice
-    the steps walked so far.  The steps are added in the same order and
-    checked one by one as on the per-step path, so the scores are the same
-    floats.
-
     A walk that ends where the constant tail starts, at step ``i`` past the
     breakpoint ``b(i)``, stores ``tails[r] = (i, b(i))`` when ``tails`` is
     given: every ``|u| >= b(i)`` at this (database, ``r``) then scores
@@ -125,11 +119,7 @@ def dampen(
     n = problem.database_size
     bounded = delta.declared_bounded
     saturates = bounded and delta.declared_nondecreasing_in_t
-    fetch = delta.levels
-    chunk = ()
-    b = 0.0
-    i = 0
-    previous = 0.0
+    b, i, previous = 0.0, 0, 0.0
     while True:
         if bounded and i >= n:
             if gs <= 0:
@@ -138,25 +128,7 @@ def dampen(
                     f"bracket utility {u_value!r}"
                 )
             break
-        if fetch is None:
-            width = delta(x, i, r)
-        else:
-            if i >= len(chunk):
-                if i:
-                    upto = 2 * i
-                elif v < n * gs:
-                    upto = max(8, int(v / gs) + 1)
-                else:
-                    upto = 8
-                chunk = fetch(x, r, upto)
-                if len(chunk) < upto:
-                    raise ContractViolationError(
-                        f"sensitivity function {delta.name} returned "
-                        f"{len(chunk)} levels, {upto} were asked for"
-                    )
-            width = chunk[i]
-            if not math.isfinite(width) or width < 0:
-                delta.refuse(width, i)
+        width = delta(x, i, r)
         if saturates:
             if width < previous or width > gs:
                 raise ContractViolationError(
@@ -182,57 +154,82 @@ def dampen(
     return sign * (i + (v - b) / gs)
 
 
-#: Largest (candidate, level) slice of a level table that :func:`_prefixes`
+#: Largest (row, level) slice of a level table that :func:`_prefixes`
 #: checks and sums at once, which bounds its temporaries at any table size.
 PREFIX_SLICE_ENTRIES = 1 << 16
 
 
 def _prefixes(problem: SelectionProblem, delta: SensitivityFunction,
-              candidates: Sequence) -> dict:
-    """The ``(i_end, B)`` that :func:`dampen` stores for a score in the
-    constant tail, for every one of ``candidates`` at once, read from
+              candidates: Sequence, values: Sequence[float],
+              tails: dict) -> list:
+    """Where :func:`dampen` stops for each of ``candidates`` at the score
+    ``v`` in ``values`` (positive and finite), in one array pass over
     ``delta.table``.
 
     ``delta`` is declared bounded and nondecreasing in t and GS is
-    positive, so the walk stops at the first level equal to GS, or at n,
-    and checks every level up to there: finite, at least 0 and at least
-    the level before, at most GS.  A row that passes the checks stays at
-    GS once it gets there, so the table is read in the walk's chunks (8
-    levels, then twice as many) until every row ends at GS, or for n
-    levels; then the checks run once over each row as array checks.  ``B``
-    is one ``np.cumsum`` per row from 0.0, which adds in the walk's order;
-    a level that fails a check is summed as 0.0, as no ``B`` reaches it.  A
-    candidate whose levels fail a check, or that the table does not know,
-    maps to ``None``: its walk raises its own message.  Rows are checked
-    ``PREFIX_SLICE_ENTRIES`` levels at a time.
+    positive, so the walk stops at the first t where a level fails a check
+    (finite, at least 0 and the level before, at most GS) or equals GS, or
+    where ``v < cum[t + 1]`` for the sum ``cum[t]`` of the levels before
+    t; else at n.  The table is read in the walk's chunks (``max(8,
+    floor(v / GS) + 1)`` levels for the largest ``v`` below ``n * GS``,
+    else 8, then twice as many) until every candidate stops.  Each
+    distinct row is checked and summed once, by one ``np.cumsum`` from 0.0
+    in the walk's order.  A stop ``(t, cum[t], width)``, width the level
+    at t or GS in the tail, scores as the walk's ``t + (v - cum[t]) /
+    width``; a tail stop is kept in ``tails`` as the walk keeps it.  A
+    candidate the table lacks, or whose stop is a failed check, maps to
+    ``None``: its walk raises its own message.  A table short of the
+    columns asked for raises here.
     """
     x, gs = problem.database, problem.global_sensitivity
     n = problem.database_size
-    upto = min(8, n)
-    rows, levels = delta.table(x, upto)
-    found = dict.fromkeys(r for r in candidates if r not in rows)
-    known = [r for r in candidates if r in rows]
-    at_rows = [rows[r] for r in known]
-    while upto < n and not np.all(levels[at_rows, upto - 1] == gs):
-        upto = min(2 * upto, n)
+    v_max = max(values)
+    upto = min(n, max(8, int(v_max / gs) + 1) if v_max < n * gs else 8)
+    while True:
         rows, levels = delta.table(x, upto)
-    step = max(1, PREFIX_SLICE_ENTRIES // (upto + 1))
-    for lo in range(0, len(known), step):
-        block = levels[at_rows[lo:lo + step], :upto]
-        ok = (block >= 0) & (block <= gs)
-        ok[:, 1:] &= block[:, 1:] >= block[:, :-1]
-        stop = np.where(ok, block == gs, True)
-        first = stop.argmax(axis=1)
-        at = np.arange(len(block))
-        refused = ~ok[at, first]
-        first[~stop[at, first]] = n        # read to n: the walk stops there
-        cum = np.zeros((len(block), upto + 1))
-        np.cumsum(np.where(ok, block, 0.0), axis=1, out=cum[:, 1:])
-        found.update(
-            (r, None if no else (i, b))
-            for r, no, i, b in zip(known[lo:lo + step], refused.tolist(),
-                                   first.tolist(), cum[at, first].tolist()))
-    return found
+        if levels.shape[1] < upto:
+            raise ContractViolationError(
+                f"sensitivity function {delta.name} returned "
+                f"{levels.shape[1]} levels, {upto} were asked for"
+            )
+        groups = {}     # table row -> positions of the candidates on it
+        for j, r in enumerate(candidates):
+            if r in rows:
+                groups.setdefault(rows[r], []).append(j)
+        # read on while a row below GS sums to at most v (the pass is exact)
+        last, sums = levels[:, upto - 1], levels[:, :upto].sum(axis=1)
+        if upto == n or not any(
+                last[row] < gs and max(values[j] for j in js) >= sums[row]
+                for row, js in groups.items()):
+            out, done = [None] * len(candidates), True
+            part_rows = max(1, PREFIX_SLICE_ENTRIES // (upto + 1))
+            distinct = list(groups)
+            for lo in range(0, len(distinct), part_rows):
+                part = distinct[lo:lo + part_rows]
+                # lv[k] is 0.0, then the levels of row part[k]; go[k, t]:
+                # its walk passes t (at least the level before, below GS)
+                lv = np.zeros((len(part), upto + 1))
+                lv[:, 1:] = levels[part, :upto]
+                go = np.zeros((len(part), upto + 1), dtype=bool)
+                np.greater_equal(lv[:, 1:], lv[:, :-1], out=go[:, :upto])
+                go[:, :upto] &= lv[:, 1:] < gs
+                cum = np.cumsum(lv, axis=1)     # cum[k, t]: levels before t
+                for k, e in enumerate(go.argmin(axis=1).tolist()):
+                    b, prefix = cum.item(k, e), None
+                    for j in groups[part[k]]:
+                        v = values[j]
+                        if v < b:       # bracketed before the row halts
+                            prefix = prefix or cum[k, :e + 1].tolist()
+                            i = bisect.bisect_right(prefix, v) - 1
+                            out[j] = (i, prefix[i], lv.item(k, i + 1))
+                        elif e == upto < n:
+                            done = False
+                        elif e == upto or lv.item(k, e + 1) == gs:  # tail
+                            out[j] = (e, b, gs)
+                            tails[candidates[j]] = (e, b)
+            if done:
+                return out
+        upto = min(2 * upto, n)
 
 
 def _check_delta(mechanism: str, delta: SensitivityFunction | None) -> None:
@@ -318,17 +315,15 @@ class Prepared:
     its utility, plus the shift for ``sld``.  The constructor checks the
     tag and ``delta`` as :func:`distribution` does and reads the utilities
     once; each dampened score is memoised per (position, value dampened
-    at).  A candidate whose walk ended in the constant tail of a bounded
-    ``delta`` keeps that walk's ``(i_end, B)`` (see :func:`dampen`), so a
-    new ``sld`` shift scores it with the walk's own return and no walk:
-    the contract checks of its steps before ``i_end`` run once, in the
-    first walk.  For ``sld`` over a ``delta`` with a ``table`` hook, the
-    ``(i_end, B)`` of every candidate being scored come from one array
-    pass (:func:`_prefixes`) instead of walks.  :meth:`distribution` and
-    :meth:`select` share one scoring routine and read any epsilon over the
-    candidates at positions ``keep`` (ascending, default all) with the
-    same float operations as over a fresh problem of just those
-    candidates.
+    at).  Over a ``delta`` with a ``table``, declared bounded and
+    nondecreasing in t, the scores still to find come from one array pass
+    (:func:`_prefixes`), else from walks (:func:`dampen`).  A candidate
+    whose pass or walk ended in the constant tail keeps its ``(i_end,
+    B)``, so a new ``sld`` shift scores it with the walk's own return and
+    no new pass or walk.  :meth:`distribution` and :meth:`select` share
+    one scoring routine and read any epsilon over the candidates at
+    positions ``keep`` (ascending, default all) with the same float
+    operations as over a fresh problem of just those candidates.
     """
 
     def __init__(self, mechanism: str, problem: SelectionProblem,
@@ -343,8 +338,7 @@ class Prepared:
         self.utilities = np.array(problem.utilities())
         # offset (None for ld) -> D at every position, NaN until needed
         self._rows: dict = {}
-        # candidate -> (i_end, B) where its walk entered the constant tail,
-        # or None where the array pass leaves the candidate to its walk
+        # candidate -> (i_end, B) where its pass or walk entered the tail
         self._tails: dict = {}
 
     def _dampened(self, pos: np.ndarray, shift) -> np.ndarray:
@@ -366,24 +360,28 @@ class Prepared:
         candidates, tails = problem.candidates, self._tails
         gs = problem.global_sensitivity
         todo = np.flatnonzero(np.isnan(damped))
-        if (shift is not None and delta.table is not None
-                and delta.declared_nondecreasing_in_t):
-            new = [candidates[i] for i in pos[todo]
-                   if candidates[i] not in tails]
-            if new:
-                tails.update(_prefixes(problem, delta, new))
-        for j in todo:
-            i = pos[j]
-            r = candidates[i]
-            w = float(u[i] if shift is None else u[i] + shift)
-            v = abs(w)
-            tail = tails.get(r)
-            # v < B (a rounding tie, or a shift below the constant), zero
-            # and non-finite scores take the walk
-            if tail is not None and tail[1] <= v and 0 < v < math.inf:
-                d = (1.0 if w > 0 else -1.0) * (tail[0] + (v - tail[1]) / gs)
+        if not todo.size:
+            return damped
+        at = pos[todo].tolist()
+        values = (u[at] if shift is None else u[at] + shift).tolist()
+        live = [k for k, w in enumerate(values) if 0 < abs(w) < math.inf]
+        hits = {}               # zero and non-finite scores take the walk
+        for k in live:          # in the tail past a kept (i_end, B)
+            steps, b = tails.get(candidates[at[k]], (0, math.inf))
+            if b <= abs(values[k]):
+                hits[k] = (steps, b, gs)
+        new = [k for k in live if k not in hits]
+        if new and delta.table is not None and (
+                delta.declared_bounded and delta.declared_nondecreasing_in_t):
+            hits.update(zip(new, _prefixes(
+                problem, delta, [candidates[at[k]] for k in new],
+                [abs(values[k]) for k in new], tails)))
+        for k, (j, i, w) in enumerate(zip(todo, at, values)):
+            if hits.get(k) is None:
+                d = dampen(problem, delta, candidates[i], w, tails)
             else:
-                d = dampen(problem, delta, r, w, tails)
+                steps, b, width = hits[k]
+                d = (1.0 if w > 0 else -1.0) * (steps + (abs(w) - b) / width)
             damped[j] = row[i] = d
         return damped
 

@@ -8,7 +8,7 @@ The brute-force references these are verified against live in
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -50,6 +50,23 @@ def truncated_sensitivity(
     )
 
 
+def _per_array(delta: SensitivityFunction, derive: Callable) -> Callable:
+    """``delta.table`` mapped through ``derive(rows, levels)`` once per
+    array it returns; ``None`` when ``delta`` has no table."""
+    if delta.table is None:
+        return None
+    seen = out = None
+
+    def table(db, upto):
+        nonlocal seen, out
+        rows, levels = delta.table(db, upto)
+        if levels is not seen:
+            seen, out = levels, derive(rows, levels)
+        return out
+
+    return table
+
+
 def bound_sensitivity(
     delta: SensitivityFunction,
     global_sensitivity: float,
@@ -65,12 +82,9 @@ def bound_sensitivity(
     declared monotonicity class, and so does pinning the tail to GS for a
     ``delta`` that is nondecreasing in t.
 
-    The ``table`` and ``levels`` hooks of ``delta`` are mapped the same
-    way; non-finite levels pass through unclipped, so the walk refuses them
-    as the inner per-step check does.  A ``table`` is clipped once per
-    array it returns (once per fill of a :func:`level_table`), and that
-    clipped array serves both hooks of the result; a ``delta`` with a
-    ``levels`` hook only has each prefix clipped as it is read.
+    The ``table`` hook of ``delta`` is mapped the same way, once per array
+    it returns; non-finite levels pass through unclipped, so the array
+    pass refuses them as the inner per-step check does.
     """
     if not delta.declared_admissible:
         raise PreconditionError("bound_sensitivity expects an admissible input")
@@ -81,35 +95,11 @@ def bound_sensitivity(
             return gs
         return min(delta(db, t, r), gs)
 
-    def pinned(upto):
-        return upto if database_size is None else min(upto, database_size)
-
-    table_fn = levels_fn = None
-    if delta.table is not None:
-        seen = clipped = None        # the inner array, and its clipped copy
-
-        def table_fn(db, upto):
-            nonlocal seen, clipped
-            rows, raw = delta.table(db, pinned(upto))
-            if raw is not seen:
-                seen, clipped = raw, raw[:, :pinned(raw.shape[1])].copy()
-                np.minimum(clipped, gs, out=clipped, where=clipped < math.inf)
-            if clipped.shape[1] < upto:
-                clipped = np.hstack([clipped, np.full(
-                    (len(clipped), upto - clipped.shape[1]), gs)])
-            return rows, clipped
-
-        def levels_fn(db, r, upto):
-            rows, levels = table_fn(db, upto)
-            return levels[_row(rows, r, delta.name), :upto].tolist()
-
-    elif delta.levels is not None:
-        def levels_fn(db, r, upto):
-            m = pinned(upto)
-            out = [min(v, gs) if v < math.inf else v
-                   for v in delta.levels(db, r, m)[:m]]
-            out.extend([gs] * (upto - m))
-            return out
+    def clip(rows, raw):
+        clipped = np.minimum(raw, gs, out=raw.copy(), where=raw < math.inf)
+        if database_size is not None:
+            clipped[:, database_size:] = gs
+        return rows, clipped
 
     return SensitivityFunction(
         eval=eval_fn,
@@ -118,16 +108,8 @@ def bound_sensitivity(
         declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
         monotonicity=delta.monotonicity,
         name=f"min({delta.name}, GS)",
-        levels=levels_fn,
-        table=table_fn,
+        table=_per_array(delta, clip),
     )
-
-
-def _row(rows: dict, r: Hashable, name: str) -> int:
-    row = rows.get(r)
-    if row is None:
-        raise InvalidInputError(f"{name}: unknown candidate {r!r}")
-    return row
 
 
 def level_table(open_table: Callable[[Any], tuple], name: str
@@ -150,8 +132,7 @@ def level_table(open_table: Callable[[Any], tuple], name: str
     level 0 is ``f(x, 0, r)``.  The caller vouches for ``f``.
 
     The levels are one float64 array per database, which the ``table``
-    hook returns whole; the ``levels`` hook returns a row as a list, since
-    the walk is faster on Python floats.
+    hook returns whole.
     """
     last = None          # (database, rows, fill, levels array)
 
@@ -176,11 +157,9 @@ def level_table(open_table: Callable[[Any], tuple], name: str
         if t < 0:
             raise InvalidInputError("t must be >= 0")
         rows, levels = table(db, t + 1)
-        return float(levels[_row(rows, r, name), t])
-
-    def levels_fn(db, r, upto):
-        rows, levels = table(db, max(upto, 1))
-        return levels[_row(rows, r, name), :upto].tolist()
+        if r not in rows:
+            raise InvalidInputError(f"{name}: unknown candidate {r!r}")
+        return float(levels[rows[r], t])
 
     return SensitivityFunction(
         eval=eval_fn,
@@ -189,7 +168,6 @@ def level_table(open_table: Callable[[Any], tuple], name: str
         declared_nondecreasing_in_t=True,
         monotonicity="none",
         name=name,
-        levels=levels_fn,
         table=table,
     )
 
@@ -205,6 +183,12 @@ def flatten_sensitivity(
     last database seen are kept, so each level is computed once however
     many candidates ask for it; that entry is replaced whole, never shared
     between databases.
+
+    A ``table`` of ``delta`` maps to one row, the exact maximum along the
+    candidate axis, once per inner array.  It is NaN in a column holding a
+    level that ``eval`` refuses (not finite and >= 0), or everywhere if the
+    inner table lacks a candidate: the array pass leaves those scores to
+    the walk, which raises the inner message.
     """
     candidates = problem.candidates
     last = (None, {})          # (database, {t: hull value})
@@ -220,6 +204,14 @@ def flatten_sensitivity(
             value = hull[t] = max(delta(db, t, rr) for rr in candidates)
         return value
 
+    def hull(rows, levels):
+        at = [rows.get(r) for r in candidates]
+        block = (levels[at] if None not in at
+                 else np.full((1, levels.shape[1]), math.nan))
+        fine = np.all((block >= 0) & (block < math.inf), axis=0)
+        return (dict.fromkeys(candidates, 0),
+                np.where(fine, block.max(axis=0), math.nan)[None])
+
     return SensitivityFunction(
         eval=eval_fn,
         declared_admissible=delta.declared_admissible,
@@ -227,4 +219,5 @@ def flatten_sensitivity(
         declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
         monotonicity="flat",
         name=f"flat({delta.name})",
+        table=_per_array(delta, hull),
     )

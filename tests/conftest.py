@@ -58,6 +58,27 @@ def full_walk(delta):
     return dataclasses.replace(delta, declared_nondecreasing_in_t=False)
 
 
+def scored_candidates(monkeypatch):
+    """Record the candidate of every score that ``dampen`` walks or that
+    ``mechanisms._prefixes`` reads from a table, in scoring order."""
+    from dampen import mechanisms
+
+    scored = []
+    walk, array_pass = mechanisms.dampen, mechanisms._prefixes
+
+    def walked(problem, delta, r, u, *tails):
+        scored.append(r)
+        return walk(problem, delta, r, u, *tails)
+
+    def passed(problem, delta, candidates, values, tails):
+        scored.extend(candidates)
+        return array_pass(problem, delta, candidates, values, tails)
+
+    monkeypatch.setattr(mechanisms, "dampen", walked)
+    monkeypatch.setattr(mechanisms, "_prefixes", passed)
+    return scored
+
+
 def counting(delta):
     """``delta`` with the candidate of every evaluation recorded in the
     returned list."""

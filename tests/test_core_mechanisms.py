@@ -499,9 +499,9 @@ class TestBreakpointPrefix:
         prefixed = []
         real = mechanisms_mod._prefixes
 
-        def counted(problem, delta, candidates):
+        def counted(problem, delta, candidates, values, tails):
             prefixed.append(tuple(candidates))
-            return real(problem, delta, candidates)
+            return real(problem, delta, candidates, values, tails)
 
         monkeypatch.setattr(mechanisms_mod, "_prefixes", counted)
         walks = dampen_calls(monkeypatch)
@@ -566,27 +566,62 @@ class TestBreakpointPrefix:
             assert str(exc.value) == str(direct.value)
 
 
-def matrix_delta(levels, gs):
-    """Bounded, nondecreasing-declared delta over an explicit (candidate,
-    t) matrix, readable through its table, its levels hook and per step;
-    nothing checks or clips the matrix."""
+def matrix_delta(levels, gs, rows_of=None, short=None):
+    """Bounded, nondecreasing-declared delta over an explicit (row, t)
+    matrix, readable through its table and per step; candidate r reads
+    row ``rows_of[r]`` (its own row by default), and nothing checks or
+    clips the matrix.  With ``short`` the table breaks its contract and
+    returns that many columns whatever it is asked for."""
     width = levels.shape[1]
-    rows = {r: r for r in range(len(levels))}
+    if rows_of is None:
+        rows_of = range(len(levels))
+    rows = dict(enumerate(rows_of))
 
     def table_fn(db, upto):
         assert upto <= width
-        return rows, levels
+        return rows, levels if short is None else levels[:, :short]
 
     return SensitivityFunction(
-        eval=lambda db, t, r: float(levels[r, t]) if t < width else gs,
+        eval=lambda db, t, r: float(levels[rows[r], t]) if t < width else gs,
         declared_admissible=True,
         declared_bounded=True,
         declared_nondecreasing_in_t=True,
         name="matrix",
-        levels=lambda db, r, upto: (levels[r].tolist()
-                                    + [gs] * max(0, upto - width)),
         table=table_fn,
     )
+
+
+def reading(delta):
+    """``delta`` with the t of every evaluation recorded in the returned
+    list."""
+    ts = []
+
+    def eval_fn(db, t, r):
+        ts.append(t)
+        return delta.eval(db, t, r)
+
+    return dataclasses.replace(delta, eval=eval_fn), ts
+
+
+def asking(delta, asked):
+    """``delta`` with the ``upto`` of every table request appended to
+    ``asked``."""
+
+    def table_fn(db, upto):
+        asked.append(upto)
+        return delta.table(db, upto)
+
+    return dataclasses.replace(delta, table=table_fn)
+
+
+def scores_or_message(mechanism, problem, delta):
+    """Scores at epsilon 2 (each one its D exactly), or the message of the
+    contract violation that scoring raises."""
+    try:
+        prepared = Prepared(mechanism, problem, delta)
+        return prepared.distribution(2.0).scores.tolist()
+    except ContractViolationError as exc:
+        return str(exc)
 
 
 @st.composite
@@ -610,60 +645,89 @@ def level_rows(draw, n, gs):
 
 
 class TestArrayPrefix:
-    """The array pass over a level table finds the (i_end, B) that the walk
-    stores, and a prepared selection over it scores and fails as the walk
-    of every candidate in position order does."""
+    """The array pass over a level table stops where the walk stops, and a
+    prepared selection over it scores and fails, for ``ld`` and ``sld``, as
+    the per-step walk of every candidate in position order does."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_prefixes_scores_and_messages_equal_the_walk(self, data):
         n = data.draw(st.integers(1, 40), label="n")
         gs = data.draw(st.sampled_from([1.0, 2.5, 3.0]), label="gs")
         rows = data.draw(st.lists(level_rows(n, gs), min_size=1, max_size=5),
                          label="rows")
+        k = data.draw(st.integers(1, 6), label="candidates")
+        rows_of = data.draw(st.lists(st.integers(0, len(rows) - 1),
+                                     min_size=k, max_size=k), label="rows_of")
         utilities = data.draw(st.lists(
-            st.floats(-50.0, 50.0), min_size=len(rows), max_size=len(rows)),
-            label="utilities")
+            st.one_of(st.floats(-50.0, 50.0), st.just(0.0),
+                      st.sampled_from([n * gs, -n * gs, 1.0, gs])),
+            min_size=k, max_size=k), label="utilities")
+        short = data.draw(st.one_of(st.none(), st.integers(1, n)),
+                          label="short")
         problem = make_abstract_problem(utilities, gs=gs, n=n)
-        delta = matrix_delta(np.array(rows, dtype=float), gs)
+        matrix = np.array(rows, dtype=float)
+        delta = matrix_delta(matrix, gs, rows_of)
+        per_step = dataclasses.replace(delta, table=None)
 
-        # a score past every prefix: the walk stores (i_end, B) or raises
-        want = {}
+        # a score past every prefix: the pass stops where the walk stores
+        # (i_end, B), in the tail, or leaves the walk to raise
+        want = []
         for r in problem.candidates:
-            tails = {}
+            walked = {}
             try:
-                dampen(problem, delta, r, 2 * n * gs + 1.0, tails)
+                dampen(problem, per_step, r, 2 * n * gs + 1.0, walked)
             except ContractViolationError:
-                want[r] = None
+                want.append(None)
             else:
-                want[r] = tails[r]
-        got = mechanisms_mod._prefixes(problem, delta, problem.candidates)
+                want.append((*walked[r], gs))
+        tails = {}
+        got = mechanisms_mod._prefixes(problem, delta, problem.candidates,
+                                       [2 * n * gs + 1.0] * k, tails)
         assert got == want
-        for r, row in enumerate(rows):
-            if want[r] is not None:
-                assert want[r][0] == n or row[want[r][0]] == gs
+        assert tails == {r: w[:2] for r, w in enumerate(want) if w}
+        for r, hit in enumerate(got):
+            if hit is not None:
+                assert hit[0] == n or matrix[rows_of[r], hit[0]] == gs
 
-        # each candidate walked on its own at the default shift, in order
-        shift = shift_constant(problem)
-        scores, message = [], None
-        for r, u in zip(problem.candidates, utilities):
-            try:
-                scores.append(dampen(problem, delta, r, u - shift))
-            except ContractViolationError as exc:
-                message = str(exc)
-                break
-        prepared = Prepared("sld", problem, delta)
-        if message is None:
-            # with epsilon 2, each score is its D exactly
-            assert prepared.distribution(2.0).scores.tolist() == scores
-        else:
+        for mechanism in ("ld", "sld"):
+            asked = []
+            fast = scores_or_message(mechanism, problem, asking(delta, asked))
+            slow = scores_or_message(mechanism, problem, per_step)
+            assert fast == slow, mechanism
+            assert asked == sorted(set(asked))      # each chunk read once
+            if short is None:
+                continue
+            # a short table raises at the first request past its columns
+            past = [upto for upto in asked if upto > short]
+            want_short = (f"sensitivity function matrix returned {short} "
+                          f"levels, {past[0]} were asked for" if past
+                          else slow)
+            assert scores_or_message(mechanism, problem, matrix_delta(
+                matrix, gs, rows_of, short)) == want_short
+
+    def test_short_table_is_contract_violation(self):
+        # three candidates over ten levels; the table returns four columns
+        # whatever it is asked for
+        problem = make_abstract_problem([1.0, 5.0, 9.0], gs=2.0, n=10)
+        delta = matrix_delta(np.full((3, 10), 1.0), 2.0, short=4)
+        for mechanism in ("ld", "sld"):
             with pytest.raises(ContractViolationError) as exc:
-                prepared.distribution(2.0)
-            assert str(exc.value) == message
+                distribution(mechanism, problem, 1.0, delta)
+            assert str(exc.value) == (
+                "sensitivity function matrix returned 4 levels, 8 were "
+                "asked for")
+        # the clip of bound_sensitivity does not pad a short inner table
+        inner = dataclasses.replace(delta, declared_bounded=False)
+        bounded = bound_sensitivity(inner, 2.0, 10)
+        assert bounded.table(problem.database, 8)[1].shape == (3, 4)
+        with pytest.raises(ContractViolationError, match="returned 4 levels"):
+            distribution("sld", problem, 1.0, bounded)
 
     def test_reads_the_chunks_the_walks_read(self):
-        # rows reach GS at t = 39, 19, 13 and 9: the walks and the array
-        # pass fill the same chunks of the level table
+        # rows reach GS at t = 39, 19, 13 and 9: the array pass fills the
+        # level table in the chunks a walk of a score in the tail reads,
+        # 8 levels and then twice as many, and stops where the walks stop
         def bounded(fills):
             def open_table(db):
                 def fill(lo, hi):
@@ -678,11 +742,51 @@ class TestArrayPrefix:
         delta = bounded(walked)
         for r in problem.candidates:
             dampen(problem, delta, r, -1e3, tails)
-        read = []
+        read, found = [], {}
         got = mechanisms_mod._prefixes(problem, bounded(read),
-                                       problem.candidates)
-        assert got == tails and [i for i, _ in got.values()] == [39, 19, 13, 9]
-        assert read == walked == [(0, 8), (8, 16), (16, 32), (32, 64)]
+                                       problem.candidates, [1e3] * 4, found)
+        assert found == tails and [i for i, _ in tails.values()] == [
+            39, 19, 13, 9]
+        assert got == [(*tails[r], 2.0) for r in problem.candidates]
+        assert read == [(0, 8), (8, 16), (16, 32), (32, 64)]
+        assert walked[-1][1] == 40              # per step, to t = 39
+
+    def test_ld_stops_at_the_bracketing_step(self):
+        # the same rows at |u| = 1.5: every walk brackets it inside the
+        # first chunk of 8 levels, and the pass reads no more
+        levels = np.minimum(np.outer([0.05, 0.1, 0.15, 0.2],
+                                     np.arange(100) + 1.0), 2.0)
+        problem = make_abstract_problem([0.0] * 4, gs=2.0, n=100)
+        delta = matrix_delta(levels, 2.0)
+        per_step, reads = reading(dataclasses.replace(delta, table=None))
+        want = [dampen(problem, per_step, r, 1.5) for r in range(4)]
+        asked, tails = [], {}
+        got = mechanisms_mod._prefixes(problem, asking(delta, asked),
+                                       problem.candidates, [1.5] * 4, tails)
+        assert [t + (1.5 - b) / width for t, b, width in got] == want
+        assert [t for t, _, _ in got] == [7, 5, 4, 3] and max(reads) == 7
+        assert asked == [8] and tails == {}
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.5, 4.0])
+    def test_score_on_the_breakpoint_before_a_halt(self, bad):
+        # |u| = 2.0 is exactly b(2): the walk reads level 2 and raises on a
+        # failed check there, or enters the tail at GS; so does the pass
+        problem = make_abstract_problem([2.0, -2.0], gs=3.0, n=10)
+        for third in (bad, 3.0):
+            levels = np.array([[1.0, 1.0, third] + [3.0] * 7] * 2)
+            delta = matrix_delta(levels, 3.0)
+            per_step = dataclasses.replace(delta, table=None)
+            for mechanism in ("ld", "sld"):
+                assert scores_or_message(mechanism, problem, delta) == (
+                    scores_or_message(mechanism, problem, per_step))
+            tails = {}
+            got = mechanisms_mod._prefixes(problem, delta, (0, 1),
+                                           [2.0, 2.0], tails)
+            if third == 3.0:
+                assert got == [(2, 2.0, 3.0)] * 2
+                assert tails == {0: (2, 2.0), 1: (2, 2.0)}
+            else:
+                assert got == [None, None] and tails == {}
 
     def test_slices_and_chunks(self, monkeypatch):
         # 40 rows of 100 levels in slices of 2 rows: rows reach GS at
@@ -696,7 +800,8 @@ class TestArrayPrefix:
         levels[7, 50] = 0.5
         problem = make_abstract_problem(np.arange(40.0), gs=gs, n=n)
         delta = matrix_delta(levels, gs)
-        got = mechanisms_mod._prefixes(problem, delta, problem.candidates)
+        got = mechanisms_mod._prefixes(problem, delta, problem.candidates,
+                                       [1e6] * 40, {})
         for r in problem.candidates:
             tails = {}
             try:
@@ -704,8 +809,39 @@ class TestArrayPrefix:
             except ContractViolationError:
                 assert got[r] is None and r == 7
             else:
-                assert got[r] == tails[r]
+                assert got[r] == (*tails[r], gs)
         assert got[0][0] == 5 and got[6][0] == 60 and got[15][0] == n
+        # ld at |u| = r: the value stops, sliced the same way
+        values = [float(r) + 0.5 for r in problem.candidates]
+        got = mechanisms_mod._prefixes(problem, delta, problem.candidates,
+                                       values, {})
+        for r, v in enumerate(values):
+            t, b, width = got[r]
+            assert t + (v - b) / width == dampen(problem, delta, r, v)
+
+    def test_tree_ld_reads_no_more_than_the_chunk_rule(self, rng):
+        # the chunks of the walk for the largest |u|, up to the first that
+        # holds every candidate's stop; never on to GS
+        tables = [separable_table()]
+        tables += [random_table_instance(rng, max_rows=m) for m in (60, 300)]
+        for tbl in tables:
+            problem = ig_problem(tbl, tbl.schema.attribute_names())
+            n, gs = problem.database_size, problem.global_sensitivity
+            u = problem.utilities()
+            delta = bound_sensitivity(ig_sensitivity(), gs, n)
+            per_step, reads = reading(dataclasses.replace(delta, table=None))
+            want = [dampen(problem, per_step, r, ur)
+                    for r, ur in zip(problem.candidates, u)]
+            v_max = max(map(abs, u))
+            chunks = [min(n, max(8, int(v_max / gs) + 1) if v_max < n * gs
+                          else 8)]
+            while chunks[-1] <= max(reads, default=-1) and chunks[-1] < n:
+                chunks.append(min(2 * chunks[-1], n))
+            asked = []
+            fast = Prepared("ld", problem, asking(delta, asked))
+            # with epsilon 2, each score is its D exactly
+            assert fast.distribution(2.0).scores.tolist() == want
+            assert asked == (chunks if v_max else [])
 
 
 class TestLocalDampening:
@@ -1157,36 +1293,50 @@ class TestNondecreasingDeclarations:
         assert not delta.declared_nondecreasing_in_t
 
 
-def with_levels(delta, asked=None):
-    """``delta`` with a ``levels`` hook listing its own ``eval`` values; the
-    ``upto`` of every request is appended to ``asked`` when given."""
+def with_table(delta, candidates, asked=None):
+    """``delta`` with a ``table`` hook listing its own ``eval`` values, one
+    row per candidate; the ``upto`` of every request is appended to
+    ``asked`` when given."""
+    rows = {r: j for j, r in enumerate(candidates)}
 
-    def levels_fn(db, r, upto):
+    def table_fn(db, upto):
         if asked is not None:
             asked.append(upto)
-        return [delta.eval(db, t, r) for t in range(upto)]
+        return rows, np.array([[delta.eval(db, t, r) for t in range(upto)]
+                               for r in candidates]).reshape(len(rows), upto)
 
-    return dataclasses.replace(delta, levels=levels_fn)
+    return dataclasses.replace(delta, table=table_fn)
+
+
+def saturating(steps, **kw):
+    return step_delta(steps, declared_bounded=True,
+                      declared_nondecreasing_in_t=True, **kw)
 
 
 class TestLevelsHook:
-    """A delta read through its ``levels`` hook gives the same floats as the
-    per-step walk, and trips the same contract checks."""
+    """A delta whose levels are read in bulk through its ``table`` hook
+    gives the same floats as the per-step walk, and trips the same
+    contract checks."""
 
     def assert_same_scores(self, problem, delta, utilities):
-        bulk = with_levels(delta)
-        for r in problem.candidates:
-            for u in utilities:
-                assert dampen(problem, bulk, r, u) == dampen(
-                    problem, delta, r, u), (delta.name, u)
-        for mechanism in ("ld", "sld"):
-            if mechanism == "sld" and not delta.declared_bounded:
-                continue
-            for eps in (0.1, 1.0, 10.0):
-                fast = distribution(mechanism, problem, eps, bulk)
-                slow = distribution(mechanism, problem, eps, delta)
-                assert np.array_equal(fast.scores, slow.scores)
-                assert np.array_equal(fast.probabilities, slow.probabilities)
+        # every utility also as a candidate of its own: with epsilon 2 an
+        # ld score is its D exactly
+        many = make_abstract_problem(utilities, gs=problem.global_sensitivity,
+                                     n=problem.database_size)
+        for prob in (problem, many):
+            bulk = with_table(delta, prob.candidates)
+            for mechanism in ("ld", "sld"):
+                if mechanism == "sld" and not delta.declared_bounded:
+                    continue
+                for eps in (0.1, 1.0, 10.0):
+                    fast = distribution(mechanism, prob, eps, bulk)
+                    slow = distribution(mechanism, prob, eps, delta)
+                    assert np.array_equal(fast.scores, slow.scores)
+                    assert np.array_equal(fast.probabilities,
+                                          slow.probabilities)
+        bulk = with_table(delta, many.candidates)
+        assert distribution("ld", many, 2.0, bulk).scores.tolist() == [
+            dampen(many, delta, r, u) for r, u in enumerate(utilities)]
 
     def test_random_step_tables(self, rng):
         for _ in range(60):
@@ -1204,72 +1354,102 @@ class TestLevelsHook:
             for kw in ({}, {"declared_bounded": True}):
                 self.assert_same_scores(problem, step_delta(list(steps), **kw),
                                         utilities)
-            # saturating: nondecreasing, reaching GS after a few steps
-            saturating = step_delta(list(rising) + [gs], declared_bounded=True,
-                                    declared_nondecreasing_in_t=True)
-            self.assert_same_scores(problem, saturating, utilities)
-            self.assert_same_scores(problem, full_walk(saturating), utilities)
+            # saturating: nondecreasing, reaching GS after a few steps, or
+            # never (the walk ends at n)
+            self.assert_same_scores(problem, saturating(list(rising) + [gs]),
+                                    utilities)
+            self.assert_same_scores(problem, saturating(list(rising)),
+                                    utilities)
+            self.assert_same_scores(
+                problem, full_walk(saturating(list(rising) + [gs])), utilities)
 
     def test_bounded_tail_past_n(self, rng):
         # bound_sensitivity maps the hook and pins t >= n to GS; n below the
         # first request of 8 levels puts the pinned tail inside the chunk
+        utilities = [0.0, 0.3, 1.9, -5.5, -40.0]
         for n in (1, 2, 3, 7, 8, 9, 20):
-            problem = make_abstract_problem([0.0, 1.0], gs=2.0, n=n)
-            raw = step_delta([0.5, 0.0, 4.0, 1.0])
-            bounded = bound_sensitivity(raw, 2.0, n)
-            bulk = bound_sensitivity(with_levels(raw), 2.0, n)
-            assert bulk.levels is not None
-            assert bulk.levels(None, 0, n + 5) == [
-                bounded(None, t, 0) for t in range(n + 5)]
-            for u in (0.0, 0.3, 1.9, 2.0 * n - 0.1, 2.0 * n + 7.0, -5.5,
-                      -40.0):
-                assert dampen(problem, bulk, 0, u) == dampen(
-                    problem, bounded, 0, u)
+            many = make_abstract_problem(
+                utilities + [2.0 * n - 0.1, 2.0 * n + 7.0], gs=2.0, n=n)
+            for raw in (step_delta([0.5, 0.0, 4.0, 1.0]),
+                        step_delta([0.5, 0.5, 1.5, 4.0],
+                                   declared_nondecreasing_in_t=True)):
+                bounded = bound_sensitivity(raw, 2.0, n)
+                bulk = bound_sensitivity(with_table(raw, many.candidates),
+                                         2.0, n)
+                assert bulk.table is not None
+                rows, levels = bulk.table(None, n + 5)
+                for r in many.candidates:
+                    assert levels[rows[r], :n + 5].tolist() == [
+                        bounded(None, t, r) for t in range(n + 5)]
+                assert distribution("ld", many, 2.0, bulk).scores.tolist() == [
+                    dampen(many, bounded, r, u)
+                    for r, u in enumerate(many.database)]
 
     def test_first_request_covers_the_shortest_walk(self):
-        problem = make_abstract_problem([0.0], gs=2.0, n=100)
         asked = []
-        delta = with_levels(step_delta([2.0], declared_bounded=True), asked)
         for u, first in ((1.0, 8), (15.9, 8), (16.0, 9), (51.0, 26),
                          (199.0, 100), (200.0, 8), (1e6, 8)):
+            problem = make_abstract_problem([u], gs=2.0, n=100)
             asked.clear()
-            dampen(problem, delta, 0, u)
+            distribution("ld", problem, 1.0,
+                         with_table(saturating([2.0]), (0,), asked))
             assert asked[0] == first, u
-        # a walk past its chunk asks for twice the steps walked
+        # over several candidates, the request for the largest |u|
+        problem = make_abstract_problem([1.0, -51.0, 15.9], gs=2.0, n=100)
         asked.clear()
-        zero_first = with_levels(step_delta([0.0] * 20 + [2.0],
-                                            declared_bounded=True), asked)
-        dampen(problem, zero_first, 0, 1.0)
+        distribution("ld", problem, 1.0,
+                     with_table(saturating([2.0]), (0, 1, 2), asked))
+        assert asked == [26]
+        # a walk past its chunk asks for twice the steps walked
+        problem = make_abstract_problem([1.0], gs=2.0, n=100)
+        asked.clear()
+        zero_first = with_table(saturating([0.0] * 20 + [2.0]), (0,), asked)
+        distribution("ld", problem, 1.0, zero_first)
         assert asked == [8, 16, 32]
 
     def test_short_level_list_is_contract_violation(self):
-        problem = make_abstract_problem([0.0], gs=2.0, n=100)
-        delta = dataclasses.replace(step_delta([1.0]),
-                                    levels=lambda db, r, upto: [1.0] * 3)
-        with pytest.raises(ContractViolationError, match="levels"):
-            dampen(problem, delta, 0, 10.0)
+        problem = make_abstract_problem([10.0], gs=2.0, n=100)
+        delta = dataclasses.replace(
+            saturating([1.0]),
+            table=lambda db, upto: ({0: 0}, np.ones((1, 3))))
+        for mechanism in ("ld", "sld"):
+            with pytest.raises(ContractViolationError,
+                               match="returned 3 levels, 8 were asked for"):
+                distribution(mechanism, problem, 1.0, delta)
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
     def test_bad_level_is_contract_violation_on_both_paths(self, bad):
-        problem = make_abstract_problem([0.0], gs=3.0, n=10)
-        raw = step_delta([1.0, 1.0, bad, 3.0])
-        bulk = with_levels(raw)
-        for walked in (raw, bulk, bound_sensitivity(raw, 3.0, 10),
-                       bound_sensitivity(bulk, 3.0, 10)):
-            with pytest.raises(ContractViolationError):
+        problem = make_abstract_problem([5.0], gs=3.0, n=10)
+        raw = step_delta([1.0, 1.0, bad, 3.0],
+                         declared_nondecreasing_in_t=True)
+        bulk = with_table(raw, problem.candidates)
+        for walked in (raw, bulk, bound_sensitivity(raw, 3.0, 10)):
+            with pytest.raises(ContractViolationError) as direct:
                 dampen(problem, walked, 0, 5.0)
+        for mechanism in ("ld", "sld"):
+            for inner in (raw, bulk):
+                with pytest.raises(ContractViolationError) as exc:
+                    distribution(mechanism, problem, 1.0,
+                                 bound_sensitivity(inner, 3.0, 10))
+                assert str(exc.value) == str(direct.value)
         # a bad level past the bracketing step is never read
-        for walked in (raw, with_levels(raw)):
-            assert dampen(problem, walked, 0, 1.5) == 1.5
+        low = make_abstract_problem([1.5], gs=3.0, n=10)
+        assert dampen(low, raw, 0, 1.5) == 1.5
+        bulk = bound_sensitivity(with_table(raw, low.candidates), 3.0, 10)
+        assert distribution("ld", low, 2.0, bulk).scores.tolist() == [1.5]
 
     @pytest.mark.parametrize("steps", [[2.0, 1.0, 3.0], [1.0, 4.0]])
     def test_shrinking_or_above_gs_level_on_both_paths(self, steps):
-        problem = make_abstract_problem([0.0], gs=3.0, n=10)
-        delta = step_delta(steps, declared_bounded=True,
-                           declared_nondecreasing_in_t=True)
-        for walked in (delta, with_levels(delta)):
-            with pytest.raises(ContractViolationError, match="nondecreasing"):
-                dampen(problem, walked, 0, 5.0)
+        problem = make_abstract_problem([5.0], gs=3.0, n=10)
+        delta = saturating(steps)
+        with pytest.raises(ContractViolationError,
+                           match="nondecreasing") as direct:
+            dampen(problem, delta, 0, 5.0)
+        for mechanism in ("ld", "sld"):
+            with pytest.raises(ContractViolationError) as exc:
+                distribution(mechanism, problem, 1.0,
+                             with_table(delta, problem.candidates))
+            assert str(exc.value) == str(direct.value)
 
     def test_tree_scores_equal_per_step_walk(self, rng):
         table = separable_table()
@@ -1280,8 +1460,8 @@ class TestLevelsHook:
             delta = bound_sensitivity(ig_sensitivity(),
                                       problem.global_sensitivity,
                                       problem.database_size)
-            assert delta.levels is not None
-            per_step = dataclasses.replace(delta, levels=None)
+            assert delta.table is not None
+            per_step = dataclasses.replace(delta, table=None)
             for mechanism in ("ld", "sld"):
                 for eps in (0.1, 1.0, 10.0):
                     fast = distribution(mechanism, problem, eps, delta)
@@ -1290,7 +1470,7 @@ class TestLevelsHook:
 
     def test_hookless_delta_keeps_the_per_step_path(self):
         raw = step_delta([1.0])
-        assert raw.levels is None
-        assert bound_sensitivity(raw, 1.0, 4).levels is None
+        assert raw.table is None
+        assert bound_sensitivity(raw, 1.0, 4).table is None
         problem = make_abstract_problem([0.0], gs=1.0)
-        assert flatten_sensitivity(raw, problem).levels is None
+        assert flatten_sensitivity(raw, problem).table is None

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -50,7 +51,7 @@ from dampen.oracles import (
 )
 from dampen.sensitivity import bound_sensitivity, flatten_sensitivity
 
-from conftest import assert_same_distributions, counting
+from conftest import assert_same_distributions, counting, scored_candidates
 
 
 class TestEbc:
@@ -347,13 +348,7 @@ class TestTopKSelector:
         delta = bound_sensitivity(delta_ebc(), base.global_sensitivity,
                                   base.database_size)
         real = mechanisms.dampen
-        walks = []
-
-        def counted(problem, delta, r, u, *tails):
-            walks.append(r)
-            return real(problem, delta, r, u, *tails)
-
-        monkeypatch.setattr(mechanisms, "dampen", counted)
+        scored_nodes = scored_candidates(monkeypatch)
         prepared = mechanisms.Prepared("sld", base, delta)
         u = base.utilities()
         n_gs = base.database_size * base.global_sensitivity
@@ -368,19 +363,14 @@ class TestTopKSelector:
                            for i in keep]
             scored += len(keep)
             keep.remove(max(keep, key=lambda i: (u[i], -i)))
-        # 740 scores over 5 shifts, 150 walks, 590 from the prefix
+        # 740 scores over 5 shifts: 150 in one array pass, 590 from the
+        # kept prefixes
         assert len(offsets) == 5
-        assert (scored, len(walks), len(set(walks))) == (740, m, m)
+        assert (scored, len(scored_nodes), len(set(scored_nodes))) == (
+            740, m, m)
 
     def test_em_and_ld_score_each_node_once(self, bridge_graph, monkeypatch):
-        calls = []
-        real = mechanisms.dampen
-
-        def counted(problem, delta, r, u, *tails):
-            calls.append(r)
-            return real(problem, delta, r, u, *tails)
-
-        monkeypatch.setattr(mechanisms, "dampen", counted)
+        calls = scored_candidates(monkeypatch)
         selector = TopKSelector(bridge_graph, 1.0, 8, "ld")
         for seed in range(3):
             selector.draw(np.random.default_rng(seed))
@@ -544,6 +534,65 @@ class TestDegreeBound:
         assert flipped.max_degree() == 2
 
 
+def hub_graph(rng, m, hubs=3, max_degree_bound=None):
+    """A random path, ``hubs`` nodes wired to a third of the others, and
+    random edges up to 2m in all."""
+    order = rng.permutation(m)
+    edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    for hub in range(min(hubs, m)):
+        edges |= {(hub, int(v)) for v in rng.choice(m, m // 3) if v > hub}
+    while len(edges) < min(2 * m, m * (m - 1) // 2):
+        a, b = sorted(int(x) for x in rng.choice(m, 2, replace=False))
+        edges.add((a, b))
+    return EdgeGraph(range(m), sorted(edges),
+                     max_degree_bound=max_degree_bound)
+
+
+class TestDegreeTable:
+    """``delta_ebc`` and ``flat_delta_ebc`` serve one row per distinct
+    degree in closed form, the floats of their ``eval``."""
+
+    def graphs(self):
+        rng = np.random.default_rng(23)
+        out = [EdgeGraph(["x"], []), example_graph(), trend_graph()]
+        for m in (2, 5, 40, 150):
+            out.append(random_graph_instance(rng, n=m, edge_prob=0.2))
+            out.append(hub_graph(rng, m))
+            d = max(map(int.bit_count, out[-1]._adj))
+            out.append(hub_graph(rng, m, max_degree_bound=d + 7))
+        return out
+
+    def test_rows_equal_eval(self):
+        for g in self.graphs():
+            degrees = {g.degree(v) for v in g.nodes}
+            for raw, count in ((delta_ebc(), len(degrees)),
+                               (flat_delta_ebc(), 1)):
+                rows, levels = raw.table(g, 30)
+                assert levels.shape == (count, 30)
+                for v in g.nodes:
+                    assert levels[rows[v]].tolist() == [
+                        raw(g, t, v) for t in range(30)]
+                    if raw.name == "delta_ebc":
+                        assert levels[rows[v]].tolist() == [
+                            delta_ebc_value(g, t, v) for t in range(30)]
+
+    def test_ld_and_sld_scores_equal_the_per_step_walk(self):
+        for g in self.graphs():
+            problem = ebc_problem(g)
+            gs, n = problem.global_sensitivity, problem.database_size
+            for raw in (delta_ebc(), flat_delta_ebc()):
+                delta = bound_sensitivity(raw, gs, n)
+                per_step = bound_sensitivity(
+                    dataclasses.replace(raw, table=None), gs, n)
+                for mechanism in ("ld", "sld"):
+                    # with epsilon 2, each score is its D exactly
+                    fast = mechanisms.distribution(mechanism, problem, 2.0,
+                                                   delta)
+                    slow = mechanisms.distribution(mechanism, problem, 2.0,
+                                                   per_step)
+                    assert fast.scores.tolist() == slow.scores.tolist()
+
+
 class TestTrueTopk:
     def test_order_is_kept_and_ties_follow_node_order(self):
         g = example_graph()
@@ -575,16 +624,27 @@ class TestSaturatedWalkOnGraphs:
                 assert_same_distributions(problem, delta)
 
     def test_sld_walk_stops_within_degree_gap(self):
+        # per step, without the table; and the array pass over the table
+        # stops at the same steps
         for g in self._graphs():
             problem = ebc_problem(g)
-            counted, calls = counting(delta_ebc())
-            delta = bound_sensitivity(counted, problem.global_sensitivity,
-                                      problem.database_size)
+            gs, n = problem.global_sensitivity, problem.database_size
+            counted, calls = counting(
+                dataclasses.replace(delta_ebc(), table=None))
+            delta = bound_sensitivity(counted, gs, n)
             select_shifted_local_dampening(problem, delta, 1.0,
                                            np.random.default_rng(0))
             d_max = g.max_degree()
             for v in g.nodes:
                 assert calls.count(v) <= d_max - g.degree(v) + 1
+            walked = {}
+            for v in g.nodes:
+                mechanisms.dampen(problem, delta, v, -2 * n * gs, walked)
+                assert walked[v][0] <= d_max - g.degree(v)
+            prepared = mechanisms.Prepared(
+                "sld", problem, bound_sensitivity(delta_ebc(), gs, n))
+            prepared.distribution(1.0)
+            assert prepared._tails == walked
 
     def test_sld_topk_past_the_old_step_cap(self, tmp_path):
         # 448 nodes give 100,128 node pairs, more than the step cap that

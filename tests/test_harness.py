@@ -41,6 +41,8 @@ from dampen.harness import (
 from dampen.percentile import NumericVector, PercentileQuery, percentile_problem
 from dampen.trees import Categorical, Continuous, LabeledTable, TableSchema
 
+from conftest import scored_candidates
+
 
 @pytest.fixture(scope="module")
 def vector_file(tmp_path_factory):
@@ -501,15 +503,9 @@ def test_topk_rows_equal_recorded_values(n):
 
 @pytest.mark.parametrize("mechanism", ["ld", "sld"])
 def test_topk_job_walks_each_node_once(mechanism, monkeypatch):
-    # one prepared selection per (graph, mechanism), read at every epsilon
-    walked = []
-    real = mechanisms.dampen
-
-    def counted(problem, delta, r, u, *tails):
-        walked.append(r)
-        return real(problem, delta, r, u, *tails)
-
-    monkeypatch.setattr(mechanisms, "dampen", counted)
+    # one prepared selection per (graph, mechanism), read at every epsilon:
+    # each node is scored once, by the array pass or a walk
+    walked = scored_candidates(monkeypatch)
     graph = golden_graph(24)
     spec = ExperimentSpec(
         "topk", "golden", epsilons=(0.5, 2.0, 8.0), mechanisms=(mechanism,),

@@ -387,8 +387,10 @@ class TestWindowBound:
                         assert delta(x, t, label) == want[row, t], (
                             x.values(), q.p, label, t)
             delta = percentile_sensitivity(x, q)
+            rows, levels = delta.table(x, t_max + 1)
             for row, label in enumerate(x.labels()):
-                assert delta.levels(x, label, t_max + 1) == want[row].tolist()
+                assert rows[label] == row
+                assert levels[row, :t_max + 1].tolist() == want[row].tolist()
 
     def test_levels_equal_the_unclamped_grid_at_t_cap(self):
         # the fill evaluates the grid only below t_cap = min(k + 1,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dampen.core import (
+    ContractViolationError,
     InvalidInputError,
     PreconditionError,
     SearchBudgetError,
@@ -14,7 +15,7 @@ from dampen.core import (
 )
 from dampen.fixtures import random_graph_instance, random_vector_instance
 from dampen.graphs import delta_ebc, ebc_problem
-from dampen.mechanisms import expected_error, select_exponential
+from dampen.mechanisms import distribution, expected_error, select_exponential
 from dampen.oracles import (
     BruteForceExplorer,
     accuracy_order_check,
@@ -27,6 +28,12 @@ from dampen.oracles import (
     edge_flip_enumerator,
     utility_order,
     vector_enumerator,
+)
+from dampen.percentile import (
+    PercentileQuery,
+    bounded_ls_percentile,
+    percentile_problem,
+    percentile_sensitivity,
 )
 from dampen.sensitivity import bound_sensitivity, flatten_sensitivity, level_table
 
@@ -188,7 +195,7 @@ class TestLevelTable:
         for r in "abc":
             for t in range(8):
                 delta(db, t, r)
-            delta.levels(db, r, 8)
+            delta.table(db, 8)
         delta(tuple(range(12)), 3, "c")     # an equal database
         assert len(opened) == 1 and len(fills) == 1
 
@@ -208,17 +215,27 @@ class TestLevelTable:
             delta(db, -1, "a")
         with pytest.raises(InvalidInputError, match="unknown candidate 'z'"):
             delta(db, 0, "z")
-        with pytest.raises(InvalidInputError, match="unknown candidate 'z'"):
-            delta.levels(db, "z", 4)
+        # the table has no row for it, so the array pass leaves it to eval
+        assert "z" not in delta.table(db, 4)[0]
+        problem = SelectionProblem(db, ("a", "z"), lambda x, r: 1.0, 1.0, 5)
+        bounded = bound_sensitivity(delta, 1.0, 5)
+        for mechanism in ("ld", "sld"):
+            with pytest.raises(InvalidInputError,
+                               match="toy: unknown candidate 'z'"):
+                distribution(mechanism, problem, 1.0, bounded)
 
     def test_levels_hook_equals_eval(self):
-        delta, _, _ = self.make()
+        # every prefix the table serves, read before or after a longer one
         db = tuple(range(20))
-        for upto in (0, 1, 7, 8, 9, 20, 33):
-            for r in "abc":
-                got = delta.levels(db, r, upto)
-                assert got[:upto] == [delta(db, t, r) for t in range(upto)]
-                assert all(type(v) is float for v in got)
+        for order in ((0, 1, 7, 8, 9, 20, 33), (33, 20, 9, 8, 7, 1, 0)):
+            delta, _, _ = self.make()
+            for upto in order:
+                rows, levels = delta.table(db, upto)
+                assert levels.dtype == np.float64
+                assert levels.shape[1] >= upto
+                for r, row in rows.items():
+                    assert levels[row, :upto].tolist() == [
+                        delta(db, t, r) for t in range(upto)]
 
     def test_declarations(self):
         delta, _, _ = self.make()
@@ -248,8 +265,9 @@ def bad_raw(db, rows, lo, hi):
 
 class TestBoundTable:
     """``bound_sensitivity`` clips a level table once per fill; its table
-    and its levels hook read that one clipped array, and equal the
-    per-prefix clip of a levels-only delta."""
+    reads that one clipped array and equals the clip of every prefix of
+    the inner levels, ``min(level, GS)`` for finite levels and GS from n
+    on."""
 
     def make(self, raw=toy_raw):
         def open_table(db):
@@ -264,24 +282,32 @@ class TestBoundTable:
         db = tuple(range(20))
         delta = self.make(raw)
         bounded = bound_sensitivity(delta, 1.5, n)
-        per_prefix = bound_sensitivity(
+        per_step = bound_sensitivity(
             dataclasses.replace(self.make(raw), table=None), 1.5, n)
-        assert per_prefix.table is None and bounded.table is not None
+        assert per_step.table is None and bounded.table is not None
+        inner = self.make(raw)
         for upto in (0, 3, 8, 13, 25, 40):
             rows, clipped = bounded.table(db, upto)
             assert clipped.shape[1] >= upto
+            _, levels = inner.table(db, upto)
             for r in "abc":
-                want = per_prefix.levels(db, r, upto)
-                got = bounded.levels(db, r, upto)
-                assert repr(got) == repr(want), (r, upto)
+                want = [1.5 if n is not None and t >= n
+                        else min(v, 1.5) if v < math.inf else v
+                        for t, v in enumerate(levels[rows[r], :upto].tolist())]
                 assert repr(clipped[rows[r], :upto].tolist()) == repr(want)
+                for t, v in enumerate(want):
+                    if math.isfinite(v) and v >= 0:
+                        assert per_step(db, t, r) == v
+                    else:
+                        with pytest.raises(ContractViolationError):
+                            per_step(db, t, r)
 
     def test_one_clip_per_fill(self):
         db = tuple(range(20))
         bounded = bound_sensitivity(self.make(), 1.5, 20)
         _, first = bounded.table(db, 8)
-        for r in "abc":
-            bounded.levels(db, r, 8)
+        for upto in (0, 1, 8):
+            assert bounded.table(db, upto)[1] is first
         assert bounded.table(db, 4)[1] is first
         _, second = bounded.table(db, 9)                # a new fill
         assert second is not first and second.shape[1] == 16
@@ -290,7 +316,8 @@ class TestBoundTable:
     def test_unknown_candidate(self):
         bounded = bound_sensitivity(self.make(), 1.5, 20)
         with pytest.raises(InvalidInputError, match="toy: unknown candidate"):
-            bounded.levels(tuple(range(20)), "z", 4)
+            bounded(tuple(range(20)), 0, "z")
+        assert "z" not in bounded.table(tuple(range(20)), 4)[0]
 
 
 class TestFlattenSensitivity:
@@ -318,6 +345,71 @@ class TestFlattenSensitivity:
         flat = flatten_sensitivity(ranked, problem)
         for r in problem.candidates:
             assert flat(problem.database, 0, r) == 3.0
+
+    def test_table_is_the_eval_hull(self, rng):
+        # percentile level tables, unbounded and bounded: one row, the
+        # per-step hull of every candidate, once per inner array
+        for n in (1, 3, 9, 17, 40):
+            x = random_vector_instance(rng, n=n, cap=10.0, levels=4)
+            q = PercentileQuery(int(rng.choice([10, 50, 90])), n)
+            problem = percentile_problem(x, q)
+            for inner in (percentile_sensitivity(x, q),
+                          bounded_ls_percentile(x, q)):
+                flat = flatten_sensitivity(inner, problem)
+                per_step = flatten_sensitivity(
+                    dataclasses.replace(inner, table=None), problem)
+                for upto in (1, 8, n + 3):
+                    rows, hull = flat.table(x, upto)
+                    assert hull.shape[0] == 1 and hull.shape[1] >= upto
+                    assert flat.table(x, upto)[1] is hull
+                    for r in problem.candidates:
+                        assert hull[rows[r], :upto].tolist() == [
+                            per_step(x, t, r) for t in range(upto)]
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, "unknown"])
+    def test_refused_inner_level_refuses_the_hull(self, bad):
+        # the hull is NaN where eval raises; the array pass leaves the
+        # score to the walk, which raises the inner message, and scores
+        # that stop before it are the walk's floats
+        levels = np.array([[0.5, 1.0, 1.0, 2.0], [0.25, 1.5, 1.5, 2.0]])
+        rows = {0: 0, 1: 1}
+        if bad == "unknown":
+            rows = {0: 0}
+        else:
+            levels[1, 2] = bad
+
+        def eval_fn(db, t, r):
+            if r not in rows:
+                raise InvalidInputError(f"unknown candidate {r!r}")
+            return float(levels[rows[r], t]) if t < 4 else 2.0
+
+        inner = SensitivityFunction(
+            eval=eval_fn, declared_admissible=True, declared_bounded=True,
+            declared_nondecreasing_in_t=True, name="inner",
+            table=lambda db, upto: (rows, levels))
+        for u, stops in ((1.0, True), (9.0, False)):
+            problem = make_abstract_problem([u, 0.5 * u], gs=2.0, n=4)
+            flat = flatten_sensitivity(inner, problem)
+            hull = flat.table(problem.database, 4)[1].tolist()[0]
+            if bad == "unknown":
+                assert all(map(math.isnan, hull))
+            else:
+                assert hull[:2] + hull[3:] == [0.5, 1.5, 2.0]
+                assert math.isnan(hull[2])
+            per_step = flatten_sensitivity(
+                dataclasses.replace(inner, table=None), problem)
+            for mechanism in ("ld", "sld"):
+                outcomes = []
+                for delta in (flat, per_step):
+                    try:
+                        outcomes.append(distribution(
+                            mechanism, problem, 2.0, delta).scores.tolist())
+                    except (ContractViolationError, InvalidInputError) as exc:
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1]
+                raised = isinstance(outcomes[0], tuple)
+                assert raised == (bad == "unknown" or mechanism == "sld"
+                                  or not stops)
 
     def test_hull_computed_once_per_level_of_the_last_database(self):
         problem = make_abstract_problem([5.0, 6.0, 7.0], gs=3.0)

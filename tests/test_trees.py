@@ -610,7 +610,8 @@ class TestBatchedLevels:
                      for name in names for t in ts}
             for name in FIVE_NAMES:
                 delta(table, n + 3, name)
-            lists = {name: delta.levels(table, name, n + 4)
+            rows, levels = delta.table(table, n + 4)
+            lists = {name: levels[rows[name], :n + 4].tolist()
                      for name in FIVE_NAMES}
             want = want or lists
             assert lists == want
@@ -677,24 +678,24 @@ class TestIgSensitivityCache:
         monkeypatch.setattr(trees, "_table_levels", counted)
         delta = ig_sensitivity()
         first, second = cell_table(rng, 10), cell_table(rng, 12)
-        levels = delta.levels(first, "A", 8)
-        assert len(levels) >= 8 and len(fills) == 1
-        assert delta.levels(first, "A", 4) == levels[:4]
-        assert delta(first, 3, "A") == levels[3]
+        rows, levels = delta.table(first, 8)
+        assert levels.shape[1] >= 8 and len(fills) == 1
+        assert delta.table(first, 4)[1] is levels
+        assert delta(first, 3, "A") == levels[rows["A"], 3]
         assert len(fills) == 1              # held: no second fill
-        delta.levels(second, "A", 8)
+        delta.table(second, 8)
         assert len(fills) == 2
-        again = delta.levels(first, "A", 8)
+        _, again = delta.table(first, 8)
         assert len(fills) == 3              # refilled: the table was replaced
-        assert again[:8] == levels[:8]
+        assert again[:, :8].tolist() == levels[:, :8].tolist()
 
     def test_levels_hook_equals_per_level_calls(self, rng):
         delta = ig_sensitivity()
         table = cell_table(rng, 30)
         n = len(table)
-        levels = delta.levels(table, "A", n + 5)
-        assert levels[:n + 5] == [ig_sensitivity()(table, t, "A")
-                                  for t in range(n + 5)]
+        rows, levels = delta.table(table, n + 5)
+        assert levels[rows["A"], :n + 5].tolist() == [
+            ig_sensitivity()(table, t, "A") for t in range(n + 5)]
 
 
 class TestAdmissibility:
