@@ -28,7 +28,8 @@ from .sensitivity import bound_sensitivity
 
 
 class EdgeGraph:
-    """Immutable undirected graph with stable node order and bitset adjacency.
+    """Immutable undirected graph with stable node order, stored as its
+    adjacency bitsets alone: bit j of ``_adj[i]`` marks the edge i–j.
 
     The max degree is resolved once at construction, and ego betweenness
     scores and their exact top-k order are memoised per instance (see
@@ -37,7 +38,7 @@ class EdgeGraph:
     degree; graphs one edge flip away keep the bound unchecked.
     """
 
-    __slots__ = ("nodes", "_index", "_adj", "_edges", "_max_degree_bound",
+    __slots__ = ("nodes", "_index", "_adj", "_max_degree_bound",
                  "_max_degree", "_ebc_memo", "_ebc_order")
 
     def __init__(
@@ -51,14 +52,12 @@ class EdgeGraph:
             raise InvalidInputError("duplicate node identifiers")
         index = {v: i for i, v in enumerate(nodes)}
         adj = [0] * len(nodes)
-        edge_set = set()
         for u, v in edges:
             if u == v:
                 raise InvalidInputError(f"self-loop at {u!r}")
             iu, iv = index[u], index[v]
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
-            edge_set.add((min(iu, iv), max(iu, iv)))
         # a bound below the observed degree would make every sensitivity
         # derived from it too small and the privacy claim false
         if max_degree_bound is not None:
@@ -72,8 +71,7 @@ class EdgeGraph:
                     f"max_degree_bound {max_degree_bound} is below the "
                     f"observed max degree {observed}"
                 )
-        EdgeGraph._init_raw(self, nodes, index, tuple(adj),
-                            frozenset(edge_set), max_degree_bound)
+        EdgeGraph._init_raw(self, nodes, index, tuple(adj), max_degree_bound)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -84,20 +82,23 @@ class EdgeGraph:
         return (
             isinstance(other, EdgeGraph)
             and self.nodes == other.nodes
-            and self._edges == other._edges
+            and self._adj == other._adj
         )
 
     def __hash__(self):
-        return hash((self.nodes, self._edges))
+        return hash((self.nodes, self._adj))
 
     def num_nodes(self) -> int:
         return len(self.nodes)
 
     def num_edges(self) -> int:
-        return len(self._edges)
+        return sum(map(int.bit_count, self._adj)) // 2
 
     def edges(self) -> list[tuple]:
-        return [(self.nodes[i], self.nodes[j]) for i, j in sorted(self._edges)]
+        """Every edge once, ``(u, v)`` with u first in node order."""
+        nodes = self.nodes
+        return [(nodes[i], nodes[j]) for i, mask in enumerate(self._adj)
+                for j in _bits(mask) if i < j]
 
     def degree(self, node) -> int:
         return self._adj[self._index[node]].bit_count()
@@ -127,16 +128,14 @@ class EdgeGraph:
         adj[iv] ^= 1 << iu
         out = EdgeGraph.__new__(EdgeGraph)
         EdgeGraph._init_raw(out, self.nodes, self._index, tuple(adj),
-                            self._edges ^ {(min(iu, iv), max(iu, iv))},
                             self._max_degree_bound)
         return out
 
     @staticmethod
-    def _init_raw(obj, nodes, index, adj, edges, bound):
+    def _init_raw(obj, nodes, index, adj, bound):
         obj.nodes = nodes
         obj._index = index
         obj._adj = adj
-        obj._edges = edges
         obj._max_degree_bound = bound
         obj._max_degree = (
             bound if bound is not None
@@ -149,6 +148,16 @@ class EdgeGraph:
         """Number of unordered node pairs; the maximum edge-flip distance."""
         m = len(self.nodes)
         return m * (m - 1) // 2
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def ebc(graph: EdgeGraph, c) -> float:
@@ -165,7 +174,7 @@ def ebc(graph: EdgeGraph, c) -> float:
     adj = graph._adj
     nbr_mask = adj[ci]
     ego_mask = nbr_mask | (1 << ci)
-    members = [i for i in range(len(graph.nodes)) if nbr_mask >> i & 1]
+    members = _bits(nbr_mask)
     total = 0.0
     for a in range(len(members)):
         ia = members[a]
@@ -468,7 +477,6 @@ def parse_edge_list(lines: Iterable[str]) -> tuple[EdgeGraph, dict]:
     nodes: list = []
     seen_nodes = set()
     edges: list[tuple] = []
-    seen_edges = set()
     report = {"edges_kept": 0, "duplicates_dropped": 0, "self_loops_dropped": 0,
               "comment_lines": 0}
     for line_no, raw in enumerate(lines, start=1):
@@ -491,14 +499,11 @@ def parse_edge_list(lines: Iterable[str]) -> tuple[EdgeGraph, dict]:
         if u == v:
             report["self_loops_dropped"] += 1
             continue
-        key = (min(u, v), max(u, v))
-        if key in seen_edges:
-            report["duplicates_dropped"] += 1
-            continue
-        seen_edges.add(key)
         edges.append((u, v))
-    report["edges_kept"] = len(edges)
-    return EdgeGraph(nodes, edges), report
+    graph = EdgeGraph(nodes, edges)
+    report["edges_kept"] = graph.num_edges()
+    report["duplicates_dropped"] = len(edges) - report["edges_kept"]
+    return graph, report
 
 
 def load_edge_list(path) -> tuple[EdgeGraph, dict]:

@@ -203,7 +203,7 @@ def edge_flip_enumerator() -> NeighborEnumerator:
             for b in range(a + 1, len(g.nodes)):
                 yield g.flip_edge(g.nodes[a], g.nodes[b])
 
-    return NeighborEnumerator(neighbors=neighbors, key=lambda g: g._edges)
+    return NeighborEnumerator(neighbors=neighbors, key=lambda g: g._adj)
 
 
 def row_edit_enumerator(schema: TableSchema) -> NeighborEnumerator:

@@ -1,8 +1,10 @@
 """Construction of sensitivity functions: truncation, bounding by the
 global sensitivity, tables of levels and flattening.
 
-The brute-force references these are verified against live in
-:mod:`dampen.oracles`.
+:func:`level_table` is the only one that keeps state (the levels of the
+last database seen); the wrappers derive their values and tables from the
+inner function on every read.  The brute-force references these are
+verified against live in :mod:`dampen.oracles`.
 """
 
 from __future__ import annotations
@@ -50,23 +52,6 @@ def truncated_sensitivity(
     )
 
 
-def _per_array(delta: SensitivityFunction, derive: Callable) -> Callable:
-    """``delta.table`` mapped through ``derive(rows, levels)`` once per
-    array it returns; ``None`` when ``delta`` has no table."""
-    if delta.table is None:
-        return None
-    seen = out = None
-
-    def table(db, upto):
-        nonlocal seen, out
-        rows, levels = delta.table(db, upto)
-        if levels is not seen:
-            seen, out = levels, derive(rows, levels)
-        return out
-
-    return table
-
-
 def bound_sensitivity(
     delta: SensitivityFunction,
     global_sensitivity: float,
@@ -82,9 +67,9 @@ def bound_sensitivity(
     declared monotonicity class, and so does pinning the tail to GS for a
     ``delta`` that is nondecreasing in t.
 
-    The ``table`` hook of ``delta`` is mapped the same way, once per array
-    it returns; non-finite levels pass through unclipped, so the array
-    pass refuses them as the inner per-step check does.
+    The ``table`` hook of ``delta`` is clipped the same way on every read;
+    non-finite levels pass through unclipped, so the array pass refuses
+    them as the inner per-step check does.
     """
     if not delta.declared_admissible:
         raise PreconditionError("bound_sensitivity expects an admissible input")
@@ -108,7 +93,8 @@ def bound_sensitivity(
         declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
         monotonicity=delta.monotonicity,
         name=f"min({delta.name}, GS)",
-        table=_per_array(delta, clip),
+        table=None if delta.table is None
+        else lambda db, upto: clip(*delta.table(db, upto)),
     )
 
 
@@ -179,30 +165,19 @@ def flatten_sensitivity(
 
     A max of admissible functions is admissible, and a max of functions
     nondecreasing in t is nondecreasing in t; the result is flat by
-    construction and pointwise at least the input.  The hull values of the
-    last database seen are kept, so each level is computed once however
-    many candidates ask for it; that entry is replaced whole, never shared
-    between databases.
+    construction and pointwise at least the input.  Nothing is kept: each
+    read evaluates ``delta`` at every candidate.
 
     A ``table`` of ``delta`` maps to one row, the exact maximum along the
-    candidate axis, once per inner array.  It is NaN in a column holding a
+    candidate axis, on every read.  It is NaN in a column holding a
     level that ``eval`` refuses (not finite and >= 0), or everywhere if the
     inner table lacks a candidate: the array pass leaves those scores to
     the walk, which raises the inner message.
     """
     candidates = problem.candidates
-    last = (None, {})          # (database, {t: hull value})
 
     def eval_fn(db, t, r):
-        nonlocal last
-        seen, hull = last
-        if seen is not db and seen != db:
-            hull = {}
-            last = (db, hull)
-        value = hull.get(t)
-        if value is None:
-            value = hull[t] = max(delta(db, t, rr) for rr in candidates)
-        return value
+        return max(delta(db, t, rr) for rr in candidates)
 
     def hull(rows, levels):
         at = [rows.get(r) for r in candidates]
@@ -219,5 +194,6 @@ def flatten_sensitivity(
         declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
         monotonicity="flat",
         name=f"flat({delta.name})",
-        table=_per_array(delta, hull),
+        table=None if delta.table is None
+        else lambda db, upto: hull(*delta.table(db, upto)),
     )

@@ -542,7 +542,9 @@ def build_diffp_id3(
     builds no distribution object.  Sibling partitions are disjoint, so
     each stage is a parallel scope; the full per-stage budget is reserved
     up front, making the accountant total exactly epsilon regardless of
-    early stops.
+    early stops.  A path splits on each attribute at most once, so levels
+    past ``len(attributes)`` are never reached: their stages are reserved
+    together as one entry of a ``(scope_prefix, "unreachable")`` scope.
     """
     if not (epsilon > 0):
         raise InvalidInputError("epsilon must be positive")
@@ -558,11 +560,16 @@ def build_diffp_id3(
     if accountant is None:
         accountant = BudgetAccountant()
     eps_stage = epsilon / (2 * (depth + 1))
-    for level in range(depth + 1):
+    reachable = min(depth, len(attributes))
+    for level in range(reachable + 1):
         for stage in ("count", "select"):
             scope = (scope_prefix, level, stage)
             accountant.open_scope(scope, "parallel")
             accountant.account(scope, eps_stage)  # reserved whether used or not
+    if depth > reachable:
+        scope = (scope_prefix, "unreachable")
+        accountant.open_scope(scope, "sequential")
+        accountant.account(scope, 2 * (depth - reachable) * eps_stage)
 
     class_values = table.schema.class_values
     tag = {"global": "em", "local": "ld", "shifted": "sld"}[variant]
@@ -585,12 +592,8 @@ def build_diffp_id3(
             noisy = {c: noisy_count(counts[c], eps_stage, node_rng)
                      for c in class_values}
             accountant.account(select_scope, eps_stage)
+            # max keeps the first maximal item: the first declared class
             label = max(class_values, key=lambda c: noisy[c])
-            best = noisy[label]
-            for c in class_values:  # first declared class wins ties
-                if noisy[c] == best:
-                    label = c
-                    break
             return Leaf(label), Counter({label: 1})
         problem = ig_problem(node_table, attrs)
         bounded = None if delta is None else bound_sensitivity(
@@ -626,19 +629,9 @@ def build_id3(table: LabeledTable, attributes: Sequence[str], depth: int):
         ):
             counts = node_table.class_counts()
             label = max(class_values, key=lambda c: counts[c])
-            best = counts[label]
-            for c in class_values:
-                if counts[c] == best:
-                    label = c
-                    break
             return Leaf(label), Counter({label: 1})
         scores = {a: ig_utility(node_table, a) for a in attrs}
         chosen = max(attrs, key=lambda a: scores[a])
-        best = scores[chosen]
-        for a in attrs:
-            if scores[a] == best:
-                chosen = a
-                break
         remaining = tuple(a for a in attrs if a != chosen)
         children = [
             (value, build(part, remaining, d - 1))

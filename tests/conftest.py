@@ -1,7 +1,19 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+
+# hypothesis reports a failing example through hypothesis.extra._patching,
+# whose first import (via libcst) raises a DeprecationWarning from
+# mypy_extensions; under -W error that aborts the whole session.  Importing
+# it once here, with that warning ignored, leaves the failure a plain one.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from dampen.core import SelectionProblem
 from dampen.fixtures import example_graph

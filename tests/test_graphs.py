@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dampen import cli, graphs, mechanisms
 from dampen.core import (
@@ -90,6 +92,13 @@ class TestEbcOracle:
     def test_agrees_with_fast_path_on_random_graphs(self, rng):
         for _ in range(40):
             g = random_graph_instance(rng, n=int(rng.integers(3, 10)))
+            for v in g.nodes:
+                assert ebc(g, v) == pytest.approx(ebc_oracle(g, v), abs=1e-9)
+
+    def test_agrees_with_fast_path_on_er_graphs(self, rng):
+        # about 200 nodes: neighbour bitsets span several machine words
+        for p in (0.03, 0.1):
+            g = random_graph_instance(rng, n=200, edge_prob=p)
             for v in g.nodes:
                 assert ebc(g, v) == pytest.approx(ebc_oracle(g, v), abs=1e-9)
 
@@ -480,6 +489,36 @@ class TestEdgeListParsing:
     def test_node_order_is_first_seen(self):
         graph, _ = parse_edge_list(io.StringIO("b a\nc a\n"))
         assert graph.nodes == ("b", "a", "c")
+
+
+_pairs = st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(
+    lambda p: p[0] != p[1])
+
+
+class TestEdgeGraphBitsets:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 12), pairs=st.lists(_pairs, max_size=30),
+           flips=st.lists(_pairs, max_size=10))
+    def test_agree_with_an_edge_set(self, n, pairs, flips):
+        # labels sort against node order, so edges() must follow indices
+        nodes = tuple(f"v{n - i:02d}" for i in range(n))
+        pairs = [(i % n, j % n) for i, j in pairs if i % n != j % n]
+        flips = [(i % n, j % n) for i, j in flips if i % n != j % n]
+        want = {frozenset(p) for p in pairs}
+        seen = [(EdgeGraph(nodes, [(nodes[i], nodes[j]) for i, j in pairs]),
+                 frozenset(want))]
+        for i, j in flips:
+            want ^= {frozenset((i, j))}
+            seen.append((seen[-1][0].flip_edge(nodes[i], nodes[j]),
+                         frozenset(want)))
+        for g, edge_set in seen:
+            ordered = sorted(tuple(sorted(e)) for e in edge_set)
+            assert g.edges() == [(nodes[i], nodes[j]) for i, j in ordered]
+            assert g.num_edges() == len(edge_set)
+            rebuilt = EdgeGraph(nodes, [(nodes[j], nodes[i]) for i, j in ordered])
+            assert g == rebuilt and hash(g) == hash(rebuilt)
+            for h, other_set in seen:
+                assert (g == h) == (edge_set == other_set)
 
 
 class TestEdgeGraphMemo:

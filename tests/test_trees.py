@@ -781,6 +781,35 @@ class TestBuilder:
                 assert acc.scope_total(("t", level, kind)) == pytest.approx(stage)
         assert acc.total() == pytest.approx(eps, abs=1e-12)
 
+    def test_unreachable_levels_are_booked_as_one_entry(self):
+        # a path splits on each attribute at most once, so the levels past
+        # the attribute count share one ledger entry: a huge depth costs
+        # neither memory nor time in proportion to it
+        table = two_value_table(
+            [{"A": a, "y": y} for a, y in ((0, "c0"), (1, "c1"))] * 2)
+        depth = 10**6
+        tracemalloc.start()
+        try:
+            tree, acc = build_diffp_id3(
+                table, ("A",), depth, 1.0, "shifted",
+                np.random.default_rng(5), scope_prefix="t",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert tree.depth() <= 1
+        assert acc.scopes() == [
+            ("t", level, kind) for level in (0, 1)
+            for kind in ("count", "select")] + [("t", "unreachable")]
+        stage = 1.0 / (2 * (depth + 1))
+        assert acc.scope_total(("t", "unreachable")) == 2 * (depth - 1) * stage
+        assert acc.total() == pytest.approx(1.0, abs=1e-12)
+        # with depth at most the attribute count nothing is unreachable
+        _, acc = build_diffp_id3(table, ("A",), 1, 1.0, "shifted",
+                                 np.random.default_rng(5))
+        assert len(acc.scopes()) == 4
+
     def test_no_attribute_repeats_along_paths(self, rng):
         table = separable_table()
         tree, _ = build_diffp_id3(
