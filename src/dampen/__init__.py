@@ -28,7 +28,7 @@ from .mechanisms import (
     select_permute_and_flip,
     select_shifted_local_dampening,
 )
-from .sensitivity import bound_sensitivity, flatten_sensitivity, truncated_sensitivity
+from .sensitivity import bound_sensitivity, flatten_sensitivity
 
 
 def __getattr__(name):
@@ -70,5 +70,4 @@ __all__ = [
     "select_local_dampening",
     "select_permute_and_flip",
     "select_shifted_local_dampening",
-    "truncated_sensitivity",
 ]

@@ -136,36 +136,26 @@ def main(argv=None) -> int:
                 print(line)
             return 0 if report.passed else 2
 
-        params = {}
-        if getattr(args, "timing", False):
-            params["record_runtime"] = True
+        params = {"record_runtime": True} if args.timing else {}
         if args.command in ("percentile", "mechanism-compare"):
-            dataset = harness.load_dataset(
-                args.data, "vector", lambda_cap=args.lambda_cap
-            )
-            params["p"] = args.p
-            application = (
-                "percentile" if args.command == "percentile" else "mechanism-compare"
-            )
             ref = args.data
+            dataset = harness.load_dataset(ref, "vector",
+                                           lambda_cap=args.lambda_cap)
+            params["p"] = args.p
         elif args.command == "topk":
-            dataset = harness.load_dataset(args.graph, "graph")
+            ref = args.graph
+            dataset = harness.load_dataset(ref, "graph")
             params["k"] = args.k
             if args.runs is not None:
                 params["runs"] = args.runs
-            application = "topk"
-            ref = args.graph
         else:
-            dataset = harness.load_dataset(
-                args.data, "table", schema=args.schema
-            )
+            ref = args.data
+            dataset = harness.load_dataset(ref, "table", schema=args.schema)
             params["depth"] = args.depth
             params["folds"] = args.folds
-            application = "tree"
-            ref = args.data
 
         spec = harness.ExperimentSpec(
-            application=application,
+            application=args.command,
             dataset_ref=ref,
             epsilons=tuple(args.epsilon),
             mechanisms=tuple(args.mechanism),
@@ -175,9 +165,6 @@ def main(argv=None) -> int:
         rows = harness.run_experiment(spec, dataset)
         _emit(rows, args)
         return 0
-    except FileNotFoundError as exc:
-        print(f"dampen: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"dampen: {exc}", file=sys.stderr)
         return 3

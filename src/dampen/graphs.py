@@ -308,13 +308,6 @@ def flat_delta_ebc() -> SensitivityFunction:
     )
 
 
-def ebc_utility() -> Callable[[EdgeGraph, Hashable], float]:
-    """EBC as a utility function, memoised on each graph instance
-    (:meth:`EdgeGraph.ebc_score`), so repeated runs on one graph score
-    each node once."""
-    return EdgeGraph.ebc_score
-
-
 def ebc_problem(
     graph: EdgeGraph,
     candidates: Sequence | None = None,
@@ -328,7 +321,7 @@ def ebc_problem(
     return SelectionProblem(
         database=graph,
         candidates=tuple(candidates if candidates is not None else graph.nodes),
-        utility=ebc_utility(),
+        utility=EdgeGraph.ebc_score,
         global_sensitivity=(
             global_sensitivity
             if global_sensitivity is not None

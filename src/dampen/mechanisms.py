@@ -172,9 +172,11 @@ def _prefixes(problem: SelectionProblem, delta: SensitivityFunction,
     where ``v < cum[t + 1]`` for the sum ``cum[t]`` of the levels before
     t; else at n.  The table is read in the walk's chunks (``max(8,
     floor(v / GS) + 1)`` levels for the largest ``v`` below ``n * GS``,
-    else 8, then twice as many) until every candidate stops.  Each
-    distinct row is checked and summed once, by one ``np.cumsum`` from 0.0
-    in the walk's order.  A stop ``(t, cum[t], width)``, width the level
+    else 8, then twice as many) until every candidate stops.  Each chunk
+    gets one exact pass, and its only read-on test is a candidate whose
+    row is still open at the chunk's end below n.  In a pass each distinct
+    row is checked and summed once, by one ``np.cumsum`` from 0.0 in the
+    walk's order.  A stop ``(t, cum[t], width)``, width the level
     at t or GS in the tail, scores as the walk's ``t + (v - cum[t]) /
     width``; a tail stop is kept in ``tails`` as the walk keeps it.  A
     candidate the table lacks, or whose stop is a failed check, maps to
@@ -196,39 +198,34 @@ def _prefixes(problem: SelectionProblem, delta: SensitivityFunction,
         for j, r in enumerate(candidates):
             if r in rows:
                 groups.setdefault(rows[r], []).append(j)
-        # read on while a row below GS sums to at most v (the pass is exact)
-        last, sums = levels[:, upto - 1], levels[:, :upto].sum(axis=1)
-        if upto == n or not any(
-                last[row] < gs and max(values[j] for j in js) >= sums[row]
-                for row, js in groups.items()):
-            out, done = [None] * len(candidates), True
-            part_rows = max(1, PREFIX_SLICE_ENTRIES // (upto + 1))
-            distinct = list(groups)
-            for lo in range(0, len(distinct), part_rows):
-                part = distinct[lo:lo + part_rows]
-                # lv[k] is 0.0, then the levels of row part[k]; go[k, t]:
-                # its walk passes t (at least the level before, below GS)
-                lv = np.zeros((len(part), upto + 1))
-                lv[:, 1:] = levels[part, :upto]
-                go = np.zeros((len(part), upto + 1), dtype=bool)
-                np.greater_equal(lv[:, 1:], lv[:, :-1], out=go[:, :upto])
-                go[:, :upto] &= lv[:, 1:] < gs
-                cum = np.cumsum(lv, axis=1)     # cum[k, t]: levels before t
-                for k, e in enumerate(go.argmin(axis=1).tolist()):
-                    b, prefix = cum.item(k, e), None
-                    for j in groups[part[k]]:
-                        v = values[j]
-                        if v < b:       # bracketed before the row halts
-                            prefix = prefix or cum[k, :e + 1].tolist()
-                            i = bisect.bisect_right(prefix, v) - 1
-                            out[j] = (i, prefix[i], lv.item(k, i + 1))
-                        elif e == upto < n:
-                            done = False
-                        elif e == upto or lv.item(k, e + 1) == gs:  # tail
-                            out[j] = (e, b, gs)
-                            tails[candidates[j]] = (e, b)
-            if done:
-                return out
+        out, done = [None] * len(candidates), True
+        part_rows = max(1, PREFIX_SLICE_ENTRIES // (upto + 1))
+        distinct = list(groups)
+        for lo in range(0, len(distinct), part_rows):
+            part = distinct[lo:lo + part_rows]
+            # lv[k] is 0.0, then the levels of row part[k]; go[k, t]: its
+            # walk passes t (at least the level before, below GS)
+            lv = np.zeros((len(part), upto + 1))
+            lv[:, 1:] = levels[part, :upto]
+            go = np.zeros((len(part), upto + 1), dtype=bool)
+            np.greater_equal(lv[:, 1:], lv[:, :-1], out=go[:, :upto])
+            go[:, :upto] &= lv[:, 1:] < gs
+            cum = np.cumsum(lv, axis=1)     # cum[k, t]: levels before t
+            for k, e in enumerate(go.argmin(axis=1).tolist()):
+                b, prefix = cum.item(k, e), None
+                for j in groups[part[k]]:
+                    v = values[j]
+                    if v < b:       # bracketed before the row halts
+                        prefix = prefix or cum[k, :e + 1].tolist()
+                        i = bisect.bisect_right(prefix, v) - 1
+                        out[j] = (i, prefix[i], lv.item(k, i + 1))
+                    elif e == upto < n:     # the row is open: read on
+                        done = False
+                    elif e == upto or lv.item(k, e + 1) == gs:  # tail
+                        out[j] = (e, b, gs)
+                        tails[candidates[j]] = (e, b)
+        if done:
+            return out
         upto = min(2 * upto, n)
 
 

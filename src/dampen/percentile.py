@@ -199,7 +199,9 @@ def _window_levels(
     in slices over records, u and t of at most ``_GRID_ELEMENTS`` entries
     each.  Every term of ``A`` repeats the floating-point operations of
     :func:`ls0_of_record` at a window end, so ``A`` bounds that function's
-    rounded value too.
+    rounded value too.  Its term ``(v - o_k) - o_{k-1}`` is left out: a
+    float minus a nonnegative one never rounds above the left operand, so
+    the term never exceeds the kept ``v - o_k``.
     """
     n = len(values)
     ext = np.concatenate(([0.0], values, [cap]))
@@ -238,7 +240,6 @@ def _window_levels(
                     v - lo_k,
                     (v - lo_km1) - (v - top),
                     cap - v,
-                    (v - lo_k) - lo_km1,
                     np.minimum(v, hi_km1) - (v - top),
                 )
                 # r below the pivot: v <= o_{k-1}

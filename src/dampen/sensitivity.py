@@ -1,5 +1,5 @@
-"""Construction of sensitivity functions: truncation, bounding by the
-global sensitivity, tables of levels and flattening.
+"""Construction of sensitivity functions: bounding by the global
+sensitivity, tables of levels and flattening.
 
 :func:`level_table` is the only one that keeps state (the levels of the
 last database seen); the wrappers derive their values and tables from the
@@ -22,68 +22,36 @@ from .core import (
 )
 
 
-def truncated_sensitivity(
-    delta: SensitivityFunction,
-    global_sensitivity: float,
-    max_t: int,
-    name: str | None = None,
-) -> SensitivityFunction:
-    """Evaluate ``delta`` up to ``max_t`` and pin the global sensitivity
-    beyond.
-
-    Keeps admissibility whenever ``delta`` is admissible and pointwise at
-    most the global sensitivity; the result is bounded by construction, and
-    nondecreasing in t when ``delta`` is.  Useful when ``delta`` is an
-    expensive exact local sensitivity.
-    """
-
-    def eval_fn(db, t, r):
-        if t > max_t:
-            return global_sensitivity
-        return min(delta(db, t, r), global_sensitivity)
-
-    return SensitivityFunction(
-        eval=eval_fn,
-        declared_admissible=delta.declared_admissible,
-        declared_bounded=True,
-        declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
-        monotonicity=delta.monotonicity,
-        name=name or f"{delta.name}_trunc{max_t}",
-    )
-
-
 def bound_sensitivity(
     delta: SensitivityFunction,
     global_sensitivity: float,
-    database_size: int | None = None,
+    database_size: int,
 ) -> SensitivityFunction:
-    """Pointwise ``min(delta, GS)``, declared bounded.
+    """Pointwise ``min(delta, GS)``, pinned to GS at every ``t`` at or past
+    ``database_size``.
 
-    For an admissible ``delta`` the minimum reaches GS for every ``t`` at or
-    past the database size, which is what the bounded declaration promises.
-    When ``database_size`` is given the tail is pinned to GS explicitly, so
-    the declaration also holds for sensitivity functions whose admissibility
-    is merely assumed.  Taking a minimum with a constant preserves the
-    declared monotonicity class, and so does pinning the tail to GS for a
-    ``delta`` that is nondecreasing in t.
+    The pinned tail makes the bounded declaration hold by construction,
+    whether the admissibility of ``delta`` is proven or merely assumed.
+    Taking a minimum with a constant preserves the declared monotonicity
+    class, and so does pinning the tail to GS for a ``delta`` that is
+    nondecreasing in t.
 
-    The ``table`` hook of ``delta`` is clipped the same way on every read;
-    non-finite levels pass through unclipped, so the array pass refuses
-    them as the inner per-step check does.
+    The ``table`` hook of ``delta`` is clipped and pinned the same way on
+    every read; non-finite levels below the pin pass through unclipped, so
+    the array pass refuses them as the inner per-step check does.
     """
     if not delta.declared_admissible:
         raise PreconditionError("bound_sensitivity expects an admissible input")
     gs = global_sensitivity
 
     def eval_fn(db, t, r):
-        if database_size is not None and t >= database_size:
+        if t >= database_size:
             return gs
         return min(delta(db, t, r), gs)
 
     def clip(rows, raw):
         clipped = np.minimum(raw, gs, out=raw.copy(), where=raw < math.inf)
-        if database_size is not None:
-            clipped[:, database_size:] = gs
+        clipped[:, database_size:] = gs
         return rows, clipped
 
     return SensitivityFunction(

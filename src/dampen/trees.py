@@ -40,6 +40,12 @@ class Categorical:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise InvalidInputError("categorical domain must be nonempty")
+        try:
+            repeated = len(set(self.values)) < len(self.values)
+        except TypeError:
+            raise InvalidInputError("schema domains must be lists of scalars") from None
+        if repeated:
+            raise InvalidInputError("categorical domain lists a value twice")
 
 
 #: Most bins a continuous attribute may declare.  Each bin becomes a value
@@ -88,6 +94,9 @@ class TableSchema:
         names = [name for name, _ in self.attributes]
         if len(set(names)) != len(names) or self.class_attribute in names:
             raise InvalidInputError("attribute names must be distinct")
+        if len(set(self.class_values)) < len(self.class_values):
+            raise InvalidInputError(
+                f"class {self.class_attribute!r} lists a value twice")
         columns = {
             name: (ix, spec) for ix, (name, spec) in enumerate(self.attributes)
         }
@@ -762,7 +771,9 @@ def schema_from_json(doc: Mapping) -> TableSchema:
     """Sidecar layout: one key per attribute mapping to either
     {"categorical": [...]} or {"continuous": {"min":…, "max":…, "bins":…}},
     plus "class" naming the label column and "classes" listing its values
-    (optional; inferred from data when absent)."""
+    (optional; inferred from data when absent).  Domains are JSON arrays of
+    distinct scalars and "bins" is a JSON integer, so no string, object or
+    fraction is read as a domain by accident."""
     if not isinstance(doc, dict) or "class" not in doc:
         raise InvalidInputError('schema must be an object with a "class" key')
     attrs = []
@@ -771,21 +782,33 @@ def schema_from_json(doc: Mapping) -> TableSchema:
             continue
         try:
             if "categorical" in spec:
-                kind, args = Categorical, (tuple(spec["categorical"]),)
+                values = spec["categorical"]
+                if not isinstance(values, list):
+                    raise TypeError
+                kind, args = Categorical, (values,)
             else:
                 c = spec["continuous"]
+                if type(c["bins"]) is not int:  # no bool, fraction or string
+                    raise TypeError
                 kind = Continuous
-                args = float(c["min"]), float(c["max"]), int(c["bins"])
+                args = float(c["min"]), float(c["max"]), c["bins"]
         except (KeyError, TypeError, ValueError, OverflowError):
             raise InvalidInputError(
-                f"attribute {name!r} needs a categorical list or a continuous "
-                f'"min", "max" and "bins", got {spec!r}'
+                f'attribute {name!r} needs a "categorical" list or a '
+                f'"continuous" "min", "max" and integer "bins", got {spec!r}'
             ) from None
-        attrs.append((name, kind(*args)))
+        try:
+            attrs.append((name, kind(*args)))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"attribute {name!r}: {exc}") from None
+    classes = doc.get("classes", [])
+    if not isinstance(classes, list):
+        raise InvalidInputError(
+            f'class {doc["class"]!r}: "classes" must be a list, got {classes!r}')
     return TableSchema(
         attributes=tuple(attrs),
         class_attribute=doc["class"],
-        class_values=doc.get("classes", ()),
+        class_values=classes,
     )
 
 

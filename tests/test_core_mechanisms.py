@@ -59,7 +59,6 @@ from dampen.sensitivity import (
     bound_sensitivity,
     flatten_sensitivity,
     level_table,
-    truncated_sensitivity,
 )
 from dampen.trees import ig_problem, ig_sensitivity
 
@@ -724,6 +723,22 @@ class TestArrayPrefix:
         with pytest.raises(ContractViolationError, match="returned 4 levels"):
             distribution("sld", problem, 1.0, bounded)
 
+    def test_level_below_the_one_before_goes_to_the_walk(self):
+        # the level drops at t = 3 and the table holds 10 columns: the pass
+        # over the first chunk stops at the drop and reads no further, so
+        # the walk raises its own message, not the short table's
+        levels = np.full((1, 40), 0.5)
+        levels[0, 3] = 0.25
+        problem = make_abstract_problem([1.0], gs=2.0, n=40)
+        asked = []
+        delta = asking(matrix_delta(levels, 2.0, short=10), asked)
+        with pytest.raises(ContractViolationError) as exc:
+            distribution("sld", problem, 1.0, delta)
+        assert str(exc.value) == (
+            "sensitivity function matrix declared bounded and nondecreasing "
+            "in t returned 0.25 at t=3 after 0.5 (global sensitivity 2.0)")
+        assert asked == [8]
+
     def test_reads_the_chunks_the_walks_read(self):
         # rows reach GS at t = 39, 19, 13 and 9: the array pass fills the
         # level table in the chunks a walk of a score in the tail reads,
@@ -1109,7 +1124,6 @@ class TestShiftedPrivacyWitness:
             brute_sensitivity, edge_flip_enumerator, vector_enumerator,
         )
         from dampen.percentile import PercentileQuery, percentile_problem
-        from dampen.sensitivity import truncated_sensitivity
 
         def instances():
             for _ in range(6):
@@ -1129,8 +1143,8 @@ class TestShiftedPrivacyWitness:
         slack = 1 + 1e-9
         for problem, enum in instances():
             raw = brute_sensitivity(problem, enum, node_budget=100_000)
-            bounded = truncated_sensitivity(
-                raw, problem.global_sensitivity, max_t=problem.database_size
+            bounded = bound_sensitivity(
+                raw, problem.global_sensitivity, problem.database_size + 1
             )
             for eps in (0.5, 2.0):
                 _, dist_x = select_shifted_local_dampening(
@@ -1260,7 +1274,7 @@ class TestNondecreasingDeclarations:
         brute = brute_sensitivity(problem, edge_flip_enumerator())
         for raw in (delta_ebc(), flat_delta_ebc(), brute):
             for delta in (raw, bound_sensitivity(raw, gs, size),
-                          truncated_sensitivity(raw, gs, 2),
+                          bound_sensitivity(raw, gs, 3),
                           flatten_sensitivity(raw, problem)):
                 assert_nondecreasing(delta, g, g.nodes)
 

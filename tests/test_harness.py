@@ -800,6 +800,38 @@ class TestParserReuse:
         assert args.mechanism == ("global", "local", "shifted")
 
 
+class TestTiming:
+    """``--timing`` fills ``runtime_ms`` of every row and changes no other
+    field; without it every row reads 0.0 and the output repeats."""
+
+    @pytest.mark.parametrize("command", ["percentile", "mechanism-compare",
+                                         "topk", "tree"])
+    def test_timing_fills_runtime_only(self, command, vector_file,
+                                       graph_file, table_files, capsys):
+        data, schema = table_files
+        inputs = {
+            "percentile": ["--data", vector_file, "--lambda", "100"],
+            "mechanism-compare": ["--data", vector_file, "--lambda", "100"],
+            "topk": ["--graph", graph_file, "--runs", "1"],
+            "tree": ["--data", data, "--schema", schema, "--depth", "1",
+                     "--folds", "2"],
+        }[command]
+        argv = [command, *inputs, "--epsilon", "0.5,2"]
+        outs = []
+        for timing in ([], [], ["--timing"]):
+            assert cli.main(argv + timing) == 0
+            outs.append(capsys.readouterr().out)
+        plain, again, timed = outs
+        assert plain == again
+        plain_rows = json.loads(plain)["results"]
+        timed_rows = json.loads(timed)["results"]
+        assert all(row["application"] == command for row in plain_rows)
+        assert all(row["runtime_ms"] == 0.0 for row in plain_rows)
+        assert all(row["runtime_ms"] > 0 for row in timed_rows)
+        assert ([dict(row, runtime_ms=None) for row in timed_rows]
+                == [dict(row, runtime_ms=None) for row in plain_rows])
+
+
 def write_toy_table(base, rows):
     data = base / "rows.csv"
     data.write_text("A,label\n" + "".join(f"{a},{c}\n" for a, c in rows))
@@ -946,6 +978,7 @@ class TestMalformedInputs:
 
     TOY_SCHEMA = {"A": {"categorical": ["x", "z"]}, "class": "label"}
     CONTINUOUS = {"min": 0, "max": 1, "bins": 2}
+    TWO_BY_TWO = "A,y\n0,a\n1,b\n0,a\n1,b\n"
 
     @staticmethod
     def write(path, content):
@@ -975,10 +1008,29 @@ class TestMalformedInputs:
         (TOY_SCHEMA, b"A,label\nx,no\nz,\xffyes\n", ["rows.csv", "line 3"]),
         (b'{"A": {"categorical": ["x", "z"]},\n"class": "\xfe"}',
          "A,label\nx,no\nz,yes\n", ["rows.json", "line 2"]),
+        # a string split into characters, an object read as its keys,
+        # bins truncated, a value counted twice: each loaded before
+        ({"A": {"categorical": "01"}, "class": "y"}, TWO_BY_TWO,
+         ["'A'", '"categorical"']),
+        ({"A": {"categorical": [0, 1]}, "class": "y", "classes": "ab"},
+         TWO_BY_TWO, ["'y'", '"classes"']),
+        ({"A": {"categorical": {"0": 1, "1": 2}}, "class": "y"}, TWO_BY_TWO,
+         ["'A'", '"categorical"']),
+        ({"A": {"continuous": {**CONTINUOUS, "bins": 2.7}}, "class": "y"},
+         TWO_BY_TWO, ["'A'", '"bins"']),
+        ({"A": {"continuous": {**CONTINUOUS, "bins": True}}, "class": "y"},
+         TWO_BY_TWO, ["'A'", '"bins"']),
+        ({"A": {"categorical": [0, 1]}, "class": "y",
+          "classes": ["a", "b", "a"]}, TWO_BY_TWO, ["'y'", "twice"]),
+        ({"A": {"categorical": [0, 1, 0]}, "class": "y"}, TWO_BY_TWO,
+         ["'A'", "twice"]),
     ], ids=["class-column-absent", "spec-not-an-object", "no-bins",
             "non-numeric-min", "non-numeric-bins", "schema-not-json",
             "non-numeric-value", "bins-of-infinite-width",
-            "bins-of-zero-width", "csv-not-utf8", "schema-not-utf8"])
+            "bins-of-zero-width", "csv-not-utf8", "schema-not-utf8",
+            "categorical-string", "classes-string", "categorical-object",
+            "fractional-bins", "boolean-bins", "repeated-class",
+            "repeated-categorical-value"])
     def test_tree_inputs(self, tmp_path, capsys, schema, rows, names):
         code = cli.main([
             "tree", "--data", self.write(tmp_path / "rows.csv", rows),
@@ -1062,6 +1114,16 @@ _schemas = st.one_of(
         {"A": {"categorical": [["x"]]}, "class": "label"},
         {"A": {"categorical": ["x"]}, "class": ["label"]},
         {"A": {"categorical": ["x"]}, "class": "label", "classes": 5},
+        {"A": {"categorical": "xz"}, "class": "label"},
+        {"A": {"categorical": {"x": 1, "z": 2}}, "class": "label"},
+        {"A": {"categorical": ["x", "z", "x"]}, "class": "label"},
+        {"A": {"categorical": ["x", "z"]}, "class": "label", "classes": "ny"},
+        {"A": {"categorical": ["x", "z"]}, "class": "label",
+         "classes": ["no", "yes", "no"]},
+        {"A": {"continuous": {"min": 0, "max": 1, "bins": 2.5}},
+         "class": "label"},
+        {"A": {"continuous": {"min": 0, "max": 1, "bins": True}},
+         "class": "label"},
         [],
         "{not json",
     ]),

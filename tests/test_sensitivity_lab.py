@@ -95,7 +95,7 @@ class TestBoundSensitivity:
             eval=lambda db, t, r: 6.0, declared_admissible=True,
             monotonicity="flat",
         )
-        bounded = bound_sensitivity(big, 3.0)
+        bounded = bound_sensitivity(big, 3.0, problem.database_size)
         for t in range(5):
             assert bounded(problem.database, t, 0) == 3.0
         assert bounded.declared_bounded and bounded.monotonicity == "flat"
@@ -115,7 +115,7 @@ class TestBoundSensitivity:
     def test_constant_is_a_fixed_point(self):
         problem = make_abstract_problem([1.0], gs=2.0)
         const = constant_sensitivity(2.0)
-        bounded = bound_sensitivity(const, 2.0)
+        bounded = bound_sensitivity(const, 2.0, problem.database_size)
         for t in range(4):
             assert bounded(problem.database, t, 0) == 2.0
 
@@ -132,7 +132,7 @@ class TestBoundSensitivity:
     def test_requires_admissible_input(self):
         raw = SensitivityFunction(eval=lambda db, t, r: 1.0)
         with pytest.raises(PreconditionError):
-            bound_sensitivity(raw, 1.0)
+            bound_sensitivity(raw, 1.0, 4)
 
 
 def toy_raw(db, rows, lo, hi):
@@ -276,7 +276,7 @@ class TestBoundTable:
         return level_table(open_table, "toy")
 
     @pytest.mark.parametrize("raw", [toy_raw, bad_raw])
-    @pytest.mark.parametrize("n", [None, 1, 5, 8, 9, 20])
+    @pytest.mark.parametrize("n", [1, 5, 8, 9, 20])
     def test_both_hooks_equal_the_per_prefix_clip(self, raw, n):
         db = tuple(range(20))
         delta = self.make(raw)
@@ -290,7 +290,7 @@ class TestBoundTable:
             assert clipped.shape[1] >= upto
             _, levels = inner.table(db, upto)
             for r in "abc":
-                want = [1.5 if n is not None and t >= n
+                want = [1.5 if t >= n
                         else min(v, 1.5) if v < math.inf else v
                         for t, v in enumerate(levels[rows[r], :upto].tolist())]
                 assert repr(clipped[rows[r], :upto].tolist()) == repr(want)
