@@ -108,13 +108,14 @@ class SensitivityFunction:
     declared relationship between ``delta`` and the utility ordering and
     picks the shift direction used by the shifted mechanism.
 
-    ``table``, when given, is every level of every candidate at once:
-    ``table(database, upto)`` returns ``(rows, levels)``; ``rows`` maps
-    each candidate to a row of the float64 array ``levels``, of at least
-    ``upto`` columns, whose entry ``[rows[r], t]`` is ``eval(database, t,
-    r)``.  The array is shared; callers read it only.  The dampening
-    mechanisms score a bounded, nondecreasing ``delta`` from it in one
-    array pass that checks what the per-step walk checks.
+    ``table``, when given, is a range of levels of every candidate at
+    once: ``table(database, lo, hi)`` returns ``(rows, block)``; ``rows``
+    maps each candidate to a row of the float64 array ``block``, of exactly
+    ``hi - lo`` columns, whose entry ``[rows[r], s]`` is ``eval(database,
+    lo + s, r)``.  The array may be shared; callers read it only.  The
+    dampening mechanisms score a bounded, nondecreasing ``delta`` from it
+    in one array pass that reads each level once and checks what the
+    per-step walk checks.
     """
 
     eval: Callable[[Any, int, Hashable], float]
@@ -123,7 +124,7 @@ class SensitivityFunction:
     declared_nondecreasing_in_t: bool = False
     monotonicity: str = "none"
     name: str = "delta"
-    table: Callable[[Any, int], tuple] | None = None
+    table: Callable[[Any, int, int], tuple] | None = None
 
     def __post_init__(self):
         if self.monotonicity not in MONOTONICITY_CLASSES:

@@ -55,7 +55,12 @@ class EdgeGraph:
         for u, v in edges:
             if u == v:
                 raise InvalidInputError(f"self-loop at {u!r}")
-            iu, iv = index[u], index[v]
+            try:
+                iu, iv = index[u], index[v]
+            except KeyError as exc:
+                raise InvalidInputError(
+                    f"edge ({u!r}, {v!r}) names unknown node {exc.args[0]!r}"
+                ) from None
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
         # a bound below the observed degree would make every sensitivity
@@ -270,10 +275,10 @@ def _degree_table(degrees: Callable[[EdgeGraph], list]) -> Callable:
     of ``degrees(graph)`` (one per node), in closed form: below 2**53 the
     float product rounds as Python's exact integer product does."""
 
-    def table(graph: EdgeGraph, upto: int) -> tuple:
+    def table(graph: EdgeGraph, lo: int, hi: int) -> tuple:
         degs = degrees(graph)
         row = {d: j for j, d in enumerate(sorted(set(degs)))}
-        d = np.array(list(row), dtype=float)[:, None] + np.arange(upto)
+        d = np.array(list(row), dtype=float)[:, None] + np.arange(lo, hi)
         return ({v: row[dv] for v, dv in zip(graph.nodes, degs)},
                 np.maximum(d * (d - 1) / 4.0, d))
 

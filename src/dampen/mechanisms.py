@@ -172,61 +172,68 @@ def _prefixes(problem: SelectionProblem, delta: SensitivityFunction,
     where ``v < cum[t + 1]`` for the sum ``cum[t]`` of the levels before
     t; else at n.  The table is read in the walk's chunks (``max(8,
     floor(v / GS) + 1)`` levels for the largest ``v`` below ``n * GS``,
-    else 8, then twice as many) until every candidate stops.  Each chunk
-    gets one exact pass, and its only read-on test is a candidate whose
-    row is still open at the chunk's end below n.  In a pass each distinct
-    row is checked and summed once, by one ``np.cumsum`` from 0.0 in the
-    walk's order.  A stop ``(t, cum[t], width)``, width the level
-    at t or GS in the tail, scores as the walk's ``t + (v - cum[t]) /
-    width``; a tail stop is kept in ``tails`` as the walk keeps it.  A
-    candidate the table lacks, or whose stop is a failed check, maps to
-    ``None``: its walk raises its own message.  A table short of the
-    columns asked for raises here.
+    else 8, then twice as many), each chunk ``[lo, hi)`` once, until every
+    candidate stops; its only read-on test is a candidate whose row is
+    still open at ``hi < n``.  The candidates are grouped by row once, and
+    each open row carries the sum of the levels read so far, its last
+    level and the candidates it has not placed, so a chunk checks and
+    ``np.cumsum``s only its own columns from there: the same additions in
+    the walk's order as one ``np.cumsum`` from 0.0.  A stop ``(t, cum[t],
+    width)``, width the level at t or GS in the tail, scores as the walk's
+    ``t + (v - cum[t]) / width``; a tail stop is kept in ``tails`` as the
+    walk keeps it.  A candidate the table lacks, or whose stop is a failed
+    check, maps to ``None``: its walk raises its own message.  A table
+    short of the columns asked for raises here.
     """
     x, gs = problem.database, problem.global_sensitivity
     n = problem.database_size
     v_max = max(values)
-    upto = min(n, max(8, int(v_max / gs) + 1) if v_max < n * gs else 8)
+    lo, hi = 0, min(n, max(8, int(v_max / gs) + 1) if v_max < n * gs else 8)
+    out, groups = [None] * len(candidates), None
     while True:
-        rows, levels = delta.table(x, upto)
-        if levels.shape[1] < upto:
+        rows, block = delta.table(x, lo, hi)
+        if block.shape[1] < hi - lo:
             raise ContractViolationError(
                 f"sensitivity function {delta.name} returned "
-                f"{levels.shape[1]} levels, {upto} were asked for"
+                f"{lo + block.shape[1]} levels, {hi} were asked for"
             )
-        groups = {}     # table row -> positions of the candidates on it
-        for j, r in enumerate(candidates):
-            if r in rows:
-                groups.setdefault(rows[r], []).append(j)
-        out, done = [None] * len(candidates), True
-        part_rows = max(1, PREFIX_SLICE_ENTRIES // (upto + 1))
+        if groups is None:  # table row -> [sum, last level, positions]
+            groups = {}
+            for j, r in enumerate(candidates):
+                if r in rows:
+                    groups.setdefault(rows[r], [0.0, 0.0, []])[2].append(j)
+        width, open_rows = hi - lo, {}
+        part_rows = max(1, PREFIX_SLICE_ENTRIES // (width + 1))
         distinct = list(groups)
-        for lo in range(0, len(distinct), part_rows):
-            part = distinct[lo:lo + part_rows]
-            # lv[k] is 0.0, then the levels of row part[k]; go[k, t]: its
-            # walk passes t (at least the level before, below GS)
-            lv = np.zeros((len(part), upto + 1))
-            lv[:, 1:] = levels[part, :upto]
-            go = np.zeros((len(part), upto + 1), dtype=bool)
-            np.greater_equal(lv[:, 1:], lv[:, :-1], out=go[:, :upto])
-            go[:, :upto] &= lv[:, 1:] < gs
-            cum = np.cumsum(lv, axis=1)     # cum[k, t]: levels before t
+        for at in range(0, len(distinct), part_rows):
+            part = distinct[at:at + part_rows]
+            # lv[k]: the level before lo of row part[k], then its levels;
+            # go[k, s]: its walk passes lo + s; lv[k, 0] then takes the sum
+            lv = np.empty((len(part), width + 1))
+            lv[:, 0] = [groups[row][1] for row in part]
+            lv[:, 1:] = block[:, :width].take(part, axis=0)
+            go = np.zeros((len(part), width + 1), dtype=bool)
+            np.greater_equal(lv[:, 1:], lv[:, :-1], out=go[:, :width])
+            go[:, :width] &= lv[:, 1:] < gs
+            lv[:, 0] = [groups[row][0] for row in part]
+            cum = np.cumsum(lv, axis=1)     # cum[k, s]: levels before lo + s
             for k, e in enumerate(go.argmin(axis=1).tolist()):
                 b, prefix = cum.item(k, e), None
-                for j in groups[part[k]]:
+                for j in groups[part[k]][2]:
                     v = values[j]
                     if v < b:       # bracketed before the row halts
                         prefix = prefix or cum[k, :e + 1].tolist()
                         i = bisect.bisect_right(prefix, v) - 1
-                        out[j] = (i, prefix[i], lv.item(k, i + 1))
-                    elif e == upto < n:     # the row is open: read on
-                        done = False
-                    elif e == upto or lv.item(k, e + 1) == gs:  # tail
-                        out[j] = (e, b, gs)
-                        tails[candidates[j]] = (e, b)
-        if done:
+                        out[j] = (lo + i, prefix[i], lv.item(k, i + 1))
+                    elif e == width and hi < n:     # open: read on
+                        open_rows.setdefault(part[k], [
+                            b, lv.item(k, width), []])[2].append(j)
+                    elif e == width or lv.item(k, e + 1) == gs:     # tail
+                        out[j] = (lo + e, b, gs)
+                        tails[candidates[j]] = (lo + e, b)
+        if not open_rows:
             return out
-        upto = min(2 * upto, n)
+        groups, lo, hi = open_rows, hi, min(2 * hi, n)
 
 
 def _check_delta(mechanism: str, delta: SensitivityFunction | None) -> None:

@@ -37,8 +37,9 @@ def bound_sensitivity(
     nondecreasing in t.
 
     The ``table`` hook of ``delta`` is clipped and pinned the same way on
-    every read; non-finite levels below the pin pass through unclipped, so
-    the array pass refuses them as the inner per-step check does.
+    every read, over the columns read only; non-finite levels below the pin
+    pass through unclipped, so the array pass refuses them as the inner
+    per-step check does.
     """
     if not delta.declared_admissible:
         raise PreconditionError("bound_sensitivity expects an admissible input")
@@ -49,9 +50,9 @@ def bound_sensitivity(
             return gs
         return min(delta(db, t, r), gs)
 
-    def clip(rows, raw):
+    def clip(lo, rows, raw):
         clipped = np.minimum(raw, gs, out=raw.copy(), where=raw < math.inf)
-        clipped[:, database_size:] = gs
+        clipped[:, max(database_size - lo, 0):] = gs
         return rows, clipped
 
     return SensitivityFunction(
@@ -62,7 +63,7 @@ def bound_sensitivity(
         monotonicity=delta.monotonicity,
         name=f"min({delta.name}, GS)",
         table=None if delta.table is None
-        else lambda db, upto: clip(*delta.table(db, upto)),
+        else lambda db, lo, hi: clip(lo, *delta.table(db, lo, hi)),
     )
 
 
@@ -73,9 +74,10 @@ def level_table(open_table: Callable[[Any], tuple], name: str
 
     ``open_table(db)`` returns ``(rows, fill)``: ``rows`` maps each
     candidate to its row, and ``fill(lo, hi)`` returns the raw levels of
-    every row at t in ``[lo, hi)`` as a float64 array.  A read past the
-    filled columns fills ``hi = max(t + 1, min(2 lo, len(db)), 8)``:
-    doubling chunks up to the database size, or t when that is larger.
+    every row at t in ``[lo, hi)`` as a float64 array.  A read of columns
+    ``[lo, hi)`` past the ``filled`` ones fills ``[filled, max(hi,
+    min(2 filled, len(db)), 8))``: doubling chunks up to the database size,
+    or up to ``hi`` when that is larger.
 
     A level is the running maximum of the raw levels along t, carried
     across chunk ends; a maximum is exact, so a level is the same float in
@@ -85,35 +87,36 @@ def level_table(open_table: Callable[[Any], tuple], name: str
     max_{s <= t} f(x, s + 1, r) <= max_{s <= t + 1} f(x, s, r)``, and
     level 0 is ``f(x, 0, r)``.  The caller vouches for ``f``.
 
-    The levels are one float64 array per database, which the ``table``
-    hook returns whole.
+    The levels are one float64 array per database; the ``table`` hook
+    returns a view of its columns ``[lo, hi)``, and ``eval`` reads
+    ``[t, t + 1)``.
     """
     last = None          # (database, rows, fill, levels array)
 
-    def table(db: Any, upto: int) -> tuple:
+    def table(db: Any, lo: int, hi: int) -> tuple:
         nonlocal last
         state = last
         if state is None or (state[0] is not db and state[0] != db):
             rows, fill = open_table(db)
             state = last = (db, rows, fill, np.zeros((len(rows), 0)))
         seen, rows, fill, levels = state
-        lo = levels.shape[1]
-        if upto > lo:
-            block = fill(lo, max(upto, min(2 * lo, len(db)), 8))
+        filled = levels.shape[1]
+        if hi > filled:
+            block = fill(filled, max(hi, min(2 * filled, len(db)), 8))
             np.maximum.accumulate(block, axis=1, out=block)
-            if lo:
+            if filled:
                 np.maximum(block, levels[:, -1:], out=block)
             levels = np.hstack([levels, block])
             last = (seen, rows, fill, levels)
-        return rows, levels
+        return rows, levels[:, lo:hi]
 
     def eval_fn(db, t, r):
         if t < 0:
             raise InvalidInputError("t must be >= 0")
-        rows, levels = table(db, t + 1)
+        rows, level = table(db, t, t + 1)
         if r not in rows:
             raise InvalidInputError(f"{name}: unknown candidate {r!r}")
-        return float(levels[rows[r], t])
+        return float(level[rows[r], 0])
 
     return SensitivityFunction(
         eval=eval_fn,
@@ -137,10 +140,10 @@ def flatten_sensitivity(
     read evaluates ``delta`` at every candidate.
 
     A ``table`` of ``delta`` maps to one row, the exact maximum along the
-    candidate axis, on every read.  It is NaN in a column holding a
-    level that ``eval`` refuses (not finite and >= 0), or everywhere if the
-    inner table lacks a candidate: the array pass leaves those scores to
-    the walk, which raises the inner message.
+    candidate axis of the columns read, on every read.  It is NaN in a
+    column holding a level that ``eval`` refuses (not finite and >= 0), or
+    everywhere if the inner table lacks a candidate: the array pass leaves
+    those scores to the walk, which raises the inner message.
     """
     candidates = problem.candidates
 
@@ -163,5 +166,5 @@ def flatten_sensitivity(
         monotonicity="flat",
         name=f"flat({delta.name})",
         table=None if delta.table is None
-        else lambda db, upto: hull(*delta.table(db, upto)),
+        else lambda db, lo, hi: hull(*delta.table(db, lo, hi)),
     )

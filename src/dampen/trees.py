@@ -772,8 +772,9 @@ def schema_from_json(doc: Mapping) -> TableSchema:
     {"categorical": [...]} or {"continuous": {"min":…, "max":…, "bins":…}},
     plus "class" naming the label column and "classes" listing its values
     (optional; inferred from data when absent).  Domains are JSON arrays of
-    distinct scalars and "bins" is a JSON integer, so no string, object or
-    fraction is read as a domain by accident."""
+    distinct scalars, "min" and "max" are JSON numbers and "bins" is a JSON
+    integer, so no string, boolean, object or fraction is read as a domain
+    by accident."""
     if not isinstance(doc, dict) or "class" not in doc:
         raise InvalidInputError('schema must be an object with a "class" key')
     attrs = []
@@ -788,14 +789,17 @@ def schema_from_json(doc: Mapping) -> TableSchema:
                 kind, args = Categorical, (values,)
             else:
                 c = spec["continuous"]
-                if type(c["bins"]) is not int:  # no bool, fraction or string
+                # no bool, string or (for bins) fraction
+                if type(c["bins"]) is not int or not all(
+                        type(c[k]) in (int, float) for k in ("min", "max")):
                     raise TypeError
                 kind = Continuous
                 args = float(c["min"]), float(c["max"]), c["bins"]
-        except (KeyError, TypeError, ValueError, OverflowError):
+        except (KeyError, TypeError, OverflowError):
             raise InvalidInputError(
                 f'attribute {name!r} needs a "categorical" list or a '
-                f'"continuous" "min", "max" and integer "bins", got {spec!r}'
+                f'"continuous" numeric "min" and "max" and integer "bins", '
+                f'got {spec!r}'
             ) from None
         try:
             attrs.append((name, kind(*args)))

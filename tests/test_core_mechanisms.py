@@ -24,7 +24,7 @@ from dampen.fixtures import (
     random_vector_instance,
     separable_table,
 )
-from dampen.graphs import delta_ebc, ebc_problem, flat_delta_ebc
+from dampen.graphs import EdgeGraph, delta_ebc, ebc_problem, flat_delta_ebc
 from dampen import mechanisms as mechanisms_mod
 from dampen.mechanisms import (
     MAX_BREAKPOINT_STEPS,
@@ -570,15 +570,15 @@ def matrix_delta(levels, gs, rows_of=None, short=None):
     matrix, readable through its table and per step; candidate r reads
     row ``rows_of[r]`` (its own row by default), and nothing checks or
     clips the matrix.  With ``short`` the table breaks its contract and
-    returns that many columns whatever it is asked for."""
+    returns only the columns below ``short`` of those asked for."""
     width = levels.shape[1]
     if rows_of is None:
         rows_of = range(len(levels))
     rows = dict(enumerate(rows_of))
 
-    def table_fn(db, upto):
-        assert upto <= width
-        return rows, levels if short is None else levels[:, :short]
+    def table_fn(db, lo, hi):
+        assert 0 <= lo <= hi <= width
+        return rows, levels[:, lo:hi if short is None else min(hi, short)]
 
     return SensitivityFunction(
         eval=lambda db, t, r: float(levels[rows[r], t]) if t < width else gs,
@@ -603,12 +603,12 @@ def reading(delta):
 
 
 def asking(delta, asked):
-    """``delta`` with the ``upto`` of every table request appended to
+    """``delta`` with the ``(lo, hi)`` of every table request appended to
     ``asked``."""
 
-    def table_fn(db, upto):
-        asked.append(upto)
-        return delta.table(db, upto)
+    def table_fn(db, lo, hi):
+        asked.append((lo, hi))
+        return delta.table(db, lo, hi)
 
     return dataclasses.replace(delta, table=table_fn)
 
@@ -698,12 +698,61 @@ class TestArrayPrefix:
             if short is None:
                 continue
             # a short table raises at the first request past its columns
-            past = [upto for upto in asked if upto > short]
+            past = [hi for _, hi in asked if hi > short]
             want_short = (f"sensitivity function matrix returned {short} "
                           f"levels, {past[0]} were asked for" if past
                           else slow)
             assert scores_or_message(mechanism, problem, matrix_delta(
                 matrix, gs, rows_of, short)) == want_short
+
+    def test_each_application_reads_each_level_once(self, rng):
+        # ld and sld over the deltas the applications build, each around a
+        # recording inner hook: the pass asks for chunks that tile [0, last
+        # hi), and the inner hook, under the clip of bound_sensitivity and
+        # the hull of flatten_sensitivity, is asked for those same columns
+        def served(delta, log):
+            def table_fn(db, lo, hi):
+                rows, block = delta.table(db, lo, hi)
+                log.append((lo, hi, block.shape[1]))
+                return rows, block
+            return dataclasses.replace(delta, table=table_fn)
+
+        x = random_vector_instance(rng, n=40, cap=10.0, levels=9)
+        q = PercentileQuery(50, len(x))
+        vector = percentile_problem(x, q)
+        tree = ig_problem(separable_table(), ("A", "B", "C", "D"))
+        hub = EdgeGraph(range(60), [(0, v) for v in range(1, 60)]
+                        + [(v, v + 1) for v in range(1, 59)])
+        graph = ebc_problem(hub)
+
+        def deltas(mechanism, inner):
+            flat = mechanism == "ld"
+            bounded = bound_sensitivity(
+                served(percentile_sensitivity(x, q), inner),
+                x.lambda_cap, len(x))
+            yield vector, (flatten_sensitivity(bounded, vector) if flat
+                           else bounded)
+            yield tree, bound_sensitivity(
+                served(ig_sensitivity(), inner),
+                tree.global_sensitivity, tree.database_size)
+            yield graph, bound_sensitivity(
+                served(flat_delta_ebc() if flat else delta_ebc(), inner),
+                graph.global_sensitivity, graph.database_size)
+
+        chunks = 0
+        for mechanism in ("ld", "sld"):
+            inner = []
+            for problem, delta in deltas(mechanism, inner):
+                outer = []
+                assert isinstance(scores_or_message(
+                    mechanism, problem, served(delta, outer)), list)
+                ends = [hi for _, hi, _ in outer]
+                assert [lo for lo, _, _ in outer] == [0] + ends[:-1]
+                assert all(lo < hi == lo + width for lo, hi, width in outer)
+                assert inner == outer
+                chunks += len(outer)
+                inner.clear()
+        assert chunks > 6              # some pass reads more than one chunk
 
     def test_short_table_is_contract_violation(self):
         # three candidates over ten levels; the table returns four columns
@@ -719,7 +768,7 @@ class TestArrayPrefix:
         # the clip of bound_sensitivity does not pad a short inner table
         inner = dataclasses.replace(delta, declared_bounded=False)
         bounded = bound_sensitivity(inner, 2.0, 10)
-        assert bounded.table(problem.database, 8)[1].shape == (3, 4)
+        assert bounded.table(problem.database, 0, 8)[1].shape == (3, 4)
         with pytest.raises(ContractViolationError, match="returned 4 levels"):
             distribution("sld", problem, 1.0, bounded)
 
@@ -737,7 +786,7 @@ class TestArrayPrefix:
         assert str(exc.value) == (
             "sensitivity function matrix declared bounded and nondecreasing "
             "in t returned 0.25 at t=3 after 0.5 (global sensitivity 2.0)")
-        assert asked == [8]
+        assert asked == [(0, 8)]
 
     def test_reads_the_chunks_the_walks_read(self):
         # rows reach GS at t = 39, 19, 13 and 9: the array pass fills the
@@ -780,7 +829,7 @@ class TestArrayPrefix:
                                        problem.candidates, [1.5] * 4, tails)
         assert [t + (1.5 - b) / width for t, b, width in got] == want
         assert [t for t, _, _ in got] == [7, 5, 4, 3] and max(reads) == 7
-        assert asked == [8] and tails == {}
+        assert asked == [(0, 8)] and tails == {}
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.5, 4.0])
     def test_score_on_the_breakpoint_before_a_halt(self, bad):
@@ -856,7 +905,8 @@ class TestArrayPrefix:
             fast = Prepared("ld", problem, asking(delta, asked))
             # with epsilon 2, each score is its D exactly
             assert fast.distribution(2.0).scores.tolist() == want
-            assert asked == (chunks if v_max else [])
+            assert asked == (list(zip([0] + chunks, chunks)) if v_max
+                             else [])
 
 
 class TestLocalDampening:
@@ -1309,15 +1359,16 @@ class TestNondecreasingDeclarations:
 
 def with_table(delta, candidates, asked=None):
     """``delta`` with a ``table`` hook listing its own ``eval`` values, one
-    row per candidate; the ``upto`` of every request is appended to
+    row per candidate; the ``(lo, hi)`` of every request is appended to
     ``asked`` when given."""
     rows = {r: j for j, r in enumerate(candidates)}
 
-    def table_fn(db, upto):
+    def table_fn(db, lo, hi):
         if asked is not None:
-            asked.append(upto)
-        return rows, np.array([[delta.eval(db, t, r) for t in range(upto)]
-                               for r in candidates]).reshape(len(rows), upto)
+            asked.append((lo, hi))
+        return rows, np.array(
+            [[delta.eval(db, t, r) for t in range(lo, hi)]
+             for r in candidates]).reshape(len(rows), hi - lo)
 
     return dataclasses.replace(delta, table=table_fn)
 
@@ -1391,10 +1442,11 @@ class TestLevelsHook:
                 bulk = bound_sensitivity(with_table(raw, many.candidates),
                                          2.0, n)
                 assert bulk.table is not None
-                rows, levels = bulk.table(None, n + 5)
-                for r in many.candidates:
-                    assert levels[rows[r], :n + 5].tolist() == [
-                        bounded(None, t, r) for t in range(n + 5)]
+                for lo, hi in ((0, n + 5), (n - 1, n + 5), (n, n + 5)):
+                    rows, levels = bulk.table(None, lo, hi)
+                    for r in many.candidates:
+                        assert levels[rows[r]].tolist() == [
+                            bounded(None, t, r) for t in range(lo, hi)]
                 assert distribution("ld", many, 2.0, bulk).scores.tolist() == [
                     dampen(many, bounded, r, u)
                     for r, u in enumerate(many.database)]
@@ -1407,25 +1459,25 @@ class TestLevelsHook:
             asked.clear()
             distribution("ld", problem, 1.0,
                          with_table(saturating([2.0]), (0,), asked))
-            assert asked[0] == first, u
+            assert asked[0] == (0, first), u
         # over several candidates, the request for the largest |u|
         problem = make_abstract_problem([1.0, -51.0, 15.9], gs=2.0, n=100)
         asked.clear()
         distribution("ld", problem, 1.0,
                      with_table(saturating([2.0]), (0, 1, 2), asked))
-        assert asked == [26]
+        assert asked == [(0, 26)]
         # a walk past its chunk asks for twice the steps walked
         problem = make_abstract_problem([1.0], gs=2.0, n=100)
         asked.clear()
         zero_first = with_table(saturating([0.0] * 20 + [2.0]), (0,), asked)
         distribution("ld", problem, 1.0, zero_first)
-        assert asked == [8, 16, 32]
+        assert asked == [(0, 8), (8, 16), (16, 32)]
 
     def test_short_level_list_is_contract_violation(self):
         problem = make_abstract_problem([10.0], gs=2.0, n=100)
         delta = dataclasses.replace(
             saturating([1.0]),
-            table=lambda db, upto: ({0: 0}, np.ones((1, 3))))
+            table=lambda db, lo, hi: ({0: 0}, np.ones((1, 3))))
         for mechanism in ("ld", "sld"):
             with pytest.raises(ContractViolationError,
                                match="returned 3 levels, 8 were asked for"):

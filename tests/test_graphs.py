@@ -520,6 +520,18 @@ class TestEdgeGraphBitsets:
             for h, other_set in seen:
                 assert (g == h) == (edge_set == other_set)
 
+    @pytest.mark.parametrize("nodes, edges, message", [
+        (["a"], [("a", "b")], "edge ('a', 'b') names unknown node 'b'"),
+        (["a", "b"], [("a", "b"), ("z", "a")],
+         "edge ('z', 'a') names unknown node 'z'"),
+        ([], [(1, 2)], "edge (1, 2) names unknown node 1"),
+        (["a"], [("a", "a")], "self-loop at 'a'"),
+    ])
+    def test_refuses_edges_off_the_node_list(self, nodes, edges, message):
+        with pytest.raises(InvalidInputError) as exc:
+            EdgeGraph(nodes, edges)
+        assert str(exc.value) == message
+
 
 class TestEdgeGraphMemo:
     def test_max_degree_follows_flips_and_bound(self):
@@ -606,14 +618,16 @@ class TestDegreeTable:
             degrees = {g.degree(v) for v in g.nodes}
             for raw, count in ((delta_ebc(), len(degrees)),
                                (flat_delta_ebc(), 1)):
-                rows, levels = raw.table(g, 30)
-                assert levels.shape == (count, 30)
-                for v in g.nodes:
-                    assert levels[rows[v]].tolist() == [
-                        raw(g, t, v) for t in range(30)]
-                    if raw.name == "delta_ebc":
+                for lo, hi in ((0, 30), (8, 30)):
+                    rows, levels = raw.table(g, lo, hi)
+                    assert levels.shape == (count, hi - lo)
+                    for v in g.nodes:
                         assert levels[rows[v]].tolist() == [
-                            delta_ebc_value(g, t, v) for t in range(30)]
+                            raw(g, t, v) for t in range(lo, hi)]
+                        if raw.name == "delta_ebc":
+                            assert levels[rows[v]].tolist() == [
+                                delta_ebc_value(g, t, v)
+                                for t in range(lo, hi)]
 
     def test_ld_and_sld_scores_equal_the_per_step_walk(self):
         for g in self.graphs():

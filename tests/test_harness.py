@@ -1020,6 +1020,11 @@ class TestMalformedInputs:
          TWO_BY_TWO, ["'A'", '"bins"']),
         ({"A": {"continuous": {**CONTINUOUS, "bins": True}}, "class": "y"},
          TWO_BY_TWO, ["'A'", '"bins"']),
+        # a boolean or a numeric string read through float()
+        ({"A": {"continuous": {"min": True, "max": "5", "bins": 2}},
+          "class": "y"}, "A,y\n1,a\n5,b\n1,a\n5,b\n", ["'A'", '"min"']),
+        ({"A": {"continuous": {"min": 0, "max": "5", "bins": 2}},
+          "class": "y"}, "A,y\n1,a\n5,b\n1,a\n5,b\n", ["'A'", '"max"']),
         ({"A": {"categorical": [0, 1]}, "class": "y",
           "classes": ["a", "b", "a"]}, TWO_BY_TWO, ["'y'", "twice"]),
         ({"A": {"categorical": [0, 1, 0]}, "class": "y"}, TWO_BY_TWO,
@@ -1029,7 +1034,8 @@ class TestMalformedInputs:
             "non-numeric-value", "bins-of-infinite-width",
             "bins-of-zero-width", "csv-not-utf8", "schema-not-utf8",
             "categorical-string", "classes-string", "categorical-object",
-            "fractional-bins", "boolean-bins", "repeated-class",
+            "fractional-bins", "boolean-bins", "boolean-min",
+            "string-max", "repeated-class",
             "repeated-categorical-value"])
     def test_tree_inputs(self, tmp_path, capsys, schema, rows, names):
         code = cli.main([
@@ -1123,6 +1129,10 @@ _schemas = st.one_of(
         {"A": {"continuous": {"min": 0, "max": 1, "bins": 2.5}},
          "class": "label"},
         {"A": {"continuous": {"min": 0, "max": 1, "bins": True}},
+         "class": "label"},
+        {"A": {"continuous": {"min": True, "max": "5", "bins": 2}},
+         "class": "label"},
+        {"A": {"continuous": {"min": 0, "max": "5", "bins": 2}},
          "class": "label"},
         [],
         "{not json",

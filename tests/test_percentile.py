@@ -387,7 +387,7 @@ class TestWindowBound:
                         assert delta(x, t, label) == want[row, t], (
                             x.values(), q.p, label, t)
             delta = percentile_sensitivity(x, q)
-            rows, levels = delta.table(x, t_max + 1)
+            rows, levels = delta.table(x, 0, t_max + 1)
             for row, label in enumerate(x.labels()):
                 assert rows[label] == row
                 assert levels[row, :t_max + 1].tolist() == want[row].tolist()
@@ -420,8 +420,9 @@ class TestWindowBound:
                     for row, label in enumerate(x.labels()):
                         assert delta(x, t, label) == want[row, t], (
                             x.values(), p, label, t)
-                rows, levels = percentile_sensitivity(x, q).table(x, t_max + 1)
-                assert levels.shape[1] >= t_max + 1
+                rows, levels = percentile_sensitivity(x, q).table(
+                    x, 0, t_max + 1)
+                assert levels.shape[1] == t_max + 1
                 for label, row in rows.items():
                     assert levels[row, :t_max + 1].tolist() == (
                         want[row].tolist())

@@ -195,7 +195,7 @@ class TestLevelTable:
         for r in "abc":
             for t in range(8):
                 delta(db, t, r)
-            delta.table(db, 8)
+            delta.table(db, 0, 8)
         delta(tuple(range(12)), 3, "c")     # an equal database
         assert len(opened) == 1 and len(fills) == 1
 
@@ -216,7 +216,7 @@ class TestLevelTable:
         with pytest.raises(InvalidInputError, match="unknown candidate 'z'"):
             delta(db, 0, "z")
         # the table has no row for it, so the array pass leaves it to eval
-        assert "z" not in delta.table(db, 4)[0]
+        assert "z" not in delta.table(db, 0, 4)[0]
         problem = SelectionProblem(db, ("a", "z"), lambda x, r: 1.0, 1.0, 5)
         bounded = bound_sensitivity(delta, 1.0, 5)
         for mechanism in ("ld", "sld"):
@@ -225,17 +225,19 @@ class TestLevelTable:
                 distribution(mechanism, problem, 1.0, bounded)
 
     def test_levels_hook_equals_eval(self):
-        # every prefix the table serves, read before or after a longer one
+        # every prefix the table serves, and the range from its middle,
+        # read before or after a longer one
         db = tuple(range(20))
         for order in ((0, 1, 7, 8, 9, 20, 33), (33, 20, 9, 8, 7, 1, 0)):
             delta, _, _ = self.make()
             for upto in order:
-                rows, levels = delta.table(db, upto)
-                assert levels.dtype == np.float64
-                assert levels.shape[1] >= upto
-                for r, row in rows.items():
-                    assert levels[row, :upto].tolist() == [
-                        delta(db, t, r) for t in range(upto)]
+                for lo in (0, upto // 2, upto):
+                    rows, levels = delta.table(db, lo, upto)
+                    assert levels.dtype == np.float64
+                    assert levels.shape[1] == upto - lo
+                    for r, row in rows.items():
+                        assert levels[row].tolist() == [
+                            delta(db, t, r) for t in range(lo, upto)]
 
     def test_declarations(self):
         delta, _, _ = self.make()
@@ -245,10 +247,12 @@ class TestLevelTable:
     def test_table_hook_is_the_levels_of_every_row(self):
         delta, _, fills = self.make()
         db = tuple(range(20))
-        rows, levels = delta.table(db, 9)
+        rows, levels = delta.table(db, 0, 9)
         assert fills == [(0, 9)] and levels.shape == (3, 9)
-        for upto in (0, 5, 9):
-            assert delta.table(db, upto)[1] is levels      # no new fill
+        for lo, hi in ((0, 0), (0, 5), (2, 9), (9, 9)):
+            block = delta.table(db, lo, hi)[1]
+            assert block.tolist() == levels[:, lo:hi].tolist()
+        assert fills == [(0, 9)]                        # no new fill
         for r, row in rows.items():
             assert levels[row].tolist() == [delta(db, t, r) for t in range(9)]
 
@@ -264,14 +268,20 @@ def bad_raw(db, rows, lo, hi):
 
 
 class TestBoundTable:
-    """``bound_sensitivity`` clips a level table on every read; its table
-    equals the clip of every prefix of the inner levels, ``min(level, GS)``
-    for finite levels and GS from n on."""
+    """``bound_sensitivity`` clips the columns of a level table read on
+    every read; its table equals the clip of every range of the inner
+    levels, ``min(level, GS)`` for finite levels and GS from n on."""
 
-    def make(self, raw=toy_raw):
+    def make(self, raw=toy_raw, fills=None):
         def open_table(db):
             rows = {"a": 0, "b": 1, "c": 2}
-            return rows, lambda lo, hi: raw(db, rows.values(), lo, hi)
+
+            def fill(lo, hi):
+                if fills is not None:
+                    fills.append((lo, hi))
+                return raw(db, rows.values(), lo, hi)
+
+            return rows, fill
 
         return level_table(open_table, "toy")
 
@@ -285,16 +295,18 @@ class TestBoundTable:
             dataclasses.replace(self.make(raw), table=None), 1.5, n)
         assert per_step.table is None and bounded.table is not None
         inner = self.make(raw)
-        for upto in (0, 3, 8, 13, 25, 40):
-            rows, clipped = bounded.table(db, upto)
-            assert clipped.shape[1] >= upto
-            _, levels = inner.table(db, upto)
+        # every prefix, then the chunks between the same ends
+        ends = (0, 3, 8, 13, 25, 40)
+        for lo, hi in [(0, e) for e in ends] + list(zip(ends, ends[1:])):
+            rows, clipped = bounded.table(db, lo, hi)
+            assert clipped.shape[1] == hi - lo
+            _, levels = inner.table(db, lo, hi)
             for r in "abc":
                 want = [1.5 if t >= n
                         else min(v, 1.5) if v < math.inf else v
-                        for t, v in enumerate(levels[rows[r], :upto].tolist())]
-                assert repr(clipped[rows[r], :upto].tolist()) == repr(want)
-                for t, v in enumerate(want):
+                        for t, v in enumerate(levels[rows[r]].tolist(), lo)]
+                assert repr(clipped[rows[r]].tolist()) == repr(want)
+                for t, v in enumerate(want, lo):
                     if math.isfinite(v) and v >= 0:
                         assert per_step(db, t, r) == v
                     else:
@@ -304,21 +316,25 @@ class TestBoundTable:
     def test_one_clip_per_fill(self):
         # reads within one fill of the inner table clip the same levels;
         # a read past it fills a doubled chunk
-        db = tuple(range(20))
-        bounded = bound_sensitivity(self.make(), 1.5, 20)
-        _, first = bounded.table(db, 8)
-        for upto in (0, 1, 4, 8):
-            assert bounded.table(db, upto)[1].tolist() == first.tolist()
-        _, second = bounded.table(db, 9)                # a new fill
-        assert second.shape[1] == 16
-        assert second[:, :8].tolist() == first.tolist()
-        assert bounded.table(db, 16)[1].tolist() == second.tolist()
+        db, fills = tuple(range(20)), []
+        bounded = bound_sensitivity(self.make(fills=fills), 1.5, 20)
+        _, first = bounded.table(db, 0, 8)
+        for lo, hi in ((0, 0), (0, 1), (1, 4), (4, 8), (0, 8)):
+            assert bounded.table(db, lo, hi)[1].tolist() == (
+                first[:, lo:hi].tolist())
+        assert fills == [(0, 8)]
+        _, second = bounded.table(db, 8, 9)             # a new fill
+        assert fills == [(0, 8), (8, 16)] and second.shape[1] == 1
+        whole = bounded.table(db, 0, 16)[1]
+        assert whole[:, :8].tolist() == first.tolist()
+        assert whole[:, 8:9].tolist() == second.tolist()
+        assert fills == [(0, 8), (8, 16)]
 
     def test_unknown_candidate(self):
         bounded = bound_sensitivity(self.make(), 1.5, 20)
         with pytest.raises(InvalidInputError, match="toy: unknown candidate"):
             bounded(tuple(range(20)), 0, "z")
-        assert "z" not in bounded.table(tuple(range(20)), 4)[0]
+        assert "z" not in bounded.table(tuple(range(20)), 0, 4)[0]
 
 
 class TestFlattenSensitivity:
@@ -359,12 +375,12 @@ class TestFlattenSensitivity:
                 flat = flatten_sensitivity(inner, problem)
                 per_step = flatten_sensitivity(
                     dataclasses.replace(inner, table=None), problem)
-                for upto in (1, 8, n + 3):
-                    rows, hull = flat.table(x, upto)
-                    assert hull.shape[0] == 1 and hull.shape[1] >= upto
+                for lo, hi in ((0, 1), (0, 8), (3, n + 3), (0, n + 3)):
+                    rows, hull = flat.table(x, lo, hi)
+                    assert hull.shape == (1, hi - lo)
                     for r in problem.candidates:
-                        assert hull[rows[r], :upto].tolist() == [
-                            per_step(x, t, r) for t in range(upto)]
+                        assert hull[rows[r]].tolist() == [
+                            per_step(x, t, r) for t in range(lo, hi)]
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, "unknown"])
     def test_refused_inner_level_refuses_the_hull(self, bad):
@@ -386,11 +402,11 @@ class TestFlattenSensitivity:
         inner = SensitivityFunction(
             eval=eval_fn, declared_admissible=True, declared_bounded=True,
             declared_nondecreasing_in_t=True, name="inner",
-            table=lambda db, upto: (rows, levels))
+            table=lambda db, lo, hi: (rows, levels[:, lo:hi]))
         for u, stops in ((1.0, True), (9.0, False)):
             problem = make_abstract_problem([u, 0.5 * u], gs=2.0, n=4)
             flat = flatten_sensitivity(inner, problem)
-            hull = flat.table(problem.database, 4)[1].tolist()[0]
+            hull = flat.table(problem.database, 0, 4)[1].tolist()[0]
             if bad == "unknown":
                 assert all(map(math.isnan, hull))
             else:

@@ -610,7 +610,7 @@ class TestBatchedLevels:
                      for name in names for t in ts}
             for name in FIVE_NAMES:
                 delta(table, n + 3, name)
-            rows, levels = delta.table(table, n + 4)
+            rows, levels = delta.table(table, 0, n + 4)
             lists = {name: levels[rows[name], :n + 4].tolist()
                      for name in FIVE_NAMES}
             want = want or lists
@@ -678,14 +678,14 @@ class TestIgSensitivityCache:
         monkeypatch.setattr(trees, "_table_levels", counted)
         delta = ig_sensitivity()
         first, second = cell_table(rng, 10), cell_table(rng, 12)
-        rows, levels = delta.table(first, 8)
-        assert levels.shape[1] >= 8 and len(fills) == 1
-        assert delta.table(first, 4)[1] is levels
+        rows, levels = delta.table(first, 0, 8)
+        assert levels.shape[1] == 8 and len(fills) == 1
+        assert delta.table(first, 0, 4)[1].tolist() == levels[:, :4].tolist()
         assert delta(first, 3, "A") == levels[rows["A"], 3]
         assert len(fills) == 1              # held: no second fill
-        delta.table(second, 8)
+        delta.table(second, 0, 8)
         assert len(fills) == 2
-        _, again = delta.table(first, 8)
+        _, again = delta.table(first, 0, 8)
         assert len(fills) == 3              # refilled: the table was replaced
         assert again[:, :8].tolist() == levels[:, :8].tolist()
 
@@ -693,7 +693,7 @@ class TestIgSensitivityCache:
         delta = ig_sensitivity()
         table = cell_table(rng, 30)
         n = len(table)
-        rows, levels = delta.table(table, n + 5)
+        rows, levels = delta.table(table, 0, n + 5)
         assert levels[rows["A"], :n + 5].tolist() == [
             ig_sensitivity()(table, t, "A") for t in range(n + 5)]
 
