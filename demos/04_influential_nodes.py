@@ -32,16 +32,17 @@ k = 2
 runs = 60
 print(f"mean top-{k} overlap over {runs} runs:")
 print(f"{'epsilon':>8} {'em':>6} {'pf':>6} {'ld':>6} {'sld':>6}")
+# one prepared selector per mechanism, drawn at every epsilon: EM and LD
+# score every node once here, not once per epsilon, run and round
+selectors = [TopKSelector(graph, k, mechanism)
+             for mechanism in ("em", "pf", "ld", "sld")]
 for eps in (0.5, 2.0, 8.0, 32.0, 128.0):
     row = []
-    for mech_ix, mechanism in enumerate(("em", "pf", "ld", "sld")):
-        # one prepared selector per (epsilon, mechanism): EM and LD score
-        # every node once here, not once per run and round
-        selector = TopKSelector(graph, eps, k, mechanism)
+    for mech_ix, selector in enumerate(selectors):
         scores = []
         for run in range(runs):
             rng = np.random.default_rng(1000 * run + mech_ix)
-            result = selector.draw(rng)
+            result = selector.draw(rng, eps)
             scores.append(topk_accuracy(result, graph, k))
         row.append(float(np.mean(scores)))
     print(f"{eps:8.1f} " + " ".join(f"{v:6.2f}" for v in row))

@@ -388,8 +388,8 @@ def _check_privtopk(rng, trials=6):
         seed = int(rng.integers(2**63))
         for mechanism in mechanisms.MECHANISMS:
             acc = BudgetAccountant()
-            selector = graphs.TopKSelector(g, eps, k, mechanism)
-            res = selector.draw(np.random.default_rng(seed), accountant=acc)
+            selector = graphs.TopKSelector(g, k, mechanism)
+            res = selector.draw(np.random.default_rng(seed), eps, accountant=acc)
             if len(set(res.chosen)) != k:
                 return False, f"{mechanism}: duplicate nodes in top-k"
             if abs(acc.total() - eps) > 1e-9:

@@ -43,6 +43,14 @@ def read_utf8(path, newline: str | None = None) -> io.StringIO:
         raise InvalidInputError(f"{path}: line {line} is not UTF-8 text") from None
 
 
+def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
+    """Refuse a privacy budget that is not positive and finite.  Callers
+    check the share they spend, so one that underflows is named."""
+    if not 0.0 < epsilon < math.inf:
+        raise InvalidInputError(
+            f"{name} must be positive and finite, got {epsilon!r}")
+
+
 #: Monotonicity classes a sensitivity function may declare with respect to
 #: the utility ordering of the candidates.
 MONOTONICITY_CLASSES = ("non_decreasing", "non_increasing", "flat", "none")
@@ -171,7 +179,8 @@ class BudgetAccountant:
 
     A sequential scope totals the sum of its entries, a parallel scope the
     max (its entries must apply to pairwise disjoint data).  Scopes
-    themselves compose sequentially into :meth:`total`.
+    themselves compose sequentially into :meth:`total`, which is finite:
+    every entry passes :func:`check_epsilon`.
     """
 
     def __init__(self):
@@ -190,8 +199,7 @@ class BudgetAccountant:
         self._scopes[scope_id] = _Scope(mode=mode)
 
     def account(self, scope_id: Hashable, epsilon: float) -> None:
-        if not (epsilon > 0):
-            raise InvalidInputError("epsilon must be positive")
+        check_epsilon(epsilon)
         if scope_id not in self._scopes:
             raise InvalidInputError(f"unknown scope {scope_id!r}")
         self._scopes[scope_id].entries.append(float(epsilon))

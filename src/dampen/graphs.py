@@ -8,7 +8,6 @@ over pairs of its neighbors, the fraction of shortest paths between them
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
@@ -21,6 +20,7 @@ from .core import (
     SearchBudgetError,
     SelectionProblem,
     SensitivityFunction,
+    check_epsilon,
     read_utf8,
 )
 from . import mechanisms
@@ -348,14 +348,15 @@ class TopKSelector:
 
     The constructor validates the arguments and builds the full-range EBC
     problem, the default sensitivity function and one
-    :class:`mechanisms.Prepared` selection over it.  Every round of
-    :meth:`draw`, for every mechanism, reads that one selection over the
-    remaining nodes at the per-round budget ``epsilon / k``, so each node's
-    utility is looked up once, each dampened score is computed once per
-    value it is dampened at, and a round that moves the SLD shift scores a
-    node from its kept breakpoint prefix instead of a new walk.  A round
-    draws from those scores directly (:meth:`mechanisms.Prepared.select`);
-    the picks are those of a fresh selection problem per round.
+    :class:`mechanisms.Prepared` selection over it; no score depends on
+    epsilon, so :meth:`draw` takes the budget.  Every round of a draw, for
+    every mechanism, reads that one selection over the remaining nodes at
+    ``epsilon / k``, so each node's utility is looked up once, each
+    dampened score is computed once per value it is dampened at, and a
+    round that moves the SLD shift scores a node from its kept breakpoint
+    prefix instead of a new walk.  A round draws from those scores
+    directly (:meth:`mechanisms.Prepared.select`); the picks are those of
+    a fresh selection problem per round.
 
     The default sensitivity function is the bounded degree-based delta for
     the shifted mechanism and its flattened version for plain local
@@ -365,7 +366,6 @@ class TopKSelector:
     def __init__(
         self,
         graph: EdgeGraph,
-        epsilon: float,
         k: int,
         mechanism: str,
         delta: SensitivityFunction | None = None,
@@ -373,7 +373,6 @@ class TopKSelector:
     ):
         if k < 1 or k > graph.num_nodes():
             raise InvalidInputError("k must be in [1, number of nodes]")
-        mechanisms._check_epsilon(epsilon / k)
         base = ebc_problem(graph, global_sensitivity=global_sensitivity)
         if delta is None and mechanism in ("ld", "sld"):
             raw = delta_ebc() if mechanism == "sld" else flat_delta_ebc()
@@ -383,31 +382,24 @@ class TopKSelector:
         self.k = k
         self.mechanism = mechanism
         self.delta = delta
-        self.epsilon_per_round = epsilon / k
         self._prepared = mechanisms.Prepared(mechanism, base, delta)
-
-    def at(self, epsilon: float) -> "TopKSelector":
-        """This selector at another total budget, sharing its prepared
-        selection: no dampened score depends on epsilon, so every score
-        and breakpoint prefix found so far is reused."""
-        mechanisms._check_epsilon(epsilon / self.k)
-        other = copy.copy(self)
-        other.epsilon_per_round = epsilon / self.k
-        return other
 
     def draw(
         self,
         rng,
+        epsilon: float,
         accountant: BudgetAccountant | None = None,
         scope: Hashable = "priv_topk",
     ) -> TopKResult:
         """Pick k distinct nodes in k rounds at ``epsilon / k`` each, every
         round over the nodes not chosen yet, one spawned generator per
-        round; each round is booked in ``accountant`` under ``scope``."""
+        round; each round is booked in ``accountant`` under ``scope``.
+        The per-round budget is checked before any scope is opened."""
+        eps_i = epsilon / self.k
+        check_epsilon(eps_i, "per-round budget epsilon / k")
         if accountant is None:
             accountant = BudgetAccountant()
         accountant.open_scope(scope, "sequential")
-        eps_i = self.epsilon_per_round
         nodes = self._prepared.problem.candidates
         remaining = np.arange(len(nodes))
         chosen: list = []
@@ -438,12 +430,12 @@ def priv_topk(
 
     Every iteration selects over the not-yet-chosen nodes, so the result is
     duplicate free.  One-shot form of :class:`TopKSelector`; build the
-    selector once to draw repeatedly on the same graph.
+    selector once to draw repeatedly, at any budgets, on the same graph.
     """
     return TopKSelector(
-        graph, epsilon, k, mechanism, delta=delta,
+        graph, k, mechanism, delta=delta,
         global_sensitivity=global_sensitivity,
-    ).draw(rng, accountant=accountant, scope=scope)
+    ).draw(rng, epsilon, accountant=accountant, scope=scope)
 
 
 def true_topk(graph: EdgeGraph, k: int) -> tuple:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError
+from .core import InvalidInputError, check_epsilon
 from . import graphs as graphs_mod
 from . import mechanisms
 from . import percentile as percentile_mod
@@ -48,10 +48,8 @@ class ExperimentSpec:
             raise InvalidInputError(f"unknown application {self.application!r}")
         if not self.epsilons:
             raise InvalidInputError("epsilon list must be nonempty")
-        if any(not (e > 0) for e in self.epsilons):
-            raise InvalidInputError("all epsilons must be positive")
-        if not all(math.isfinite(e) for e in self.epsilons):
-            raise InvalidInputError("all epsilons must be finite")
+        for epsilon in self.epsilons:
+            check_epsilon(epsilon)
         if not self.mechanisms:
             raise InvalidInputError("mechanism list must be nonempty")
         tags = _CELLS[self.application][0]
@@ -129,7 +127,7 @@ def _topk_cells(spec: ExperimentSpec, graph):
     """Mean top-k accuracy over ``runs`` seeded private selections, with
     its standard error.  Each mechanism prepares one
     :class:`graphs.TopKSelector` (one selection, one sensitivity function)
-    for every epsilon, and each cell draws from it ``runs`` times, so every
+    and each cell draws from it ``runs`` times at its epsilon, so every
     node is scored once per job."""
     k = int(spec.params.get("k", 1))
     runs = int(spec.params.get("runs", DEFAULT_TOPK_RUNS))
@@ -139,15 +137,13 @@ def _topk_cells(spec: ExperimentSpec, graph):
 
     def cell(mechanism, eps_ix, epsilon):
         if mechanism not in selectors:
-            selectors[mechanism] = graphs_mod.TopKSelector(
-                graph, epsilon, k, mechanism)
-        selector = selectors[mechanism].at(epsilon)
+            selectors[mechanism] = graphs_mod.TopKSelector(graph, k, mechanism)
         scores = np.empty(runs)
         for run_ix in range(runs):
             rng = np.random.default_rng(
                 cell_seed(spec.base_seed, "topk", mechanism, eps_ix, run_ix)
             )
-            result = selector.draw(rng)
+            result = selectors[mechanism].draw(rng, epsilon)
             scores[run_ix] = graphs_mod.topk_accuracy(result, graph, k)
         stderr = float(scores.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
         return "topkAccuracy", float(scores.mean()), stderr

@@ -28,6 +28,7 @@ from .core import (
     InvalidInputError,
     SelectionProblem,
     SensitivityFunction,
+    check_epsilon,
 )
 
 #: Iteration cap for bracketing a score against a sensitivity function that
@@ -74,11 +75,6 @@ def _sample(candidates: Sequence, probabilities: np.ndarray, rng) -> Any:
     cdf = np.cumsum(probabilities)
     cdf[-1] = 1.0
     return candidates[int(np.searchsorted(cdf, rng.random(), side="right"))]
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (epsilon > 0) or not math.isfinite(epsilon):
-        raise InvalidInputError("epsilon must be positive and finite")
 
 
 def dampen(
@@ -265,9 +261,10 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Newton's method on the recurrence from the asymptotic guesses
     ``cos(pi (i - 1/4) / (m + 1/2))`` converges in a few steps for every
-    ``m`` and needs no eigensolver (``numpy.polynomial.legendre.leggauss``
-    would load LAPACK).  ``1 - x^2`` is taken as ``(1 - x)(1 + x)``, which
-    loses less precision next to the ends of the interval.
+    ``m``; ``numpy.polynomial.legendre.leggauss``'s outermost weights are
+    off by about 1e-8 relative at ``m = 1000`` (see the tests).  ``1 - x^2``
+    is taken as ``(1 - x)(1 + x)``, which loses less precision next to the
+    ends of the interval.
     """
     x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
     for _ in range(100):
@@ -393,7 +390,7 @@ class Prepared:
         """Scores and exact probabilities of the candidates at ``keep``, as
         :meth:`distribution` describes them; unchecked, so a NaN this makes
         is refused by the caller."""
-        _check_epsilon(epsilon)
+        check_epsilon(epsilon)
         mechanism = self.mechanism
         gs = self.problem.global_sensitivity
         pos = (np.arange(len(self.utilities)) if keep is None
@@ -449,7 +446,7 @@ class Prepared:
         if self.mechanism != "pf":
             _, probabilities = self._scored(epsilon, keep, None)
             return _sample(range(len(probabilities)), _checked(probabilities), rng)
-        _check_epsilon(epsilon)
+        check_epsilon(epsilon)
         u = self.utilities if keep is None else self.utilities[keep]
         gs = self.problem.global_sensitivity
         if gs == 0:

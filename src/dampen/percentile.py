@@ -356,14 +356,15 @@ def bounded_ls_percentile(x: NumericVector, q: PercentileQuery) -> SensitivityFu
 
 def load_values(lines: Iterable[str], lambda_cap: float) -> NumericVector:
     """Parse one value per line (or a single-column CSV with a header row);
-    rejects out-of-range values with their line number."""
+    rejects a line of several fields or an out-of-range value by number."""
     values = []
     for line_no, raw in enumerate(lines, start=1):
         token = raw.strip()
         if not token:
             continue
         if "," in token:
-            token = token.split(",")[0].strip()
+            raise InvalidInputError(
+                f"line {line_no}: {token!r} has more than one field")
         try:
             value = float(token)
         except ValueError:

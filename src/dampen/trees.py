@@ -24,6 +24,7 @@ from .core import (
     InvalidInputError,
     SelectionProblem,
     SensitivityFunction,
+    check_epsilon,
     read_utf8,
 )
 from . import mechanisms
@@ -179,10 +180,6 @@ class LabeledTable:
 
     def _col_index(self, name: str) -> int:
         return self.schema.columns[name][0]
-
-    def column(self, name: str) -> list:
-        ix = self._col_index(name)
-        return [row[ix] for row in self.rows]
 
     def row_dicts(self) -> list[dict]:
         cols = tuple(self.schema.columns)
@@ -476,9 +473,9 @@ def ig_problem(table: LabeledTable, attributes: Sequence[str]) -> SelectionProbl
 
 
 def noisy_count(count: float, epsilon: float, rng) -> float:
-    """Count plus Laplace(1/epsilon) noise; counts move by one per row edit."""
-    if not (epsilon > 0):
-        raise InvalidInputError("epsilon must be positive")
+    """Count plus Laplace(1/epsilon) noise; counts move by one per row edit.
+    An infinite epsilon, which would give the exact count, is refused."""
+    check_epsilon(epsilon)
     return float(count) + float(rng.laplace(0.0, 1.0 / epsilon))
 
 
@@ -554,11 +551,12 @@ def build_diffp_id3(
     early stops.  A path splits on each attribute at most once, so levels
     past ``len(attributes)`` are never reached: their stages are reserved
     together as one entry of a ``(scope_prefix, "unreachable")`` scope.
+    The per-stage share is checked before any scope is opened.
     """
-    if not (epsilon > 0):
-        raise InvalidInputError("epsilon must be positive")
     if depth < 0:
         raise InvalidInputError("depth must be >= 0")
+    eps_stage = epsilon / (2 * (depth + 1))
+    check_epsilon(eps_stage, "per-stage budget epsilon / (2 (depth + 1))")
     if variant not in VARIANTS:
         raise InvalidInputError(f"unknown variant {variant!r}")
     for attr in attributes:
@@ -568,7 +566,6 @@ def build_diffp_id3(
             )
     if accountant is None:
         accountant = BudgetAccountant()
-    eps_stage = epsilon / (2 * (depth + 1))
     reachable = min(depth, len(attributes))
     for level in range(reachable + 1):
         for stage in ("count", "select"):

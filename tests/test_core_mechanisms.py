@@ -1127,6 +1127,15 @@ class TestBudgetAccountant:
         with pytest.raises(InvalidInputError):
             acc.scope_total("ghost")
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_a_budget_that_is_not_positive_and_finite(self, epsilon):
+        acc = BudgetAccountant()
+        acc.open_scope("s")
+        acc.account("s", 0.5)
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            acc.account("s", epsilon)
+        assert acc.total() == 0.5
+
 
 class TestSelectionProblem:
     def test_utilities_scored_once_per_problem(self):

@@ -247,10 +247,10 @@ class TestTopKSelector:
     def test_draws_equal_per_round_oracle(self, mechanism, name, k_full):
         g = SELECTOR_GRAPHS[name]
         k = g.num_nodes() if k_full else 1
+        selector = TopKSelector(g, k, mechanism)
         for eps in (0.5, 8.0):
-            selector = TopKSelector(g, eps, k, mechanism)
             for seed in range(6):
-                drawn = selector.draw(np.random.default_rng(seed)).chosen
+                drawn = selector.draw(np.random.default_rng(seed), eps).chosen
                 oracle = topk_rounds_oracle(
                     g, eps, k, mechanism, np.random.default_rng(seed)
                 )
@@ -262,10 +262,10 @@ class TestTopKSelector:
     def test_repeated_draws_equal_fresh_priv_topk(self, mechanism, name):
         g = SELECTOR_GRAPHS[name]
         for k in (1, g.num_nodes()):
-            selector = TopKSelector(g, 2.0, k, mechanism)
+            selector = TopKSelector(g, k, mechanism)
             for seed in range(4):
                 acc = BudgetAccountant()
-                again = selector.draw(np.random.default_rng(seed),
+                again = selector.draw(np.random.default_rng(seed), 2.0,
                                       accountant=acc, scope="s")
                 fresh = priv_topk(g, 2.0, k, mechanism,
                                   np.random.default_rng(seed), scope="s")
@@ -277,18 +277,21 @@ class TestTopKSelector:
     def test_at_another_epsilon_equals_a_fresh_selector(self, mechanism, name):
         g = SELECTOR_GRAPHS[name]
         for k in (1, g.num_nodes()):
-            shared = TopKSelector(g, 8.0, k, mechanism)
+            shared = TopKSelector(g, k, mechanism)
             for eps in (0.5, 2.0, 8.0, 0.5):
-                selector = shared.at(eps)
-                assert selector.epsilon_per_round == eps / k
                 for seed in range(3):
-                    fresh = TopKSelector(g, eps, k, mechanism)
-                    assert selector.draw(np.random.default_rng(seed)) == (
-                        fresh.draw(np.random.default_rng(seed)))
-            assert shared.epsilon_per_round == 8.0 / k
+                    drawn = shared.draw(np.random.default_rng(seed), eps)
+                    assert drawn.per_iteration_epsilon == eps / k
+                    fresh = TopKSelector(g, k, mechanism)
+                    assert drawn == fresh.draw(np.random.default_rng(seed), eps)
             for eps in (0.0, -1.0, float("inf"), float("nan")):
-                with pytest.raises(InvalidInputError):
-                    shared.at(eps)
+                acc = BudgetAccountant()
+                with pytest.raises(InvalidInputError, match="^per-round budget"):
+                    shared.draw(np.random.default_rng(0), eps, accountant=acc)
+                assert acc.scopes() == []
+            # a refused draw leaves the selector as it was
+            assert shared.draw(np.random.default_rng(0), 8.0) == (
+                priv_topk(g, 8.0, k, mechanism, np.random.default_rng(0)))
 
     @pytest.mark.parametrize("mechanism", ("ld", "sld"))
     @pytest.mark.parametrize("bad", (float("nan"), -1.0))
@@ -296,8 +299,8 @@ class TestTopKSelector:
     def test_broken_delta_still_refused(self, bridge_graph, mechanism, bad, k):
         delta = _broken_at("a", bad)
         with pytest.raises(ContractViolationError, match="broken"):
-            TopKSelector(bridge_graph, 1.0, k, mechanism,
-                         delta=delta).draw(np.random.default_rng(0))
+            TopKSelector(bridge_graph, k, mechanism,
+                         delta=delta).draw(np.random.default_rng(0), 1.0)
         with pytest.raises(ContractViolationError, match="broken"):
             priv_topk(bridge_graph, 1.0, k, mechanism,
                       np.random.default_rng(0), delta=delta)
@@ -332,9 +335,9 @@ class TestTopKSelector:
             return real(problem, delta, r, u, *tails)
 
         monkeypatch.setattr(mechanisms, "dampen", counted)
-        selector = TopKSelector(bridge_graph, 1.0, 8, "sld")
+        selector = TopKSelector(bridge_graph, 8, "sld")
         for seed in range(3):
-            selector.draw(np.random.default_rng(seed))
+            selector.draw(np.random.default_rng(seed), 1.0)
         assert len(calls) == len(set(calls))
         # the shift moves only when a round picks a node of top utility
         assert len(calls) < 3 * 8 * 9 / 2
@@ -380,9 +383,9 @@ class TestTopKSelector:
 
     def test_em_and_ld_score_each_node_once(self, bridge_graph, monkeypatch):
         calls = scored_candidates(monkeypatch)
-        selector = TopKSelector(bridge_graph, 1.0, 8, "ld")
+        selector = TopKSelector(bridge_graph, 8, "ld")
         for seed in range(3):
-            selector.draw(np.random.default_rng(seed))
+            selector.draw(np.random.default_rng(seed), 1.0)
         assert sorted(calls) == sorted(bridge_graph.nodes)
 
     @pytest.mark.parametrize("mechanism", mechanisms.MECHANISMS)
@@ -396,20 +399,22 @@ class TestTopKSelector:
             return real(graph, v)
 
         monkeypatch.setattr(graphs.EdgeGraph, "ebc_score", counted)
-        selector = TopKSelector(bridge_graph, 1.0, 8, mechanism)
+        selector = TopKSelector(bridge_graph, 8, mechanism)
         for seed in range(3):
-            selector.draw(np.random.default_rng(seed))
+            selector.draw(np.random.default_rng(seed), 1.0)
         assert sorted(calls) == sorted(bridge_graph.nodes)
 
     def test_validation_at_construction(self, bridge_graph):
         with pytest.raises(InvalidInputError):
-            TopKSelector(bridge_graph, 0.0, 1, "em")
+            TopKSelector(bridge_graph, 1, "em").draw(
+                np.random.default_rng(0), 0.0)
         with pytest.raises(InvalidInputError):
-            TopKSelector(bridge_graph, 1.0, 9, "em")
+            TopKSelector(bridge_graph, 9, "em")
         with pytest.raises(InvalidInputError):
-            TopKSelector(bridge_graph, 1.0, 1, "gumbel")
+            TopKSelector(bridge_graph, 1, "gumbel")
         with pytest.raises(InvalidInputError):
-            TopKSelector(bridge_graph, float("inf"), 1, "ld")
+            TopKSelector(bridge_graph, 1, "ld").draw(
+                np.random.default_rng(0), float("inf"))
 
 
 class TestTopkAccuracy:

@@ -876,7 +876,21 @@ class TestRejectedBeforeAnyCell:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "dampen: all epsilons must be finite\n"
+        assert captured.err == (
+            "dampen: epsilon must be positive and finite, got inf\n")
+
+    def test_per_stage_budget_that_underflows(self, tmp_path, capsys):
+        # 1e-323 / (2 (3 + 1)) rounds to 0.0: the message names that share,
+        # not the positive --epsilon it came from
+        data, schema = write_toy_table(tmp_path, [("x", "no"), ("z", "yes")])
+        code = cli.main(["tree", "--data", data, "--schema", schema,
+                         "--epsilon", "1e-323", "--depth", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "dampen: per-stage budget epsilon / (2 (depth + 1)) must be "
+            "positive and finite, got 0.0\n")
 
 
     def write_values(self, tmp_path, values):
@@ -899,6 +913,17 @@ class TestRejectedBeforeAnyCell:
         assert captured.err == (
             f"dampen: value cap {float(cap)} is too large for 3 records: "
             "(n + 1) * cap is not finite\n")
+
+    def test_vector_line_of_several_fields(self, tmp_path, capsys):
+        # only the first field used to be read: these values ran as 1 and 3
+        data = self.write_values(tmp_path, ["a,b", "1,2", "3,4"])
+        code = cli.main(["percentile", "--data", data, "--lambda", "10",
+                         "--epsilon", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "dampen: line 1: 'a,b' has more than one field\n")
 
     def test_largest_cap_that_fits(self, tmp_path, capsys):
         data = self.write_values(tmp_path, ["0", "0", "4e307"])

@@ -506,3 +506,13 @@ class TestLoading:
     def test_non_numeric_body_is_line_numbered(self):
         with pytest.raises(InvalidInputError, match="line 2"):
             load_values(io.StringIO("1.0\nxyz\n"), 10.0)
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,b\n1,2\n3,4\n", 1),
+        ("value\n1.5\n2.0,3.0\n", 3),
+        ("1.5,\n", 1),
+    ])
+    def test_several_fields_are_refused(self, text, line):
+        with pytest.raises(InvalidInputError,
+                           match=f"line {line}: .* more than one field"):
+            load_values(io.StringIO(text), 10.0)

@@ -724,7 +724,7 @@ class TestPartition:
                     built = LabeledTable(table.schema, part.row_dicts())
                     assert part == built
                     assert hash(part) == hash(built)
-                    assert set(part.column(attribute)) <= {value}
+                    assert {row[attribute] for row in part.row_dicts()} <= {value}
                 assert sorted(r for p in parts.values() for r in p.rows) == (
                     list(table.rows))
 
@@ -743,6 +743,13 @@ class TestNoisyCount:
         a = noisy_count(5, 1.0, np.random.default_rng(3))
         b = noisy_count(5, 1.0, np.random.default_rng(3))
         assert a == b
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_a_budget_that_is_not_positive_and_finite(self, rng,
+                                                             epsilon):
+        # at inf the Laplace scale is 0 and the exact count would come out
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            noisy_count(5, epsilon, rng)
 
 
 class TestBuilder:
@@ -833,6 +840,21 @@ class TestBuilder:
         with pytest.raises(InvalidInputError):
             build_diffp_id3(table, TOY_TABLE_ATTRIBUTES, 2, 1.0, "nope", rng)
 
+    @pytest.mark.parametrize("epsilon, depth, got", [
+        (math.inf, 2, "inf"), (math.nan, 2, "nan"), (-1.0, 0, "-0.5"),
+        (1e-323, 3, "0.0"),
+    ])
+    def test_refuses_a_budget_before_booking_any(self, epsilon, depth, got):
+        # the stage share is checked before the ledger holds a scope, so
+        # no refused run leaves a partial ledger
+        acc = BudgetAccountant()
+        with pytest.raises(InvalidInputError, match=(
+                r"^per-stage budget epsilon / \(2 \(depth \+ 1\)\) must be "
+                f"positive and finite, got {got}$")):
+            build_diffp_id3(separable_table(), TOY_TABLE_ATTRIBUTES, depth,
+                            epsilon, "local", np.random.default_rng(0), acc)
+        assert acc.scopes() == []
+
 
 class TestDiscretize:
     def test_midpoint_goes_to_lower_bin(self):
@@ -858,7 +880,7 @@ class TestDiscretize:
         ])
         binned = discretize(table, "x")
         assert binned.schema.spec_of("x") == Categorical((0, 1))
-        assert sorted(binned.column("x")) == [0, 0, 1]
+        assert sorted(row["x"] for row in binned.row_dicts()) == [0, 0, 1]
 
 
 def leaf_votes(node):
