@@ -501,6 +501,23 @@ def _check_id3_equality(rng):
     return True, ""
 
 
+def _check_cv_equals_oracle(rng):
+    # the level-synchronous cross-validation against one recursive build
+    # per fold, on a random small table
+    table = fixtures.random_induction_table(rng, max_rows=60)
+    if len(table) < 2:
+        table = fixtures.separable_table()
+    depth = int(rng.integers(0, 4))
+    seed = int(rng.integers(2**32))
+    for variant in trees.VARIANTS:
+        got = trees.cross_validate(table, depth, 2.0, variant, seed, folds=3)
+        want = oracles.cross_validate_oracle(table, depth, 2.0, variant, seed,
+                                             folds=3)
+        if got != want:
+            return False, f"{variant} at depth {depth}: {got!r} != {want!r}"
+    return True, ""
+
+
 _SUITE_CHECKS = {
     "core": (
         ("em_instance_equality", _check_em_instance_equality),
@@ -535,6 +552,7 @@ _SUITE_CHECKS = {
         ("movement_potentials_monotone", _check_f_g_monotone),
         ("builder_budget_and_paths", _check_builder),
         ("id3_equality_at_huge_budget", _check_id3_equality),
+        ("cross_validation_equals_oracle", _check_cv_equals_oracle),
     ),
 }
 

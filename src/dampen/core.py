@@ -51,6 +51,20 @@ def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
             f"{name} must be positive and finite, got {epsilon!r}")
 
 
+def budget_share(epsilon: float, parts: int, name: str) -> float:
+    """``epsilon / parts`` for an int ``parts >= 1``, refused by
+    :func:`check_epsilon` under ``name``.  The quotient is taken exactly and
+    rounded once, as float division rounds it, for any int: a ``parts`` too
+    large for a float gives a share that underflows to 0.0, not an
+    ``OverflowError``."""
+    share = float(epsilon)
+    if math.isfinite(share):
+        num, den = share.as_integer_ratio()
+        share = num / (den * parts)
+    check_epsilon(share, name)
+    return share
+
+
 #: Monotonicity classes a sensitivity function may declare with respect to
 #: the utility ordering of the candidates.
 MONOTONICITY_CLASSES = ("non_decreasing", "non_increasing", "flat", "none")

@@ -143,3 +143,30 @@ def random_table_instance(rng: np.random.Generator, max_rows: int = 3) -> Labele
         for _ in range(n)
     ]
     return LabeledTable(TINY_TABLE_SCHEMA, rows)
+
+
+def random_induction_table(rng: np.random.Generator,
+                           max_rows: int = 60) -> LabeledTable:
+    """Table for tree induction: 1 to 4 categorical attributes of 2 to 4
+    values, 2 or 3 classes and up to ``max_rows`` rows.  The class follows
+    the first attribute with probability one half, and values are drawn
+    with skewed weights, so nodes of one row and empty branches occur."""
+    names = [f"a{i}" for i in range(int(rng.integers(1, 5)))]
+    domains = [tuple(range(int(rng.integers(2, 5)))) for _ in names]
+    classes = ("c0", "c1", "c2")[:int(rng.integers(2, 4))]
+    schema = TableSchema(
+        attributes=tuple((name, Categorical(dom))
+                         for name, dom in zip(names, domains)),
+        class_attribute="y",
+        class_values=classes,
+    )
+    weights = [rng.dirichlet(np.ones(len(dom))) for dom in domains]
+    rows = []
+    for _ in range(int(rng.integers(1, max_rows + 1))):
+        row = {name: int(rng.choice(len(dom), p=w))
+               for name, dom, w in zip(names, domains, weights)}
+        label = (row[names[0]] if rng.random() < 0.5
+                 else int(rng.integers(len(classes))))
+        row["y"] = classes[label % len(classes)]
+        rows.append(row)
+    return LabeledTable(schema, rows)

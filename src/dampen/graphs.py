@@ -20,7 +20,7 @@ from .core import (
     SearchBudgetError,
     SelectionProblem,
     SensitivityFunction,
-    check_epsilon,
+    budget_share,
     read_utf8,
 )
 from . import mechanisms
@@ -343,6 +343,18 @@ class TopKResult:
     accountant_scope: Hashable
 
 
+def check_k(graph: EdgeGraph, k: int) -> None:
+    """Refuse a top-k size outside ``[1, number of nodes]``."""
+    if k < 1 or k > graph.num_nodes():
+        raise InvalidInputError("k must be in [1, number of nodes]")
+
+
+def round_budget(epsilon: float, k: int) -> float:
+    """The budget ``epsilon / k`` of each round of a top-k draw, refused
+    unless it is positive and finite (:func:`~dampen.core.budget_share`)."""
+    return budget_share(epsilon, k, "per-round budget epsilon / k")
+
+
 class TopKSelector:
     """Private EBC top-k on one graph, prepared once and drawn many times.
 
@@ -371,8 +383,7 @@ class TopKSelector:
         delta: SensitivityFunction | None = None,
         global_sensitivity: float | None = None,
     ):
-        if k < 1 or k > graph.num_nodes():
-            raise InvalidInputError("k must be in [1, number of nodes]")
+        check_k(graph, k)
         base = ebc_problem(graph, global_sensitivity=global_sensitivity)
         if delta is None and mechanism in ("ld", "sld"):
             raw = delta_ebc() if mechanism == "sld" else flat_delta_ebc()
@@ -395,8 +406,7 @@ class TopKSelector:
         round over the nodes not chosen yet, one spawned generator per
         round; each round is booked in ``accountant`` under ``scope``.
         The per-round budget is checked before any scope is opened."""
-        eps_i = epsilon / self.k
-        check_epsilon(eps_i, "per-round budget epsilon / k")
+        eps_i = round_budget(epsilon, self.k)
         if accountant is None:
             accountant = BudgetAccountant()
         accountant.open_scope(scope, "sequential")

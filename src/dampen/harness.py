@@ -125,7 +125,8 @@ def _percentile_cells(spec: ExperimentSpec, dataset):
 
 def _topk_cells(spec: ExperimentSpec, graph):
     """Mean top-k accuracy over ``runs`` seeded private selections, with
-    its standard error.  Each mechanism prepares one
+    its standard error.  k and every epsilon's per-round share are checked
+    before any cell runs.  Each mechanism prepares one
     :class:`graphs.TopKSelector` (one selection, one sensitivity function)
     and each cell draws from it ``runs`` times at its epsilon, so every
     node is scored once per job."""
@@ -133,6 +134,9 @@ def _topk_cells(spec: ExperimentSpec, graph):
     runs = int(spec.params.get("runs", DEFAULT_TOPK_RUNS))
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
+    graphs_mod.check_k(graph, k)
+    for epsilon in spec.epsilons:
+        graphs_mod.round_budget(epsilon, k)
     selectors = {}
 
     def cell(mechanism, eps_ix, epsilon):
@@ -152,10 +156,13 @@ def _topk_cells(spec: ExperimentSpec, graph):
 
 
 def _tree_cells(spec: ExperimentSpec, table):
-    """Cross-validated accuracy of one induction variant.  The table is
-    checked and binned once here, for every cell."""
+    """Cross-validated accuracy of one induction variant.  Every epsilon's
+    per-stage share is checked, and the table checked and binned, once
+    here, before any cell runs."""
     depth = int(spec.params.get("depth", 2))
     folds = int(spec.params.get("folds", 10))
+    for epsilon in spec.epsilons:
+        trees_mod.stage_budget(epsilon, depth)
     table = trees_mod.cv_table(table)
 
     def cell(variant, eps_ix, epsilon):

@@ -11,7 +11,8 @@ every mechanism without drawing: a max-stabilized softmax for the
 exponential and dampening mechanisms, Gauss-Legendre quadrature of the
 closed form for permute-and-flip.  Expected errors are derived from it
 without sampling.  :class:`Prepared` scores one problem once and reads it
-at any epsilon over any subset of the candidates.
+at any epsilon over any subset of the candidates; :func:`score_together`
+scores many prepared problems in one array pass.
 """
 
 from __future__ import annotations
@@ -155,81 +156,155 @@ def dampen(
 PREFIX_SLICE_ENTRIES = 1 << 16
 
 
-def _prefixes(problem: SelectionProblem, delta: SensitivityFunction,
-              candidates: Sequence, values: Sequence[float],
-              tails: dict) -> list:
-    """Where :func:`dampen` stops for each of ``candidates`` at the score
-    ``v`` in ``values`` (positive and finite), in one array pass over
-    ``delta.table``.
+def _table_reader(delta: SensitivityFunction, x):
+    """``delta.table`` at ``x`` as the ``table`` of :func:`_prefixes`; a
+    table short of the columns asked for raises here."""
 
-    ``delta`` is declared bounded and nondecreasing in t and GS is
-    positive, so the walk stops at the first t where a level fails a check
-    (finite, at least 0 and the level before, at most GS) or equals GS, or
-    where ``v < cum[t + 1]`` for the sum ``cum[t]`` of the levels before
-    t; else at n.  The table is read in the walk's chunks (``max(8,
-    floor(v / GS) + 1)`` levels for the largest ``v`` below ``n * GS``,
-    else 8, then twice as many), each chunk ``[lo, hi)`` once, until every
-    candidate stops; its only read-on test is a candidate whose row is
-    still open at ``hi < n``.  The candidates are grouped by row once, and
-    each open row carries the sum of the levels read so far, its last
-    level and the candidates it has not placed, so a chunk checks and
-    ``np.cumsum``s only its own columns from there: the same additions in
-    the walk's order as one ``np.cumsum`` from 0.0.  A stop ``(t, cum[t],
-    width)``, width the level at t or GS in the tail, scores as the walk's
-    ``t + (v - cum[t]) / width``; a tail stop is kept in ``tails`` as the
-    walk keeps it.  A candidate the table lacks, or whose stop is a failed
-    check, maps to ``None``: its walk raises its own message.  A table
-    short of the columns asked for raises here.
-    """
-    x, gs = problem.database, problem.global_sensitivity
-    n = problem.database_size
-    v_max = max(values)
-    lo, hi = 0, min(n, max(8, int(v_max / gs) + 1) if v_max < n * gs else 8)
-    out, groups = [None] * len(candidates), None
-    while True:
+    def read(lo, hi, wanted):
         rows, block = delta.table(x, lo, hi)
         if block.shape[1] < hi - lo:
             raise ContractViolationError(
                 f"sensitivity function {delta.name} returned "
                 f"{lo + block.shape[1]} levels, {hi} were asked for"
             )
-        if groups is None:  # table row -> [sum, last level, positions]
+        return [rows.get(key) for _, key in wanted], block
+
+    return read
+
+
+def _prefixes(table, problems: Sequence) -> list:
+    """Where :func:`dampen` stops for every score of every problem, in one
+    array pass over ``table``.
+
+    ``problems[b]`` is ``(gs, n, keys, values, tails)``: the GS (positive)
+    and database size of a problem over a ``delta`` declared bounded and
+    nondecreasing in t, and the scores ``v`` in ``values`` (positive and
+    finite) it places, ``values[j]`` on the levels of ``keys[j]``.
+    ``table(lo, hi, wanted)`` takes ``(b, key)`` pairs and returns
+    ``(rows, block)``: ``rows[i]`` is the row of ``block`` holding the
+    levels of ``wanted[i]`` at t in ``[lo, hi)``, or ``None`` if the table
+    lacks it.  A row read past its problem's n must hold GS there, as
+    :func:`~dampen.sensitivity.bounded_levels` pins it.
+
+    A walk stops at the first t where a level fails a check (finite, at
+    least 0 and the level before, at most GS) or equals GS, or where ``v <
+    cum[t + 1]`` for the sum ``cum[t]`` of the levels before t; else at n.
+    Each problem asks for the walk's chunks: ``max(8, floor(v / GS) + 1)``
+    levels for its largest ``v`` below ``n * GS``, else 8, then twice as
+    many, never past n, until every score of it stops; its only read-on
+    test is a row still open at a chunk end below n.  Problems whose next
+    chunks start at the same t are read together up to the largest end
+    among them; a first chunk below half of that end is read apart.  So no
+    problem reads more than twice the columns it would read alone, and a
+    batch of one reads exactly its own chunks.  Each open row carries the
+    sum of the levels read so far and its last level (zeros on a first
+    read, then the floats its read ended on), so a read checks and
+    ``np.cumsum``s only its own columns from there: the same additions in
+    the walk's order as one ``np.cumsum`` from 0.0.
+
+    A stop ``(t, cum[t], width)``, width the level at t or GS in the tail,
+    scores as the walk's ``t + (v - cum[t]) / width``; a tail stop is kept
+    as ``tails[key] = (t, cum[t])``, as the walk keeps it.  A score the
+    table lacks, or whose stop is a failed check, maps to ``None``: its
+    walk raises its own message.  Returns one list of stops per problem.
+    """
+    out = [[None] * len(p[2]) for p in problems]
+
+    def first(lo, hi, part):
+        """The first read of the problems at ``part``: their scores grouped
+        into one open row per (problem, table row), and the levels."""
+        found, block = table(lo, hi, [(b, key) for b in part
+                                      for key in problems[b][2]])
+        rows, at, start = [], [], 0
+        for b in part:
+            keys = problems[b][2]
             groups = {}
-            for j, r in enumerate(candidates):
-                if r in rows:
-                    groups.setdefault(rows[r], [0.0, 0.0, []])[2].append(j)
-        width, open_rows = hi - lo, {}
-        part_rows = max(1, PREFIX_SLICE_ENTRIES // (width + 1))
-        distinct = list(groups)
-        for at in range(0, len(distinct), part_rows):
-            part = distinct[at:at + part_rows]
-            # lv[k]: the level before lo of row part[k], then its levels;
+            for j, r in enumerate(found[start:start + len(keys)]):
+                if r in groups:
+                    groups[r].append(j)
+                elif r is not None:
+                    groups[r] = [j]
+            start += len(keys)
+            rows += [(b, keys[js[0]], js) for js in groups.values()]
+            at += groups
+        return rows, at, block
+
+    def read(lo, hi, rows, at, block, sums, lasts):
+        """Check and sum ``[lo, hi)`` of the open ``rows``, ``(problem,
+        key, positions)`` each at block row ``at`` with its carried sum and
+        last level; place the scores that stop there and return the rows
+        still open at hi with their sums and last levels."""
+        width = hi - lo
+        gs = np.array([problems[b][0] for b, _, _ in rows])
+        step = max(1, PREFIX_SLICE_ENTRIES // (width + 1))
+        still, held_sums, held_lasts = [], [], []
+        for top in range(0, len(rows), step):
+            part = slice(top, top + step)
+            # lv[k, 0]: the level before lo of row k, then its levels;
             # go[k, s]: its walk passes lo + s; lv[k, 0] then takes the sum
-            lv = np.empty((len(part), width + 1))
-            lv[:, 0] = [groups[row][1] for row in part]
-            lv[:, 1:] = block[:, :width].take(part, axis=0)
-            go = np.zeros((len(part), width + 1), dtype=bool)
+            lv = np.empty((len(at[part]), width + 1))
+            lv[:, 0] = lasts[part]
+            lv[:, 1:] = block[:, :width].take(at[part], axis=0)
+            go = np.zeros(lv.shape, dtype=bool)
             np.greater_equal(lv[:, 1:], lv[:, :-1], out=go[:, :width])
-            go[:, :width] &= lv[:, 1:] < gs
-            lv[:, 0] = [groups[row][0] for row in part]
+            go[:, :width] &= lv[:, 1:] < gs[part, None]
+            lv[:, 0] = sums[part]
             cum = np.cumsum(lv, axis=1)     # cum[k, s]: levels before lo + s
+            b_of = None
             for k, e in enumerate(go.argmin(axis=1).tolist()):
-                b, prefix = cum.item(k, e), None
-                for j in groups[part[k]][2]:
+                b, key, js = rows[top + k]
+                if b != b_of:
+                    b_of, (row_gs, n, keys, values, tails) = b, problems[b]
+                    placed = out[b]
+                prefix, b_e, left = None, cum.item(k, e), []
+                for j in js:
                     v = values[j]
-                    if v < b:       # bracketed before the row halts
+                    if v < b_e:     # bracketed before the row halts
                         prefix = prefix or cum[k, :e + 1].tolist()
                         i = bisect.bisect_right(prefix, v) - 1
-                        out[j] = (lo + i, prefix[i], lv.item(k, i + 1))
+                        placed[j] = (lo + i, prefix[i], lv.item(k, i + 1))
                     elif e == width and hi < n:     # open: read on
-                        open_rows.setdefault(part[k], [
-                            b, lv.item(k, width), []])[2].append(j)
-                    elif e == width or lv.item(k, e + 1) == gs:     # tail
-                        out[j] = (lo + e, b, gs)
-                        tails[candidates[j]] = (lo + e, b)
-        if not open_rows:
-            return out
-        groups, lo, hi = open_rows, hi, min(2 * hi, n)
+                        left.append(j)
+                    elif e == width or lv.item(k, e + 1) == row_gs:  # tail
+                        placed[j] = (lo + e, b_e, row_gs)
+                        tails[keys[j]] = (lo + e, b_e)
+                if left:        # b_e is the sum of the levels before hi
+                    still.append((b, key, left))
+                    held_sums.append(b_e)
+                    held_lasts.append(lv.item(k, width))
+        return still, held_sums, held_lasts
+
+    ends = {}
+    for b, (gs, n, keys, values, _) in enumerate(problems):
+        if keys:
+            v_max = max(values)
+            ends[b] = min(n, max(8, int(v_max / gs) + 1)
+                          if v_max < n * gs else 8)
+    reads = []      # (lo, hi, open rows, their sums, their last levels)
+    order = sorted(ends, key=ends.get, reverse=True)
+    while order:    # first chunks, each read with those of at least half
+        top = ends[order[0]]        # its end; every sum and level is 0
+        part = [b for b in order if 2 * ends[b] >= top]
+        order = order[len(part):]
+        reads.append((0, top, part, None, None))
+    while reads:
+        later = {}          # lo -> the rows open there, sums, last levels
+        for lo, hi, rows, sums, lasts in reads:
+            if sums is None:
+                rows, at, block = first(lo, hi, rows)
+                sums = lasts = np.zeros(len(rows))
+            else:
+                at, block = table(lo, hi, [(b, key) for b, key, _ in rows])
+            still, sums, lasts = read(lo, hi, rows, at, block, sums, lasts)
+            if still:
+                held = later.setdefault(hi, ([], [], []))
+                held[0].extend(still)
+                held[1].extend(sums)
+                held[2].extend(lasts)
+        reads = [(lo, max(min(2 * lo, problems[b][1]) for b, _, _ in rows),
+                  rows, sums, lasts)
+                 for lo, (rows, sums, lasts) in later.items()]
+    return out
 
 
 def _check_delta(mechanism: str, delta: SensitivityFunction | None) -> None:
@@ -318,13 +393,14 @@ class Prepared:
     once; each dampened score is memoised per (position, value dampened
     at).  Over a ``delta`` with a ``table``, declared bounded and
     nondecreasing in t, the scores still to find come from one array pass
-    (:func:`_prefixes`), else from walks (:func:`dampen`).  A candidate
-    whose pass or walk ended in the constant tail keeps its ``(i_end,
-    B)``, so a new ``sld`` shift scores it with the walk's own return and
-    no new pass or walk.  :meth:`distribution` and :meth:`select` share
-    one scoring routine and read any epsilon over the candidates at
-    positions ``keep`` (ascending, default all) with the same float
-    operations as over a fresh problem of just those candidates.
+    (:func:`_prefixes`, over this problem as a batch of one, or over many
+    problems in :func:`score_together`), else from walks (:func:`dampen`).
+    A candidate whose pass or walk ended in the constant tail keeps its
+    ``(i_end, B)``, so a new ``sld`` shift scores it with the walk's own
+    return and no new pass or walk.  :meth:`distribution` and
+    :meth:`select` share one scoring routine and read any epsilon over the
+    candidates at positions ``keep`` (ascending, default all) with the same
+    float operations as over a fresh problem of just those candidates.
     """
 
     def __init__(self, mechanism: str, problem: SelectionProblem,
@@ -345,6 +421,22 @@ class Prepared:
     def _dampened(self, pos: np.ndarray, shift) -> np.ndarray:
         """``D`` at positions ``pos``, of the utilities shifted for ``sld``
         as described in :func:`distribution`."""
+        row, at, values, known, asked = self._pending(pos, shift)
+        if asked:
+            known.update(zip(asked, _prefixes(
+                _table_reader(self.delta, self.problem.database),
+                [self._asking(at, values, asked)])[0]))
+        self._place(row, at, values, known)
+        return row[pos]
+
+    def _pending(self, pos: np.ndarray, shift) -> tuple:
+        """What scoring ``pos`` at the shift still needs: the memo row of
+        ``D`` at the shift (NaN until scored), the positions ``at`` not
+        scored there yet with their shifted utilities ``values``, the stops
+        ``known`` from kept tails, and the scores ``asked`` of the array
+        pass, over a ``delta`` with a ``table``, declared bounded and
+        nondecreasing in t (indices into ``at``).  Zero and non-finite
+        scores take the walk."""
         problem, delta, u = self.problem, self.delta, self.utilities
         if self.mechanism == "ld":
             shift = None
@@ -357,34 +449,42 @@ class Prepared:
         row = self._rows.get(shift)
         if row is None:
             row = self._rows[shift] = np.full(len(u), np.nan)
-        damped = row[pos]
-        candidates, tails = problem.candidates, self._tails
-        gs = problem.global_sensitivity
-        todo = np.flatnonzero(np.isnan(damped))
-        if not todo.size:
-            return damped
-        at = pos[todo].tolist()
+        at = pos[np.isnan(row[pos])].tolist()
+        if not at:
+            return row, at, [], {}, []
         values = (u[at] if shift is None else u[at] + shift).tolist()
-        live = [k for k, w in enumerate(values) if 0 < abs(w) < math.inf]
-        hits = {}               # zero and non-finite scores take the walk
-        for k in live:          # in the tail past a kept (i_end, B)
-            steps, b = tails.get(candidates[at[k]], (0, math.inf))
-            if b <= abs(values[k]):
-                hits[k] = (steps, b, gs)
-        new = [k for k in live if k not in hits]
-        if new and delta.table is not None and (
-                delta.declared_bounded and delta.declared_nondecreasing_in_t):
-            hits.update(zip(new, _prefixes(
-                problem, delta, [candidates[at[k]] for k in new],
-                [abs(values[k]) for k in new], tails)))
-        for k, (j, i, w) in enumerate(zip(todo, at, values)):
-            if hits.get(k) is None:
-                d = dampen(problem, delta, candidates[i], w, tails)
+        arrays = delta.table is not None and (
+            delta.declared_bounded and delta.declared_nondecreasing_in_t)
+        candidates, tails = problem.candidates, self._tails
+        known, asked = {}, []
+        for k, w in enumerate(values):
+            if 0 < abs(w) < math.inf:
+                steps, b = tails.get(candidates[at[k]], (0, math.inf))
+                if b <= abs(w):     # in the tail past a kept (i_end, B)
+                    known[k] = (steps, b, problem.global_sensitivity)
+                elif arrays:
+                    asked.append(k)
+        return row, at, values, known, asked
+
+    def _asking(self, at, values, asked) -> tuple:
+        """The :func:`_prefixes` problem of the scores at ``asked``."""
+        problem = self.problem
+        return (problem.global_sensitivity, problem.database_size,
+                [problem.candidates[at[k]] for k in asked],
+                [abs(values[k]) for k in asked], self._tails)
+
+    def _place(self, row, at, values, known) -> None:
+        """Write ``D`` of every position at ``at`` into ``row``, from its
+        ``known`` stop, or else from a walk."""
+        candidates = self.problem.candidates
+        for k, (i, w) in enumerate(zip(at, values)):
+            if known.get(k) is None:
+                row[i] = dampen(self.problem, self.delta, candidates[i], w,
+                                self._tails)
             else:
-                steps, b, width = hits[k]
-                d = (1.0 if w > 0 else -1.0) * (steps + (abs(w) - b) / width)
-            damped[j] = row[i] = d
-        return damped
+                steps, b, width = known[k]
+                row[i] = (1.0 if w > 0 else -1.0) * (
+                    steps + (abs(w) - b) / width)
 
     def _scored(self, epsilon: float, keep, shift) -> tuple:
         """Scores and exact probabilities of the candidates at ``keep``, as
@@ -459,6 +559,27 @@ class Prepared:
             if rng.random() < (math.exp(-rate * gap) if gap else 1.0):
                 return int(idx)
         raise AssertionError("unreachable: some candidate attains u*")
+
+
+def score_together(prepared: Sequence[Prepared], table) -> None:
+    """Score every candidate of each of ``prepared`` (``ld``, or ``sld`` at
+    its default shift) as its own :meth:`Prepared.select` would, in one
+    :func:`_prefixes` pass over ``table`` for all of them.
+
+    ``table(lo, hi, wanted)`` serves the pair ``(b, candidate)`` with the
+    levels that ``prepared[b].delta.table`` holds for the candidate, GS
+    pinned past the size included, in the form :func:`_prefixes` reads.
+    The scores are then the same floats as from each one's own pass; a
+    score the pass leaves to the walk is walked over ``prepared[b].delta``.
+    """
+    pending = [p._pending(np.arange(len(p.utilities)), None)
+               for p in prepared]
+    stops = _prefixes(table, [p._asking(at, values, asked) for p, (
+        _, at, values, _, asked) in zip(prepared, pending)])
+    for p, (row, at, values, known, asked), found in zip(
+            prepared, pending, stops):
+        known.update(zip(asked, found))
+        p._place(row, at, values, known)
 
 
 def distribution(

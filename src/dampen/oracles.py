@@ -13,12 +13,16 @@ module imports this one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from . import graphs, mechanisms
+import numpy as np
+
+from . import graphs, mechanisms, trees
 from .core import (
+    BudgetAccountant,
     InvalidInputError,
     PreconditionError,
     SearchBudgetError,
@@ -356,6 +360,67 @@ def topk_rounds_oracle(graph, epsilon, k, mechanism, rng):
             mechanisms.select(mechanism, problem, epsilon / k, iter_rng, delta)
         )
     return tuple(chosen)
+
+
+def diffp_id3_oracle(table, attributes, depth, epsilon, variant, rng,
+                     accountant=None, scope_prefix="diffp_id3"):
+    """Private ID3 the direct way: the recursive build that
+    :func:`trees.build_diffp_id3` grows level by level.  Each node, depth
+    first, draws its noisy count, then scores and draws its own selection
+    (or its leaf counts) and spawns its children's generators; returns the
+    tree and the accountant as the builder does."""
+    eps_stage = trees._checked_stage(table, attributes, depth, epsilon,
+                                     variant)
+    if accountant is None:
+        accountant = BudgetAccountant()
+    trees._reserve(accountant, scope_prefix, depth, attributes, eps_stage)
+    class_values = table.schema.class_values
+    tag = {"global": "em", "local": "ld", "shifted": "sld"}[variant]
+    delta = trees.ig_sensitivity() if tag != "em" else None
+
+    def build(node_table, attrs, d, node_rng):
+        level = depth - d
+        n_noisy = trees.noisy_count(len(node_table), eps_stage, node_rng)
+        accountant.account((scope_prefix, level, "count"), eps_stage)
+        t_max = max((len(table.schema.spec_of(a).values) for a in attrs),
+                    default=1)
+        if (not attrs or d == 0 or n_noisy / (t_max * len(class_values))
+                < trees.STOP_THRESHOLD):
+            counts = node_table.class_counts()
+            noisy = {c: trees.noisy_count(counts[c], eps_stage, node_rng)
+                     for c in class_values}
+            accountant.account((scope_prefix, level, "select"), eps_stage)
+            label = max(class_values, key=lambda c: noisy[c])
+            return trees.Leaf(label), Counter({label: 1})
+        problem = trees.ig_problem(node_table, attrs)
+        bounded = None if delta is None else bound_sensitivity(
+            delta, problem.global_sensitivity, problem.database_size)
+        prepared = mechanisms.Prepared(tag, problem, bounded)
+        chosen = problem.candidates[prepared.select(eps_stage, node_rng)]
+        accountant.account((scope_prefix, level, "select"), eps_stage)
+        remaining = tuple(a for a in attrs if a != chosen)
+        parts = node_table.partition(chosen)
+        children = [
+            (value, build(part, remaining, d - 1, child_rng))
+            for child_rng, (value, part) in zip(node_rng.spawn(len(parts)),
+                                                parts.items())
+        ]
+        return trees._internal(chosen, children, class_values)
+
+    return build(table, tuple(attributes), depth, rng)[0], accountant
+
+
+def cross_validate_oracle(table, depth, epsilon, variant, seed, folds=10):
+    """:func:`trees.cross_validate` with one :func:`diffp_id3_oracle` build
+    per fold, one fold after another."""
+    table = trees.cv_table(table)
+    attributes = table.schema.attribute_names()
+    scores = []
+    for train, test, fold_rng in trees.cv_folds(table, seed, folds):
+        tree, _ = diffp_id3_oracle(train, attributes, depth, epsilon,
+                                   variant, fold_rng)
+        scores.append(trees.accuracy(tree, test))
+    return float(np.mean(scores))
 
 
 @dataclass(frozen=True)

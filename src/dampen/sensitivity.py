@@ -37,9 +37,9 @@ def bound_sensitivity(
     nondecreasing in t.
 
     The ``table`` hook of ``delta`` is clipped and pinned the same way on
-    every read, over the columns read only; non-finite levels below the pin
-    pass through unclipped, so the array pass refuses them as the inner
-    per-step check does.
+    every read, over the columns read only, by :func:`bounded_levels`;
+    non-finite levels below the pin pass through unclipped, so the array
+    pass refuses them as the inner per-step check does.
     """
     if not delta.declared_admissible:
         raise PreconditionError("bound_sensitivity expects an admissible input")
@@ -51,9 +51,7 @@ def bound_sensitivity(
         return min(delta(db, t, r), gs)
 
     def clip(lo, rows, raw):
-        clipped = np.minimum(raw, gs, out=raw.copy(), where=raw < math.inf)
-        clipped[:, max(database_size - lo, 0):] = gs
-        return rows, clipped
+        return rows, bounded_levels(raw, lo, gs, database_size)
 
     return SensitivityFunction(
         eval=eval_fn,
@@ -65,6 +63,16 @@ def bound_sensitivity(
         table=None if delta.table is None
         else lambda db, lo, hi: clip(lo, *delta.table(db, lo, hi)),
     )
+
+
+def bounded_levels(levels: np.ndarray, lo: int, gs, n) -> np.ndarray:
+    """Levels at t in ``[lo, lo + width)`` bounded as by
+    :func:`bound_sensitivity`: ``min(level, GS)``, a non-finite level passed
+    through unclipped, and GS at every ``t >= n``.  ``gs`` and ``n`` are
+    numbers, or one per row as ``(rows, 1)`` arrays.  A new array."""
+    out = np.minimum(levels, gs, out=levels.copy(), where=levels < math.inf)
+    np.copyto(out, gs, where=np.arange(lo, lo + levels.shape[1]) >= n)
+    return out
 
 
 def level_table(open_table: Callable[[Any], tuple], name: str

@@ -24,11 +24,12 @@ from .core import (
     InvalidInputError,
     SelectionProblem,
     SensitivityFunction,
+    budget_share,
     check_epsilon,
     read_utf8,
 )
 from . import mechanisms
-from .sensitivity import bound_sensitivity, level_table
+from .sensitivity import bound_sensitivity, bounded_levels, level_table
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -339,6 +340,11 @@ def _table_levels(frontiers: Sequence, lo: int, hi: int) -> np.ndarray:
     grid is evaluated in slices of at most ``_GRID_ELEMENTS`` entries, over
     the pair axis and then over t; a pair slice may end inside an
     attribute.
+
+    The levels are nondecreasing in t, within a call and across calls: from
+    t to t + 1 a pair keeps its b and moves a up by one, the bound is
+    nondecreasing in a (see :func:`_frontier`), and the pairs allowed only
+    grow.  A level at t is the same float whatever ``[lo, hi)`` holds t.
     """
     best = np.zeros((len(frontiers), max(hi - lo, 0)))
     if hi <= lo:
@@ -442,7 +448,11 @@ def ig_sensitivity() -> SensitivityFunction:
     at once by :func:`_table_levels` over their frontiers, so a node's other
     candidates find theirs filled.  An attribute the node already split on
     is constant in its table and adds at most two frontier cells.  The
-    running maximum turns the kernel's exactly-t bounds into within-t ones.
+    running maximum keeps the levels within-t bounds whatever the kernel
+    returns (its levels are nondecreasing already).  Tree induction reads
+    the same levels of only each node's candidates, for every splitting
+    node of a level at once, through :func:`_split_levels`; this function
+    serves single problems and the walks the array pass leaves to them.
     """
 
     def open_table(table: LabeledTable):
@@ -527,6 +537,157 @@ def _internal(attribute: str, children: list, class_values: Sequence):
     return node, votes
 
 
+def stage_budget(epsilon: float, depth: int) -> float:
+    """The per-stage share ``epsilon / (2 (depth + 1))`` of a tree of that
+    depth, refused unless it is positive and finite
+    (:func:`~dampen.core.budget_share`, exact at any int depth)."""
+    if depth < 0:
+        raise InvalidInputError("depth must be >= 0")
+    return budget_share(epsilon, 2 * (depth + 1),
+                        "per-stage budget epsilon / (2 (depth + 1))")
+
+
+def _reserve(accountant: BudgetAccountant, scope_prefix: Hashable, depth: int,
+             attributes: Sequence[str], eps_stage: float) -> None:
+    """Book every stage of a tree of ``depth`` over ``attributes`` up
+    front: a parallel scope per (level, stage) up to the last level a path
+    can reach, and the levels past it as one entry of a sequential
+    ``(scope_prefix, "unreachable")`` scope."""
+    reachable = min(depth, len(attributes))
+    for level in range(reachable + 1):
+        for stage in ("count", "select"):
+            scope = (scope_prefix, level, stage)
+            accountant.open_scope(scope, "parallel")
+            accountant.account(scope, eps_stage)  # reserved whether used or not
+    if depth > reachable:
+        scope = (scope_prefix, "unreachable")
+        accountant.open_scope(scope, "sequential")
+        # 2 (depth - reachable) eps_stage, one rounding at any int depth
+        num, den = eps_stage.as_integer_ratio()
+        accountant.account(scope, 2 * (depth - reachable) * num / den)
+
+
+def _checked_stage(table: LabeledTable, attributes: Sequence[str], depth: int,
+                   epsilon: float, variant: str) -> float:
+    """The per-stage share of a build, once its arguments are checked."""
+    eps_stage = stage_budget(epsilon, depth)
+    if variant not in VARIANTS:
+        raise InvalidInputError(f"unknown variant {variant!r}")
+    for attr in attributes:
+        if not isinstance(table.schema.spec_of(attr), Categorical):
+            raise InvalidInputError(
+                f"attribute {attr!r} must be discretized before induction"
+            )
+    return eps_stage
+
+
+def _split_levels(problems: Sequence[SelectionProblem]):
+    """The ``table`` of :func:`mechanisms.score_together` over node
+    problems: the pair ``(b, attribute)`` reads the levels of
+    :func:`ig_sensitivity` at ``problems[b]``'s table, bounded at its GS and
+    size by :func:`~dampen.sensitivity.bounded_levels`, as
+    :func:`~dampen.sensitivity.bound_sensitivity` bounds them.
+
+    One :func:`_table_levels` grid per read covers the frontiers of every
+    pair asked for, so only candidate attributes are counted and filled.
+    Its levels are nondecreasing in t as they come (see
+    :func:`_table_levels`), so the running maximum of
+    :func:`~dampen.sensitivity.level_table` would leave them as they are;
+    nothing is kept but each pair's frontier."""
+    frontiers = {}
+
+    def table(lo, hi, wanted):
+        for key in wanted:
+            if key not in frontiers:
+                b, attr = key
+                frontiers[key] = _frontier(problems[b].database._contingency(attr))
+        at = [problems[b] for b, _ in wanted]
+        gs = np.array([[p.global_sensitivity] for p in at])
+        n = np.array([[p.database_size] for p in at])
+        raw = _table_levels([frontiers[key] for key in wanted], lo, hi)
+        return list(range(len(wanted))), bounded_levels(raw, lo, gs, n)
+
+    return table
+
+
+def _grow(jobs: Sequence[tuple], attributes: Sequence[str], depth: int,
+          eps_stage: float, variant: str, scope_prefix: Hashable) -> list:
+    """One tree per ``(table, rng, accountant)`` of ``jobs``, grown level by
+    level over all of them at once.
+
+    Each open node draws its noisy size count from its own generator and
+    becomes a leaf (noisy class counts) or a splitting node.  The splitting
+    nodes of a level are then scored together: their ``ld`` or ``sld``
+    selections read one :func:`mechanisms.score_together` pass over
+    :func:`_split_levels`, and each draws from its own
+    :class:`mechanisms.Prepared` with its own generator, which it then
+    spawns for its children.  A node's draws, spawns and ledger entries
+    come in the order of the depth-first recursion, and no generator is
+    shared, so the trees are those of one recursive build per job."""
+    class_values = jobs[0][0].schema.class_values
+    tag = {"global": "em", "local": "ld", "shifted": "sld"}[variant]
+    delta = ig_sensitivity() if tag != "em" else None
+    # node id -> (Leaf, votes), or (attribute, [(value, child id)]) until
+    # the trees are assembled; the root of job j is node j
+    made = [None] * len(jobs)
+    level_nodes = [(job, job, table, tuple(attributes), rng)
+                   for job, (table, rng, _) in enumerate(jobs)]
+    level = 0
+    while level_nodes:
+        count_scope = (scope_prefix, level, "count")
+        select_scope = (scope_prefix, level, "select")
+        splits = []
+        for node, job, node_table, attrs, node_rng in level_nodes:
+            accountant = jobs[job][2]
+            n_noisy = noisy_count(len(node_table), eps_stage, node_rng)
+            accountant.account(count_scope, eps_stage)
+            t_max = max((len(node_table.schema.spec_of(a).values)
+                         for a in attrs), default=1)
+            if (not attrs or level == depth
+                    or n_noisy / (t_max * len(class_values)) < STOP_THRESHOLD):
+                counts = node_table.class_counts()
+                noisy = {c: noisy_count(counts[c], eps_stage, node_rng)
+                         for c in class_values}
+                accountant.account(select_scope, eps_stage)
+                # max keeps the first maximal item: the first declared class
+                label = max(class_values, key=lambda c: noisy[c])
+                made[node] = Leaf(label), Counter({label: 1})
+                continue
+            problem = ig_problem(node_table, attrs)
+            bounded = None if delta is None else bound_sensitivity(
+                delta, problem.global_sensitivity, problem.database_size
+            )
+            splits.append((node, job, node_table, attrs, node_rng,
+                           mechanisms.Prepared(tag, problem, bounded)))
+        if delta is not None and splits:
+            prepared = [split[-1] for split in splits]
+            mechanisms.score_together(
+                prepared, _split_levels([p.problem for p in prepared]))
+        level_nodes = []
+        for node, job, node_table, attrs, node_rng, prepared in splits:
+            chosen = attrs[prepared.select(eps_stage, node_rng)]
+            jobs[job][2].account(select_scope, eps_stage)
+            remaining = tuple(a for a in attrs if a != chosen)
+            parts = node_table.partition(chosen)
+            children = []
+            for child_rng, (value, part) in zip(node_rng.spawn(len(parts)),
+                                                parts.items()):
+                children.append((value, len(made)))
+                level_nodes.append((len(made), job, part, remaining,
+                                    child_rng))
+                made.append(None)
+            made[node] = chosen, children
+        level += 1
+    # children come after their parents: assemble from the last node back
+    for node in range(len(made) - 1, -1, -1):
+        if not isinstance(made[node][0], Leaf):
+            chosen, children = made[node]
+            made[node] = _internal(
+                chosen, [(value, made[child]) for value, child in children],
+                class_values)
+    return [made[job][0] for job in range(len(jobs))]
+
+
 def build_diffp_id3(
     table: LabeledTable,
     attributes: Sequence[str],
@@ -538,86 +699,31 @@ def build_diffp_id3(
     scope_prefix: Hashable = "diffp_id3",
 ):
     """Differentially private ID3 with a per-stage budget of
-    ``epsilon / (2 (depth + 1))``.
+    ``epsilon / (2 (depth + 1))`` (:func:`stage_budget`).
 
-    Every recursion level runs one noisy size count and either one private
-    attribute selection (exponential mechanism, local dampening, or shifted
-    local dampening on the bounded split-score sensitivity) or, at leaves,
-    noisy class counts.  Each selection is one draw of
+    Every tree level runs one noisy size count per node and either one
+    private attribute selection (exponential mechanism, local dampening, or
+    shifted local dampening on the bounded split-score sensitivity) or, at
+    leaves, noisy class counts.  Each selection is one draw of
     :meth:`mechanisms.Prepared.select` over the node's problem, which
-    builds no distribution object.  Sibling partitions are disjoint, so
-    each stage is a parallel scope; the full per-stage budget is reserved
-    up front, making the accountant total exactly epsilon regardless of
-    early stops.  A path splits on each attribute at most once, so levels
-    past ``len(attributes)`` are never reached: their stages are reserved
-    together as one entry of a ``(scope_prefix, "unreachable")`` scope.
-    The per-stage share is checked before any scope is opened.
+    builds no distribution object.  The tree grows level by level
+    (:func:`_grow`): the splitting nodes of a level are scored in one array
+    pass, and every draw comes from the node's own generator, so the tree
+    is that of the recursive build (``dampen.oracles.diffp_id3_oracle``).
+    Sibling partitions are disjoint, so each stage is a parallel scope; the
+    full per-stage budget is reserved up front, making the accountant total
+    exactly epsilon regardless of early stops.  A path splits on each
+    attribute at most once, so levels past ``len(attributes)`` are never
+    reached: their stages are reserved together as one entry of a
+    ``(scope_prefix, "unreachable")`` scope.  The per-stage share is
+    checked before any scope is opened.
     """
-    if depth < 0:
-        raise InvalidInputError("depth must be >= 0")
-    eps_stage = epsilon / (2 * (depth + 1))
-    check_epsilon(eps_stage, "per-stage budget epsilon / (2 (depth + 1))")
-    if variant not in VARIANTS:
-        raise InvalidInputError(f"unknown variant {variant!r}")
-    for attr in attributes:
-        if not isinstance(table.schema.spec_of(attr), Categorical):
-            raise InvalidInputError(
-                f"attribute {attr!r} must be discretized before induction"
-            )
+    eps_stage = _checked_stage(table, attributes, depth, epsilon, variant)
     if accountant is None:
         accountant = BudgetAccountant()
-    reachable = min(depth, len(attributes))
-    for level in range(reachable + 1):
-        for stage in ("count", "select"):
-            scope = (scope_prefix, level, stage)
-            accountant.open_scope(scope, "parallel")
-            accountant.account(scope, eps_stage)  # reserved whether used or not
-    if depth > reachable:
-        scope = (scope_prefix, "unreachable")
-        accountant.open_scope(scope, "sequential")
-        accountant.account(scope, 2 * (depth - reachable) * eps_stage)
-
-    class_values = table.schema.class_values
-    tag = {"global": "em", "local": "ld", "shifted": "sld"}[variant]
-    delta = ig_sensitivity() if tag != "em" else None
-
-    def build(node_table: LabeledTable, attrs: tuple, d: int, node_rng):
-        level = depth - d
-        count_scope = (scope_prefix, level, "count")
-        select_scope = (scope_prefix, level, "select")
-        n_noisy = noisy_count(len(node_table), eps_stage, node_rng)
-        accountant.account(count_scope, eps_stage)
-        t_max = max((len(table.schema.spec_of(a).values) for a in attrs), default=1)
-        stop = (
-            not attrs
-            or d == 0
-            or n_noisy / (t_max * len(class_values)) < STOP_THRESHOLD
-        )
-        if stop:
-            counts = node_table.class_counts()
-            noisy = {c: noisy_count(counts[c], eps_stage, node_rng)
-                     for c in class_values}
-            accountant.account(select_scope, eps_stage)
-            # max keeps the first maximal item: the first declared class
-            label = max(class_values, key=lambda c: noisy[c])
-            return Leaf(label), Counter({label: 1})
-        problem = ig_problem(node_table, attrs)
-        bounded = None if delta is None else bound_sensitivity(
-            delta, problem.global_sensitivity, problem.database_size
-        )
-        prepared = mechanisms.Prepared(tag, problem, bounded)
-        chosen = problem.candidates[prepared.select(eps_stage, node_rng)]
-        accountant.account(select_scope, eps_stage)
-        remaining = tuple(a for a in attrs if a != chosen)
-        parts = node_table.partition(chosen)
-        child_rngs = node_rng.spawn(len(parts))
-        children = [
-            (value, build(part, remaining, d - 1, child_rng))
-            for child_rng, (value, part) in zip(child_rngs, parts.items())
-        ]
-        return _internal(chosen, children, class_values)
-
-    tree, _ = build(table, tuple(attributes), depth, rng)
+    _reserve(accountant, scope_prefix, depth, attributes, eps_stage)
+    tree, = _grow([(table, rng, accountant)], attributes, depth, eps_stage,
+                  variant, scope_prefix)
     return tree, accountant
 
 
@@ -723,6 +829,28 @@ def cv_table(table: LabeledTable) -> LabeledTable:
     return discretize_all(table)
 
 
+def cv_folds(table: LabeledTable, seed: int, folds: int) -> list:
+    """``(train, test, generator)`` of every fold of a seeded split that
+    has both a training and a test row, in fold order.  Fold assignment
+    shuffles the rows of ``table`` (binned, see :func:`cv_table`)
+    deterministically from the seed (``folds >= 2``), and each fold draws
+    from its own spawned generator."""
+    rows = table.rows
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(rows))
+    fold_of = {int(ix): pos % folds for pos, ix in enumerate(order)}
+    split = []
+    for fold, fold_rng in enumerate(rng.spawn(folds)):
+        # subsequences of sorted, validated rows, as in partition
+        train = tuple(row for i, row in enumerate(rows) if fold_of[i] != fold)
+        test = tuple(row for i, row in enumerate(rows) if fold_of[i] == fold)
+        if train and test:
+            split.append((LabeledTable._from_canonical(table.schema, train),
+                          LabeledTable._from_canonical(table.schema, test),
+                          fold_rng))
+    return split
+
+
 def cross_validate(
     table: LabeledTable,
     depth: int,
@@ -731,34 +859,27 @@ def cross_validate(
     seed: int,
     folds: int = 10,
 ) -> float:
-    """Mean held-out accuracy over a seeded fold split.
+    """Mean held-out accuracy over the seeded folds of :func:`cv_folds`.
 
-    Continuous attributes are binned first (see :func:`cv_table`); fold
-    assignment shuffles row order deterministically from the seed."""
+    Continuous attributes are binned first (see :func:`cv_table`).  The
+    trees of all folds grow together, level by level (:func:`_grow`), so
+    the splitting nodes of a level are scored in one array pass across
+    the folds; each fold's tree, ledger and accuracy are those of
+    :func:`build_diffp_id3` on the fold's training rows and generator."""
     if folds < 2:
         raise InvalidInputError("need at least 2 folds")
     table = cv_table(table)
-    rows = table.rows
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(rows))
-    fold_of = {int(ix): pos % folds for pos, ix in enumerate(order)}
     attributes = table.schema.attribute_names()
-    scores = []
-    fold_rngs = rng.spawn(folds)
-    for fold in range(folds):
-        # subsequences of sorted, validated rows, as in partition
-        train = tuple(row for i, row in enumerate(rows) if fold_of[i] != fold)
-        test = tuple(row for i, row in enumerate(rows) if fold_of[i] == fold)
-        if not train or not test:
-            continue
-        tree, _ = build_diffp_id3(
-            LabeledTable._from_canonical(table.schema, train), attributes,
-            depth, epsilon, variant, fold_rngs[fold],
-        )
-        scores.append(
-            accuracy(tree, LabeledTable._from_canonical(table.schema, test))
-        )
-    return float(np.mean(scores))
+    split = cv_folds(table, seed, folds)
+    eps_stage = _checked_stage(table, attributes, depth, epsilon, variant)
+    jobs = []
+    for train, _, fold_rng in split:
+        accountant = BudgetAccountant()
+        _reserve(accountant, "diffp_id3", depth, attributes, eps_stage)
+        jobs.append((train, fold_rng, accountant))
+    trees = _grow(jobs, attributes, depth, eps_stage, variant, "diffp_id3")
+    return float(np.mean([accuracy(tree, test)
+                          for tree, (_, test, _) in zip(trees, split)]))
 
 
 # -- loading ------------------------------------------------------------------

@@ -82,9 +82,10 @@ def scored_candidates(monkeypatch):
         scored.append(r)
         return walk(problem, delta, r, u, *tails)
 
-    def passed(problem, delta, candidates, values, tails):
-        scored.extend(candidates)
-        return array_pass(problem, delta, candidates, values, tails)
+    def passed(table, problems):
+        for _, _, candidates, _, _ in problems:
+            scored.extend(candidates)
+        return array_pass(table, problems)
 
     monkeypatch.setattr(mechanisms, "dampen", walked)
     monkeypatch.setattr(mechanisms, "_prefixes", passed)

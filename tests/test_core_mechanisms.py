@@ -41,6 +41,7 @@ from dampen.mechanisms import (
     select_local_dampening,
     select_permute_and_flip,
     select_shifted_local_dampening,
+    score_together,
     shift_constant,
 )
 from dampen.oracles import (
@@ -498,9 +499,9 @@ class TestBreakpointPrefix:
         prefixed = []
         real = mechanisms_mod._prefixes
 
-        def counted(problem, delta, candidates, values, tails):
-            prefixed.append(tuple(candidates))
-            return real(problem, delta, candidates, values, tails)
+        def counted(table, problems):
+            prefixed.extend(tuple(p[2]) for p in problems)
+            return real(table, problems)
 
         monkeypatch.setattr(mechanisms_mod, "_prefixes", counted)
         walks = dampen_calls(monkeypatch)
@@ -613,6 +614,15 @@ def asking(delta, asked):
     return dataclasses.replace(delta, table=table_fn)
 
 
+def one_pass(problem, delta, candidates, values, tails):
+    """The stops of ``mechanisms._prefixes`` over ``delta.table`` for one
+    problem: the batch of one that :class:`Prepared` passes."""
+    return mechanisms_mod._prefixes(
+        mechanisms_mod._table_reader(delta, problem.database),
+        [(problem.global_sensitivity, problem.database_size,
+          list(candidates), list(values), tails)])[0]
+
+
 def scores_or_message(mechanism, problem, delta):
     """Scores at epsilon 2 (each one its D exactly), or the message of the
     contract violation that scoring raises."""
@@ -681,7 +691,7 @@ class TestArrayPrefix:
             else:
                 want.append((*walked[r], gs))
         tails = {}
-        got = mechanisms_mod._prefixes(problem, delta, problem.candidates,
+        got = one_pass(problem, delta, problem.candidates,
                                        [2 * n * gs + 1.0] * k, tails)
         assert got == want
         assert tails == {r: w[:2] for r, w in enumerate(want) if w}
@@ -807,7 +817,7 @@ class TestArrayPrefix:
         for r in problem.candidates:
             dampen(problem, delta, r, -1e3, tails)
         read, found = [], {}
-        got = mechanisms_mod._prefixes(problem, bounded(read),
+        got = one_pass(problem, bounded(read),
                                        problem.candidates, [1e3] * 4, found)
         assert found == tails and [i for i, _ in tails.values()] == [
             39, 19, 13, 9]
@@ -825,7 +835,7 @@ class TestArrayPrefix:
         per_step, reads = reading(dataclasses.replace(delta, table=None))
         want = [dampen(problem, per_step, r, 1.5) for r in range(4)]
         asked, tails = [], {}
-        got = mechanisms_mod._prefixes(problem, asking(delta, asked),
+        got = one_pass(problem, asking(delta, asked),
                                        problem.candidates, [1.5] * 4, tails)
         assert [t + (1.5 - b) / width for t, b, width in got] == want
         assert [t for t, _, _ in got] == [7, 5, 4, 3] and max(reads) == 7
@@ -844,7 +854,7 @@ class TestArrayPrefix:
                 assert scores_or_message(mechanism, problem, delta) == (
                     scores_or_message(mechanism, problem, per_step))
             tails = {}
-            got = mechanisms_mod._prefixes(problem, delta, (0, 1),
+            got = one_pass(problem, delta, (0, 1),
                                            [2.0, 2.0], tails)
             if third == 3.0:
                 assert got == [(2, 2.0, 3.0)] * 2
@@ -864,7 +874,7 @@ class TestArrayPrefix:
         levels[7, 50] = 0.5
         problem = make_abstract_problem(np.arange(40.0), gs=gs, n=n)
         delta = matrix_delta(levels, gs)
-        got = mechanisms_mod._prefixes(problem, delta, problem.candidates,
+        got = one_pass(problem, delta, problem.candidates,
                                        [1e6] * 40, {})
         for r in problem.candidates:
             tails = {}
@@ -877,7 +887,7 @@ class TestArrayPrefix:
         assert got[0][0] == 5 and got[6][0] == 60 and got[15][0] == n
         # ld at |u| = r: the value stops, sliced the same way
         values = [float(r) + 0.5 for r in problem.candidates]
-        got = mechanisms_mod._prefixes(problem, delta, problem.candidates,
+        got = one_pass(problem, delta, problem.candidates,
                                        values, {})
         for r, v in enumerate(values):
             t, b, width = got[r]
@@ -907,6 +917,145 @@ class TestArrayPrefix:
             assert fast.distribution(2.0).scores.tolist() == want
             assert asked == (list(zip([0] + chunks, chunks)) if v_max
                              else [])
+
+
+def stacked(prepared, asked=None):
+    """A joint ``table`` for :func:`score_together`: the pair ``(b, r)``
+    reads the row of candidate r in ``prepared[b].delta.table``; every
+    ``(lo, hi)`` read is appended to ``asked``."""
+    def read(lo, hi, wanted):
+        if asked is not None:
+            asked.append((lo, hi))
+        tables = [p.delta.table(p.problem.database, lo, hi) for p in prepared]
+        rows, picked = [], []
+        for b, r in wanted:
+            row = tables[b][0].get(r)
+            rows.append(None if row is None else len(picked))
+            if row is not None:
+                picked.append(tables[b][1][row, :hi - lo])
+        return rows, np.array(picked).reshape(len(picked), hi - lo)
+    return read
+
+
+def jointly_or_message(prepared):
+    """Scores at epsilon 2 and kept tails of every prepared problem after
+    one joint pass, or the message of the contract violation it raises."""
+    try:
+        score_together(prepared, stacked(prepared))
+    except ContractViolationError as exc:
+        return str(exc)
+    return [(p.distribution(2.0).scores.tolist(), p._tails) for p in prepared]
+
+
+def each_or_message(prepared):
+    """The same, from each problem's own pass, one problem after another."""
+    got = []
+    for p in prepared:
+        own = Prepared(p.mechanism, p.problem, p.delta)
+        try:
+            got.append((own.distribution(2.0).scores.tolist(), own._tails))
+        except ContractViolationError as exc:
+            return str(exc)
+    return got
+
+
+def bounded_matrix(levels, gs, n, rows_of=None):
+    """``bound_sensitivity`` over a raw matrix of levels, so its table is
+    clipped at GS and pinned to GS from column n on."""
+    raw = dataclasses.replace(matrix_delta(levels, gs, rows_of),
+                              declared_bounded=False)
+    return bound_sensitivity(raw, gs, n)
+
+
+class TestJointPass:
+    """One ``_prefixes`` pass over many problems of their own GS and size
+    (:func:`score_together`) scores each as its own :class:`Prepared`
+    does, bit for bit, and fails with the message its own walk raises."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_joint_scores_and_messages_equal_each_problems_own(self, data):
+        prepared = []
+        for b in range(data.draw(st.integers(1, 5), label="problems")):
+            n = data.draw(st.integers(1, 30), label="n")
+            gs = data.draw(st.sampled_from([1.0, 2.5, 3.0, 0.7]), label="gs")
+            rows = data.draw(st.lists(level_rows(40, gs), min_size=1,
+                                      max_size=3), label="rows")
+            k = data.draw(st.integers(1, 4), label="candidates")
+            rows_of = data.draw(st.lists(st.integers(0, len(rows) - 1),
+                                         min_size=k, max_size=k))
+            utilities = data.draw(st.lists(
+                st.one_of(st.floats(-50.0, 50.0), st.just(0.0),
+                          st.sampled_from([n * gs, -n * gs, 1.0, gs])),
+                min_size=k, max_size=k), label="utilities")
+            mechanism = data.draw(st.sampled_from(["ld", "sld"]))
+            delta = bounded_matrix(np.array(rows), gs, n, rows_of)
+            prepared.append(Prepared(mechanism, make_abstract_problem(
+                utilities, gs=gs, n=n), delta))
+        assert jointly_or_message(prepared) == each_or_message(prepared)
+
+    def test_a_row_pinned_inside_a_shared_chunk(self):
+        # first chunks end at 5, 8 and 8, so the three problems read [0, 8)
+        # together: levels stay below GS, so the rows of the problem of
+        # size 5 stop only at its own size, inside the chunk; the problem
+        # of size 40 reads on in its own chunks, and a zero utility is 0
+        levels = np.tile(np.linspace(0.1, 1.9, 64), (2, 1))
+        prepared = [
+            Prepared("sld", make_abstract_problem([-3.0, 0.0], gs=2.0, n=5),
+                     bounded_matrix(levels, 2.0, 5)),
+            Prepared("sld", make_abstract_problem([-3.0, 0.0], gs=2.0, n=40),
+                     bounded_matrix(levels, 2.0, 40)),
+            Prepared("ld", make_abstract_problem([-1.0, 0.0], gs=2.0, n=40),
+                     bounded_matrix(levels, 2.0, 40)),
+        ]
+        asked = []
+        score_together(prepared, stacked(prepared, asked))
+        joint = [(p.distribution(2.0).scores.tolist(), p._tails)
+                 for p in prepared]
+        assert joint == each_or_message(prepared)
+        b5 = float(np.cumsum(levels[0, :5])[-1])
+        assert prepared[0]._tails == {0: (5, b5), 1: (5, b5)}
+        assert joint[2][0][1] == 0.0
+        assert asked == [(0, 8), (8, 16), (16, 32), (32, 40)]
+
+    def test_a_failed_check_raises_the_walks_message(self):
+        # a level below the one before in the second problem: the joint
+        # pass leaves it to the walk, which raises its own message after
+        # the first problem is placed
+        good = np.full((1, 20), 1.0)
+        bad = good.copy()
+        bad[0, 3] = 0.5
+        prepared = [Prepared("sld", make_abstract_problem([-2.0], gs=2.0, n=10),
+                             bounded_matrix(levels, 2.0, 10))
+                    for levels in (good, bad)]
+        message = jointly_or_message(prepared)
+        assert message == each_or_message(prepared[1:]) == (
+            "sensitivity function min(matrix, GS) declared bounded and "
+            "nondecreasing in t returned 0.5 at t=3 after 1.0 (global "
+            "sensitivity 2.0)")
+        assert not math.isnan(prepared[0]._rows[-(10 * 2.0 - 2.0)][0])
+
+    def test_no_problem_reads_more_than_twice_its_own_columns(self):
+        # first chunks of 8, 9, 17 and 40 levels, each holding its stop:
+        # 9 joins the read to 17, 8 and 40 are read alone, so no problem
+        # reads past twice its own end
+        gs = 1.0
+        levels = np.full((1, 128), 0.999)
+        prepared = [Prepared("ld", make_abstract_problem([-v], gs=gs, n=100),
+                             bounded_matrix(levels, gs, 100))
+                    for v in (3.0, 8.5, 16.5, 39.5)]
+        own_ends = []
+        for p in prepared:
+            asked = []
+            alone = Prepared(p.mechanism, p.problem, p.delta)
+            score_together([alone], stacked([alone], asked))
+            own_ends.append(asked[-1][1])
+        asked = []
+        score_together(prepared, stacked(prepared, asked))
+        assert own_ends == [8, 9, 17, 40]
+        assert sorted(asked) == [(0, 8), (0, 17), (0, 40)]
+        assert each_or_message(prepared) == [
+            (p.distribution(2.0).scores.tolist(), p._tails) for p in prepared]
 
 
 class TestLocalDampening:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dampen import cli, harness, mechanisms, oracles
+from dampen import cli, graphs, harness, mechanisms, oracles, trees
 from dampen.checks import run_checks
 from dampen.core import (
     ContractViolationError,
@@ -891,6 +891,56 @@ class TestRejectedBeforeAnyCell:
         assert captured.err == (
             "dampen: per-stage budget epsilon / (2 (depth + 1)) must be "
             "positive and finite, got 0.0\n")
+
+    def test_depth_too_large_for_a_float(self, tmp_path, capsys):
+        # 1 / (2 (10^400 + 1)) underflows to 0.0; the share is taken
+        # exactly, so there is no OverflowError on the way
+        data, schema = write_toy_table(tmp_path, [("x", "no"), ("z", "yes")])
+        code = cli.main(["tree", "--data", data, "--schema", schema,
+                         "--epsilon", "1", "--folds", "2",
+                         "--depth", "1" + "0" * 400])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "dampen: per-stage budget epsilon / (2 (depth + 1)) must be "
+            "positive and finite, got 0.0\n")
+
+    @pytest.mark.parametrize("command", ["tree", "topk"])
+    def test_a_share_that_underflows_refuses_before_any_cell(
+            self, tmp_path, capsys, graph_file, monkeypatch, command):
+        # the first epsilon is fine and the second's share underflows: the
+        # share of every epsilon is checked before the first cell runs, so
+        # nothing is computed and no output is written
+        cells = []
+        monkeypatch.setattr(trees, "cross_validate",
+                            lambda *a, **k: cells.append(a))
+        monkeypatch.setattr(graphs.TopKSelector, "draw",
+                            lambda *a, **k: cells.append(a))
+        out = tmp_path / "out.json"
+        if command == "tree":
+            data, schema = write_toy_table(
+                tmp_path, [("x", "no"), ("z", "yes")])
+            argv = ["tree", "--data", data, "--schema", schema,
+                    "--epsilon", "1,1e-323", "--depth", "3"]
+            share = "per-stage budget epsilon / (2 (depth + 1))"
+        else:
+            argv = ["topk", "--graph", graph_file, "--k", "2",
+                    "--epsilon", "1,5e-324"]
+            share = "per-round budget epsilon / k"
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"dampen: {share} must be positive and finite, got 0.0\n")
+        assert cells == [] and not out.exists()
+
+    def test_k_is_checked_before_the_shares(self, capsys, graph_file):
+        code = cli.main(["topk", "--graph", graph_file, "--k", "1" + "0" * 400,
+                         "--epsilon", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "dampen: k must be in [1, number of nodes]\n")
 
 
     def write_values(self, tmp_path, values):

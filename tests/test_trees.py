@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import threading
@@ -6,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dampen import trees
+from dampen import mechanisms, trees
 from dampen.core import BudgetAccountant, InvalidInputError
 from dampen.fixtures import (
     TINY_TABLE_SCHEMA,
     TOY_TABLE_ATTRIBUTES,
+    random_induction_table,
     random_table_instance,
     separable_table,
 )
@@ -27,6 +29,8 @@ from dampen.trees import (
     build_id3,
     classify,
     cross_validate,
+    cv_folds,
+    cv_table,
     discretize,
     f_add,
     global_sensitivity_ig,
@@ -37,8 +41,16 @@ from dampen.trees import (
     noisy_count,
     VARIANTS,
     schema_from_json,
+    stage_budget,
 )
-from dampen.oracles import check_admissibility, h_pair, ls0_ig, row_edit_enumerator
+from dampen.oracles import (
+    check_admissibility,
+    cross_validate_oracle,
+    diffp_id3_oracle,
+    h_pair,
+    ls0_ig,
+    row_edit_enumerator,
+)
 from dampen.sensitivity import bound_sensitivity
 
 
@@ -842,7 +854,7 @@ class TestBuilder:
 
     @pytest.mark.parametrize("epsilon, depth, got", [
         (math.inf, 2, "inf"), (math.nan, 2, "nan"), (-1.0, 0, "-0.5"),
-        (1e-323, 3, "0.0"),
+        (1e-323, 3, "0.0"), (1.0, 10**400, "0.0"),
     ])
     def test_refuses_a_budget_before_booking_any(self, epsilon, depth, got):
         # the stage share is checked before the ledger holds a scope, so
@@ -854,6 +866,145 @@ class TestBuilder:
             build_diffp_id3(separable_table(), TOY_TABLE_ATTRIBUTES, depth,
                             epsilon, "local", np.random.default_rng(0), acc)
         assert acc.scopes() == []
+
+
+def ledger(accountant):
+    """Every scope of an accountant with its mode and entries, in order."""
+    return [(scope, accountant._scopes[scope].mode,
+             accountant._scopes[scope].entries)
+            for scope in accountant.scopes()]
+
+
+class TestLevelByLevel:
+    """The builder grows every tree level by level and scores the
+    splitting nodes of a level in one array pass; the trees, ledgers,
+    generators and accuracies are those of the recursive build
+    (``oracles.diffp_id3_oracle``), draw for draw."""
+
+    def test_builder_equals_the_recursive_oracle(self):
+        rng = np.random.default_rng(2024)
+        one_row_nodes = deep = 0
+        for trial in range(30):
+            table = random_induction_table(
+                rng, max_rows=int(rng.choice([1, 3, 12, 60])))
+            attrs = table.schema.attribute_names()
+            # depth 0, within the attribute count, and past it
+            depth = int(rng.choice([0, 1, 2, len(attrs) + 2]))
+            eps = float(rng.choice([0.3, 2.0, 50.0]))
+            for variant in VARIANTS:
+                seed = int(rng.integers(2**32))
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, got_ledger = build_diffp_id3(
+                    table, attrs, depth, eps, variant, a, scope_prefix=trial)
+                want, want_ledger = diffp_id3_oracle(
+                    table, attrs, depth, eps, variant, b, scope_prefix=trial)
+                assert got == want, (trial, variant)
+                assert ledger(got_ledger) == ledger(want_ledger)
+                assert a.bit_generator.state == b.bit_generator.state
+                deep += variant != "global" and got.depth() >= 2
+            one_row_nodes += any(len(part) == 1 for attr in attrs
+                                 for part in table.partition(attr).values())
+        assert one_row_nodes >= 5 and deep >= 5
+
+    def test_folds_grown_together_equal_each_fold_alone(self):
+        # one level-synchronous growth over every fold: each fold's tree,
+        # ledger and generator end as the recursive build's on its own
+        rng = np.random.default_rng(7)
+        for trial in range(12):
+            table = cv_table(random_induction_table(rng, max_rows=80)
+                             if trial else separable_table())
+            attrs = table.schema.attribute_names()
+            depth = int(rng.integers(0, len(attrs) + 2))
+            eps = float(rng.choice([0.5, 5.0, 1e4]))
+            for variant in VARIANTS:
+                split = cv_folds(table, int(rng.integers(100)),
+                                 int(rng.choice([2, 5])))
+                copies = [copy.deepcopy(fold_rng) for _, _, fold_rng in split]
+                eps_stage = stage_budget(eps, depth)
+                jobs = []
+                for train, _, fold_rng in split:
+                    acc = BudgetAccountant()
+                    trees._reserve(acc, "diffp_id3", depth, attrs,
+                                   eps_stage)
+                    jobs.append((train, fold_rng, acc))
+                grown = trees._grow(jobs, attrs, depth, eps_stage, variant,
+                                    "diffp_id3")
+                for (train, fold_rng, acc), tree, alone in zip(
+                        jobs, grown, copies):
+                    want, want_ledger = diffp_id3_oracle(
+                        train, attrs, depth, eps, variant, alone)
+                    assert tree == want, (trial, variant)
+                    assert ledger(acc) == ledger(want_ledger)
+                    assert (fold_rng.bit_generator.state
+                            == alone.bit_generator.state)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_cross_validate_equals_the_oracle(self, variant):
+        rng = np.random.default_rng(11)
+        for trial in range(6):
+            table = random_induction_table(rng, max_rows=90)
+            if len(table) < 2:
+                continue
+            depth = int(rng.integers(0, 5))
+            for seed, folds, eps in ((trial, 2, 1.0), (trial + 50, 5, 8.0)):
+                assert cross_validate(table, depth, eps, variant, seed,
+                                      folds) == cross_validate_oracle(
+                    table, depth, eps, variant, seed, folds)
+
+    @pytest.mark.parametrize("tag", ["ld", "sld"])
+    def test_node_scores_equal_each_nodes_own(self, tag):
+        # the splitting nodes of two levels of random tables, of sizes from
+        # one row up, scored in one joint pass over _split_levels: every
+        # score and kept tail is that of the node's own Prepared
+        rng = np.random.default_rng(3)
+
+        def prepare(problem):
+            return mechanisms.Prepared(tag, problem, bound_sensitivity(
+                ig_sensitivity(), problem.global_sensitivity,
+                problem.database_size))
+
+        sizes = set()
+        for trial in range(10):
+            table = random_induction_table(rng, max_rows=150)
+            attrs = table.schema.attribute_names()
+            nodes = [(table, attrs)]
+            for attr in attrs[:2]:
+                nodes += [(part, tuple(a for a in rest if a != attr))
+                          for node, rest in nodes if attr in rest
+                          for part in node.partition(attr).values()]
+            problems = [ig_problem(node, rest) for node, rest in nodes if rest]
+            sizes.update(p.database_size for p in problems)
+            joint = [prepare(p) for p in problems]
+            mechanisms.score_together(joint, trees._split_levels(problems))
+            for together, problem in zip(joint, problems):
+                alone = prepare(problem)
+                assert (together.distribution(2.0).scores.tolist()
+                        == alone.distribution(2.0).scores.tolist())
+                assert together._tails == alone._tails
+        assert min(sizes) == 1 and max(sizes) > 64
+
+    def test_split_levels_equal_each_nodes_bounded_table(self):
+        # the joint table serves each (node, attribute) the levels of that
+        # node's own bounded table, GS pinned past its size included, and
+        # counts only the candidate attributes
+        table = separable_table()
+        parts = [part for a_part in table.partition("A").values()
+                 for part in a_part.partition("B").values()]
+        parts += [LabeledTable._from_canonical(table.schema, table.rows[:k])
+                  for k in (1, 3, 6)]
+        problems = [ig_problem(part, ("C", "D")) for part in parts]
+        read = trees._split_levels(problems)
+        wanted = [(b, a) for b in range(len(parts)) for a in ("C", "D")]
+        chunks = [(lo, hi, *read(lo, hi, wanted))
+                  for lo, hi in ((0, 8), (8, 16), (16, 64))]
+        assert all(set(part._cell_counts) == {"C", "D"} for part in parts)
+        for lo, hi, rows, block in chunks:
+            for (b, a), row in zip(wanted, rows):
+                own = bound_sensitivity(
+                    ig_sensitivity(), problems[b].global_sensitivity,
+                    problems[b].database_size)
+                own_rows, own_block = own.table(parts[b], lo, hi)
+                assert block[row].tolist() == own_block[own_rows[a]].tolist()
 
 
 class TestDiscretize:
