@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fixtures, graphs, mechanisms, oracles, percentile, trees
+from . import core, fixtures, graphs, mechanisms, oracles, percentile, trees
 from .core import (
     BudgetAccountant,
     InvalidInputError,
@@ -173,6 +173,38 @@ def _check_faulty_delta_detected(rng):
     return (not report.passed) and report.witness is not None, (
         "zero sensitivity function slipped through" if report.passed else ""
     )
+
+
+def _check_spawn_batch(rng, trials=20):
+    # the batched spawn against numpy's own SeedSequence.spawn, on random
+    # entropy, spawn keys, pool sizes and counters, and the top-k cells'
+    # int seeds against default_rng(seed).spawn
+    seed_seq = np.random.SeedSequence
+    for _ in range(trials):
+        words = [int(v) for v in rng.integers(2**63, size=int(rng.integers(4)))]
+        entropy = words if rng.random() < 0.5 else int(rng.integers(2**63)) ** 2
+        key = tuple(int(v) for v in rng.integers(2**40, size=int(rng.integers(3))))
+        pool, first, n = (int(rng.integers(4, 9)), int(rng.integers(4)),
+                          int(rng.integers(1, 5)))
+        parent = seed_seq(entropy, spawn_key=key, pool_size=pool,
+                          n_children_spawned=first)
+        want = seed_seq(entropy, spawn_key=key, pool_size=pool,
+                        n_children_spawned=first).spawn(n)
+        for got, ref in zip(core.spawn_seeds([parent], [n])[0], want):
+            same = (np.array_equal(got.pool, ref.pool)
+                    and np.array_equal(got.generate_state(5, np.uint64),
+                                       ref.generate_state(5, np.uint64))
+                    and got.generate_state(4, np.uint64).tolist()
+                    == ref.generate_state(4, np.uint64).tolist())
+            if not same:
+                return False, (f"child {ref.spawn_key} of entropy {entropy!r}, "
+                               f"pool size {pool}: pool {got.pool} != {ref.pool}")
+    seeds = [int(s) for s in rng.integers(2**63, size=8)]
+    for seed, made in zip(seeds, core.spawn_generators(seeds, [3] * 8)):
+        for got, ref in zip(made, np.random.default_rng(seed).spawn(3)):
+            if got.random() != ref.random():
+                return False, f"a generator of seed {seed} draws another value"
+    return True, ""
 
 
 # -- sensitivity lab ----------------------------------------------------------
@@ -526,6 +558,7 @@ _SUITE_CHECKS = {
         ("distribution_normalization", _check_distributions),
         ("budget_composition", _check_budget),
         ("faulty_delta_detected", _check_faulty_delta_detected),
+        ("spawn_batch_equals_numpy", _check_spawn_batch),
     ),
     "sensitivity": (
         ("minimum_admissibility", _check_minimum_admissibility),

@@ -370,6 +370,13 @@ class TopKSelector:
     directly (:meth:`mechanisms.Prepared.select`); the picks are those of
     a fresh selection problem per round.
 
+    Each round draws from its own generator.  :meth:`draw` spawns them
+    from the caller's generator, with its own ``spawn``; :meth:`rounds`
+    takes them made, which lets the harness derive the generators of
+    many runs in one batch (:func:`~dampen.core.spawn_generators`).  Both
+    run the same rounds loop, so a run's picks depend only on its
+    generators.
+
     The default sensitivity function is the bounded degree-based delta for
     the shifted mechanism and its flattened version for plain local
     dampening; callers may substitute their own.
@@ -402,18 +409,40 @@ class TopKSelector:
         accountant: BudgetAccountant | None = None,
         scope: Hashable = "priv_topk",
     ) -> TopKResult:
-        """Pick k distinct nodes in k rounds at ``epsilon / k`` each, every
-        round over the nodes not chosen yet, one spawned generator per
-        round; each round is booked in ``accountant`` under ``scope``.
-        The per-round budget is checked before any scope is opened."""
+        """Pick k distinct nodes in k rounds at ``epsilon / k`` each
+        (:meth:`rounds`), round i drawing from child i of
+        ``rng.spawn(k)``.  The per-round budget is checked before ``rng``
+        spawns, so a refused budget leaves it as it was."""
+        round_budget(epsilon, self.k)
+        return self.rounds(rng.spawn(self.k), epsilon, accountant, scope)
+
+    def rounds(
+        self,
+        generators: Sequence,
+        epsilon: float,
+        accountant: BudgetAccountant | None = None,
+        scope: Hashable = "priv_topk",
+    ) -> TopKResult:
+        """Pick k distinct nodes in k rounds at ``epsilon / k`` each, round
+        i over the nodes not chosen yet and drawing from ``generators[i]``;
+        each round is booked in ``accountant`` under ``scope``.  The
+        per-round budget is checked before any scope is opened.
+
+        :meth:`draw` passes the generators ``rng.spawn(k)`` gives, and
+        ``harness`` those of many runs at once, from
+        :func:`~dampen.core.spawn_generators`."""
         eps_i = round_budget(epsilon, self.k)
+        if len(generators) != self.k:
+            raise InvalidInputError(
+                f"a top-{self.k} draw takes {self.k} generators, "
+                f"got {len(generators)}")
         if accountant is None:
             accountant = BudgetAccountant()
         accountant.open_scope(scope, "sequential")
         nodes = self._prepared.problem.candidates
         remaining = np.arange(len(nodes))
         chosen: list = []
-        for iter_rng in rng.spawn(self.k):
+        for iter_rng in generators:
             pos = self._prepared.select(eps_i, iter_rng, remaining)
             chosen.append(nodes[remaining[pos]])
             remaining = np.delete(remaining, pos)

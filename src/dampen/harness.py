@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, check_epsilon
+from .core import SPAWN_CHUNK, InvalidInputError, check_epsilon, spawn_generators
 from . import graphs as graphs_mod
 from . import mechanisms
 from . import percentile as percentile_mod
@@ -32,6 +32,10 @@ from .sensitivity import flatten_sensitivity
 
 #: Default number of private top-k selections averaged per topk cell.
 DEFAULT_TOPK_RUNS = 100
+
+#: Most private top-k selections a topk cell averages.  A cell keeps one
+#: score per run, so without a bound ``--runs`` alone would set memory.
+MAX_TOPK_RUNS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -125,30 +129,42 @@ def _percentile_cells(spec: ExperimentSpec, dataset):
 
 def _topk_cells(spec: ExperimentSpec, graph):
     """Mean top-k accuracy over ``runs`` seeded private selections, with
-    its standard error.  k and every epsilon's per-round share are checked
-    before any cell runs.  Each mechanism prepares one
+    its standard error.  ``runs``, k and every epsilon's per-round share
+    are checked before any cell runs.  Each mechanism prepares one
     :class:`graphs.TopKSelector` (one selection, one sensitivity function)
     and each cell draws from it ``runs`` times at its epsilon, so every
-    node is scored once per job."""
+    node is scored once per job.
+
+    Run i of a cell draws its k rounds from the generators
+    ``numpy.random.default_rng(cell_seed(...)).spawn(k)`` gives.  They are
+    derived straight from the cell seeds of up to ``SPAWN_CHUNK // k``
+    runs at a time (:func:`~dampen.core.spawn_generators`), and each run
+    calls the selector's rounds loop, the loop of its ``draw``."""
     k = int(spec.params.get("k", 1))
     runs = int(spec.params.get("runs", DEFAULT_TOPK_RUNS))
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
+    if runs > MAX_TOPK_RUNS:
+        raise InvalidInputError(
+            f"runs must be at most {MAX_TOPK_RUNS}, got {runs}")
     graphs_mod.check_k(graph, k)
     for epsilon in spec.epsilons:
         graphs_mod.round_budget(epsilon, k)
     selectors = {}
+    per_batch = max(1, SPAWN_CHUNK // k)
 
     def cell(mechanism, eps_ix, epsilon):
         if mechanism not in selectors:
             selectors[mechanism] = graphs_mod.TopKSelector(graph, k, mechanism)
+        selector = selectors[mechanism]
         scores = np.empty(runs)
-        for run_ix in range(runs):
-            rng = np.random.default_rng(
-                cell_seed(spec.base_seed, "topk", mechanism, eps_ix, run_ix)
-            )
-            result = selectors[mechanism].draw(rng, epsilon)
-            scores[run_ix] = graphs_mod.topk_accuracy(result, graph, k)
+        for lo in range(0, runs, per_batch):
+            seeds = [cell_seed(spec.base_seed, "topk", mechanism, eps_ix, run_ix)
+                     for run_ix in range(lo, min(runs, lo + per_batch))]
+            batch = spawn_generators(seeds, [k] * len(seeds))
+            for run_ix, generators in enumerate(batch, start=lo):
+                result = selector.rounds(generators, epsilon)
+                scores[run_ix] = graphs_mod.topk_accuracy(result, graph, k)
         stderr = float(scores.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
         return "topkAccuracy", float(scores.mean()), stderr
 

@@ -27,6 +27,7 @@ from .core import (
     budget_share,
     check_epsilon,
     read_utf8,
+    spawn_generators,
 )
 from . import mechanisms
 from .sensitivity import bound_sensitivity, bounded_levels, level_table
@@ -620,10 +621,14 @@ def _grow(jobs: Sequence[tuple], attributes: Sequence[str], depth: int,
     nodes of a level are then scored together: their ``ld`` or ``sld``
     selections read one :func:`mechanisms.score_together` pass over
     :func:`_split_levels`, and each draws from its own
-    :class:`mechanisms.Prepared` with its own generator, which it then
-    spawns for its children.  A node's draws, spawns and ledger entries
-    come in the order of the depth-first recursion, and no generator is
-    shared, so the trees are those of one recursive build per job."""
+    :class:`mechanisms.Prepared` with its own generator.  Then every
+    splitting node of the level spawns its children's generators in one
+    :func:`~dampen.core.spawn_generators` batch; the generators are those
+    of ``node_rng.spawn(len(parts))``, and a root generator the caller
+    passed spawns itself.  A node's draws, spawns and ledger entries come
+    in the order of the depth-first recursion, and no generator is shared,
+    so the trees and generators are those of one recursive build per
+    job."""
     class_values = jobs[0][0].schema.class_values
     tag = {"global": "em", "local": "ld", "shifted": "sld"}[variant]
     delta = ig_sensitivity() if tag != "em" else None
@@ -663,15 +668,22 @@ def _grow(jobs: Sequence[tuple], attributes: Sequence[str], depth: int,
             prepared = [split[-1] for split in splits]
             mechanisms.score_together(
                 prepared, _split_levels([p.problem for p in prepared]))
-        level_nodes = []
+        picks = []
         for node, job, node_table, attrs, node_rng, prepared in splits:
             chosen = attrs[prepared.select(eps_stage, node_rng)]
             jobs[job][2].account(select_scope, eps_stage)
-            remaining = tuple(a for a in attrs if a != chosen)
-            parts = node_table.partition(chosen)
+            picks.append((node, job, chosen,
+                          tuple(a for a in attrs if a != chosen),
+                          node_table.partition(chosen)))
+        # spawning leaves a generator's draws as they are, so every
+        # splitting node of the level spawns in one batch after its draw
+        spawned = spawn_generators([split[4] for split in splits],
+                                   [len(pick[4]) for pick in picks])
+        level_nodes = []
+        for (node, job, chosen, remaining, parts), child_rngs in zip(picks,
+                                                                     spawned):
             children = []
-            for child_rng, (value, part) in zip(node_rng.spawn(len(parts)),
-                                                parts.items()):
+            for child_rng, (value, part) in zip(child_rngs, parts.items()):
                 children.append((value, len(made)))
                 level_nodes.append((len(made), job, part, remaining,
                                     child_rng))
@@ -790,7 +802,9 @@ def bin_index(value: float, lo: float, hi: float, bins: int) -> int:
 
 def discretize(table: LabeledTable, attribute: str) -> LabeledTable:
     """Replace one continuous attribute by its bin index (a categorical
-    attribute with values 0..bins-1)."""
+    attribute with values 0..bins-1).  The rows were validated when the
+    table was built, and every bin index lies in the new domain, so the
+    binned rows are built canonical and sorted, without a second check."""
     spec = table.schema.spec_of(attribute)
     if not isinstance(spec, Continuous):
         raise InvalidInputError(f"attribute {attribute!r} is not continuous")
@@ -803,11 +817,11 @@ def discretize(table: LabeledTable, attribute: str) -> LabeledTable:
         class_attribute=table.schema.class_attribute,
         class_values=table.schema.class_values,
     )
-    rows = []
-    for row in table.row_dicts():
-        row[attribute] = bin_index(row[attribute], spec.lo, spec.hi, spec.bins)
-        rows.append(row)
-    return LabeledTable(schema, rows)
+    ix = table._col_index(attribute)
+    rows = sorted(
+        row[:ix] + (bin_index(row[ix], spec.lo, spec.hi, spec.bins),) + row[ix + 1:]
+        for row in table.rows)
+    return LabeledTable._from_canonical(schema, tuple(rows))
 
 
 def discretize_all(table: LabeledTable) -> LabeledTable:
@@ -833,14 +847,17 @@ def cv_folds(table: LabeledTable, seed: int, folds: int) -> list:
     """``(train, test, generator)`` of every fold of a seeded split that
     has both a training and a test row, in fold order.  Fold assignment
     shuffles the rows of ``table`` (binned, see :func:`cv_table`)
-    deterministically from the seed (``folds >= 2``), and each fold draws
-    from its own spawned generator."""
+    deterministically from ``numpy.random.default_rng(seed)`` (``folds >=
+    2``), and fold f draws from child f of that generator's
+    ``spawn(folds)``.  Folds past the row count get no rows, so only the
+    first ``min(folds, rows)`` children are made, in one
+    :func:`~dampen.core.spawn_generators` batch."""
     rows = table.rows
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(rows))
+    order = np.random.default_rng(seed).permutation(len(rows))
     fold_of = {int(ix): pos % folds for pos, ix in enumerate(order)}
     split = []
-    for fold, fold_rng in enumerate(rng.spawn(folds)):
+    fold_rngs = spawn_generators([seed], [min(folds, len(rows))])[0]
+    for fold, fold_rng in enumerate(fold_rngs):
         # subsequences of sorted, validated rows, as in partition
         train = tuple(row for i, row in enumerate(rows) if fold_of[i] != fold)
         test = tuple(row for i, row in enumerate(rows) if fold_of[i] == fold)

@@ -29,6 +29,7 @@ from dampen.fixtures import (
     separable_table,
 )
 from dampen.harness import (
+    MAX_TOPK_RUNS,
     ExperimentSpec,
     ResultRow,
     cell_seed,
@@ -917,6 +918,8 @@ class TestRejectedBeforeAnyCell:
                             lambda *a, **k: cells.append(a))
         monkeypatch.setattr(graphs.TopKSelector, "draw",
                             lambda *a, **k: cells.append(a))
+        monkeypatch.setattr(graphs.TopKSelector, "rounds",
+                            lambda *a, **k: cells.append(a))
         out = tmp_path / "out.json"
         if command == "tree":
             data, schema = write_toy_table(
@@ -934,6 +937,47 @@ class TestRejectedBeforeAnyCell:
         assert captured.err == (
             f"dampen: {share} must be positive and finite, got 0.0\n")
         assert cells == [] and not out.exists()
+
+    @pytest.mark.parametrize("runs", [10**12, 10**20])
+    def test_runs_above_the_bound(self, tmp_path, capsys, graph_file, runs):
+        # refused before any cell runs: no score array of that size is made
+        out = tmp_path / "out.json"
+        code = cli.main(["topk", "--graph", graph_file, "--k", "2",
+                         "--epsilon", "1", "--runs", str(runs),
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"dampen: runs must be at most {MAX_TOPK_RUNS}, got {runs}\n")
+        assert not out.exists()
+
+    def test_runs_at_the_bound_are_accepted(self, monkeypatch, graph_file):
+        # the bound refuses nothing at or below it (checked on the spec,
+        # with the cells stubbed out)
+        monkeypatch.setattr(graphs.TopKSelector, "rounds",
+                            lambda *a, **k: None)
+        monkeypatch.setattr(graphs, "topk_accuracy", lambda *a: 1.0)
+        monkeypatch.setattr(harness, "MAX_TOPK_RUNS", 5)
+        spec = ExperimentSpec("topk", "g", (1.0,), ("em",),
+                              params={"k": 1, "runs": 5})
+        assert run_experiment(spec, example_graph())[0].value == 1.0
+        spec = ExperimentSpec("topk", "g", (1.0,), ("em",),
+                              params={"k": 1, "runs": 6})
+        with pytest.raises(InvalidInputError, match="at most 5, got 6"):
+            run_experiment(spec, example_graph())
+
+    @pytest.mark.parametrize("folds", ["300000", "3000000000"])
+    def test_folds_past_the_row_count(self, table_files, folds):
+        # a fold past the 200 rows gets no rows and is skipped, so these
+        # give the bytes of --folds 200 and make only 200 fold generators
+        data, schema = table_files
+        argv = ("tree", "--data", data, "--schema", schema, "--depth", "2",
+                "--epsilon", "1", "--variant", "global,local")
+        want = run_cli(*argv, "--folds", "200")
+        got = run_cli(*argv, "--folds", folds)
+        assert want.returncode == got.returncode == 0, got.stderr
+        assert got.stdout == want.stdout
 
     def test_k_is_checked_before_the_shares(self, capsys, graph_file):
         code = cli.main(["topk", "--graph", graph_file, "--k", "1" + "0" * 400,

@@ -32,6 +32,7 @@ from dampen.trees import (
     cv_folds,
     cv_table,
     discretize,
+    discretize_all,
     f_add,
     global_sensitivity_ig,
     ig_problem,
@@ -1032,6 +1033,40 @@ class TestDiscretize:
         binned = discretize(table, "x")
         assert binned.schema.spec_of("x") == Categorical((0, 1))
         assert sorted(row["x"] for row in binned.row_dicts()) == [0, 0, 1]
+
+    def test_binned_table_equals_the_validating_build(self):
+        # discretize builds the binned rows canonical and sorted; the table
+        # is the one the validating constructor builds from the same rows
+        rng = np.random.default_rng(77)
+        for trial in range(40):
+            bins = [int(b) for b in rng.integers(2, 6, size=3)]
+            attrs = (("x", Continuous(-1.0, 3.0, bins[0])),
+                     ("A", Categorical(("p", "q", "r"))),
+                     ("z", Continuous(0.0, float(rng.choice([0.0, 1e-3, 50.0])),
+                                      bins[1])))
+            schema = TableSchema(attributes=attrs, class_attribute="y",
+                                 class_values=("c1", "c0", "c2"))
+            hi_z = schema.spec_of("z").hi
+            rows = [{"x": float(rng.choice([-1.0, 3.0, rng.uniform(-1, 3)])),
+                     "A": str(rng.choice(["p", "q", "r"])),
+                     "z": float(rng.uniform(0, hi_z)),
+                     "y": str(rng.choice(["c0", "c1", "c2"]))}
+                    for _ in range(int(rng.integers(0, 30)))]
+            table = LabeledTable(schema, rows)
+            for attr in ("x", "z"):
+                binned = discretize(table, attr)
+                spec = table.schema.spec_of(attr)
+                rebinned = [{**row, attr: bin_index(row[attr], spec.lo,
+                                                    spec.hi, spec.bins)}
+                            for row in table.row_dicts()]
+                want = LabeledTable(binned.schema, rebinned)
+                assert binned == want and binned.rows == want.rows
+                assert hash(binned) == hash(want)
+            both = discretize_all(table)
+            assert both == LabeledTable(both.schema, [
+                {**row, "x": bin_index(row["x"], -1.0, 3.0, bins[0]),
+                 "z": bin_index(row["z"], 0.0, hi_z, bins[1])}
+                for row in table.row_dicts()])
 
 
 def leaf_votes(node):
