@@ -137,10 +137,10 @@ class SensitivityFunction:
     once: ``table(database, lo, hi)`` returns ``(rows, block)``; ``rows``
     maps each candidate to a row of the float64 array ``block``, of exactly
     ``hi - lo`` columns, whose entry ``[rows[r], s]`` is ``eval(database,
-    lo + s, r)``.  The array may be shared; callers read it only.  The
-    dampening mechanisms score a bounded, nondecreasing ``delta`` from it
-    in one array pass that reads each level once and checks what the
-    per-step walk checks.
+    lo + s, r)``.  The built-in tables compute the block on every read
+    and keep nothing; callers read it only.  The dampening mechanisms
+    score a bounded, nondecreasing ``delta`` from it in one array pass
+    that reads each level once and checks what the per-step walk checks.
     """
 
     eval: Callable[[Any, int, Hashable], float]

@@ -28,7 +28,7 @@ from . import graphs as graphs_mod
 from . import mechanisms
 from . import percentile as percentile_mod
 from . import trees as trees_mod
-from .sensitivity import flatten_sensitivity
+from .sensitivity import flatten_sensitivity, hull_levels
 
 #: Default number of private top-k selections averaged per topk cell.
 DEFAULT_TOPK_RUNS = 100
@@ -109,18 +109,36 @@ def load_dataset(path: str, kind: str, **options):
 
 def _percentile_cells(spec: ExperimentSpec, dataset):
     """Exact expected error of each (mechanism, epsilon); nothing is drawn.
-    Each mechanism scores the problem once, for every epsilon."""
+    Each mechanism scores the problem once, for every epsilon.  The first
+    ``ld`` or ``sld`` cell scores both that the spec asks for in one
+    :func:`mechanisms.score_together` pass: each read computes the bounded
+    levels of every record once, and ``ld`` reads their hull
+    (:func:`~dampen.sensitivity.hull_levels`) from the same block."""
     p = int(spec.params.get("p", 50))
     query = percentile_mod.PercentileQuery(p, len(dataset))
     problem = percentile_mod.percentile_problem(dataset, query)
     delta = percentile_mod.bounded_ls_percentile(dataset, query)
     deltas = {"ld": flatten_sensitivity(delta, problem), "sld": delta}
+    tags = [tag for tag in deltas if tag in spec.mechanisms]
     prepared = {}
+
+    def levels(lo, hi, wanted):
+        rows, block = delta.table(dataset, lo, hi)
+        hull = len(block)       # ld's row, appended only while ld reads on
+        if any(tags[b] == "ld" for b, _ in wanted):
+            block = np.vstack([block, hull_levels(problem.candidates, rows,
+                                                  block)])
+        return [hull if tags[b] == "ld" else rows.get(key)
+                for b, key in wanted], block
 
     def cell(mechanism, eps_ix, epsilon):
         if mechanism not in prepared:
-            prepared[mechanism] = mechanisms.Prepared(
-                mechanism, problem, deltas.get(mechanism))
+            group = tags if mechanism in deltas else [mechanism]
+            made = [mechanisms.Prepared(tag, problem, deltas.get(tag))
+                    for tag in group]
+            prepared.update(zip(group, made))
+            if mechanism in deltas:
+                mechanisms.score_together(made, levels)
         dist = prepared[mechanism].distribution(epsilon)
         return "expectedError", mechanisms.expected_error(dist, problem), 0.0
 

@@ -151,8 +151,9 @@ def dampen(
     return sign * (i + (v - b) / gs)
 
 
-#: Largest (row, level) slice of a level table that :func:`_prefixes`
-#: checks and sums at once, which bounds its temporaries at any table size.
+#: Largest (row, level) slice of a block read from a table that
+#: :func:`_prefixes` checks and sums at once, which bounds its temporaries
+#: at any table size.
 PREFIX_SLICE_ENTRIES = 1 << 16
 
 
@@ -196,11 +197,11 @@ def _prefixes(table, problems: Sequence) -> list:
     chunks start at the same t are read together up to the largest end
     among them; a first chunk below half of that end is read apart.  So no
     problem reads more than twice the columns it would read alone, and a
-    batch of one reads exactly its own chunks.  Each open row carries the
-    sum of the levels read so far and its last level (zeros on a first
-    read, then the floats its read ended on), so a read checks and
-    ``np.cumsum``s only its own columns from there: the same additions in
-    the walk's order as one ``np.cumsum`` from 0.0.
+    batch of one reads exactly its own chunks.  Each open row carries its
+    pair, GS and n from its first read, the sum of the levels read so far
+    and its last level (zeros on a first read, then the floats its read
+    ended on), so a read checks and sums only its own columns from there:
+    the same additions in the walk's order as one ``np.cumsum`` from 0.0.
 
     A stop ``(t, cum[t], width)``, width the level at t or GS in the tail,
     scores as the walk's ``t + (v - cum[t]) / width``; a tail stop is kept
@@ -213,46 +214,53 @@ def _prefixes(table, problems: Sequence) -> list:
     def first(lo, hi, part):
         """The first read of the problems at ``part``: their scores grouped
         into one open row per (problem, table row), and the levels."""
-        found, block = table(lo, hi, [(b, key) for b in part
-                                      for key in problems[b][2]])
-        rows, at, start = [], [], 0
+        wanted = [(b, key) for b in part for key in problems[b][2]]
+        found, block = table(lo, hi, wanted)
+        pairs, groups, at, counts, start = [], [], [], [], 0
         for b in part:
             keys = problems[b][2]
-            groups = {}
+            by_row = {}
             for j, r in enumerate(found[start:start + len(keys)]):
-                if r in groups:
-                    groups[r].append(j)
+                if r in by_row:
+                    by_row[r].append(j)
                 elif r is not None:
-                    groups[r] = [j]
+                    by_row[r] = [j]
+                    pairs.append(wanted[start + j])
+            groups += by_row.values()
+            at += by_row
+            counts.append(len(by_row))
             start += len(keys)
-            rows += [(b, keys[js[0]], js) for js in groups.values()]
-            at += groups
-        return rows, at, block
+        carried = np.array([(*problems[b][:2], 0.0, 0.0) for b in part]
+                           ).repeat(counts, axis=0)
+        return (pairs, groups, carried), at, block
 
-    def read(lo, hi, rows, at, block, sums, lasts):
-        """Check and sum ``[lo, hi)`` of the open ``rows``, ``(problem,
-        key, positions)`` each at block row ``at`` with its carried sum and
-        last level; place the scores that stop there and return the rows
-        still open at hi with their sums and last levels."""
+    def read(lo, hi, rows, at, block):
+        """Check and sum ``[lo, hi)`` of the open ``rows``, ``(pairs,
+        groups, carried)``: row k holds the scores at ``groups[k]`` of the
+        pair at block row ``at[k]``, and ``carried[k]`` is its (GS, n, sum,
+        last level).  Place the scores that stop there and return the rows
+        still open at hi in the same form, or ``None``."""
+        pairs, groups, carried = rows
         width = hi - lo
-        gs = np.array([problems[b][0] for b, _, _ in rows])
         step = max(1, PREFIX_SLICE_ENTRIES // (width + 1))
-        still, held_sums, held_lasts = [], [], []
-        for top in range(0, len(rows), step):
+        kept, left_of, held = [], [], []
+        b_of = None
+        for top in range(0, len(pairs), step):
             part = slice(top, top + step)
-            # lv[k, 0]: the level before lo of row k, then its levels;
-            # go[k, s]: its walk passes lo + s; lv[k, 0] then takes the sum
-            lv = np.empty((len(at[part]), width + 1))
-            lv[:, 0] = lasts[part]
-            lv[:, 1:] = block[:, :width].take(at[part], axis=0)
-            go = np.zeros(lv.shape, dtype=bool)
-            np.greater_equal(lv[:, 1:], lv[:, :-1], out=go[:, :width])
-            go[:, :width] &= lv[:, 1:] < gs[part, None]
-            lv[:, 0] = sums[part]
-            cum = np.cumsum(lv, axis=1)     # cum[k, s]: levels before lo + s
-            b_of = None
-            for k, e in enumerate(go.argmin(axis=1).tolist()):
-                b, key, js = rows[top + k]
+            # lv[k, 0]: the level before lo of row k, then its levels and
+            # inf; go[k, s]: its walk passes lo + s, never past hi; lv[k, 0]
+            # then takes the sum
+            lv = np.empty((len(at[part]), width + 2))
+            lv[:, 0] = carried[part, 3]
+            lv[:, 1:-1] = block[:, :width].take(at[part], axis=0)
+            lv[:, -1] = math.inf
+            go = lv[:, 1:] >= lv[:, :-1]
+            go &= lv[:, 1:] < carried[part, :1]
+            lv[:, 0] = carried[part, 2]
+            cum = lv.cumsum(axis=1)     # cum[k, s]: levels before lo + s
+            for k, (b, _), js, e in zip(range(len(cum)), pairs[part],
+                                        groups[part],
+                                        go.argmin(axis=1).tolist()):
                 if b != b_of:
                     b_of, (row_gs, n, keys, values, tails) = b, problems[b]
                     placed = out[b]
@@ -269,10 +277,14 @@ def _prefixes(table, problems: Sequence) -> list:
                         placed[j] = (lo + e, b_e, row_gs)
                         tails[keys[j]] = (lo + e, b_e)
                 if left:        # b_e is the sum of the levels before hi
-                    still.append((b, key, left))
-                    held_sums.append(b_e)
-                    held_lasts.append(lv.item(k, width))
-        return still, held_sums, held_lasts
+                    kept.append(top + k)
+                    left_of.append(left)
+                    held.append((b_e, lv.item(k, width)))
+        if not kept:
+            return None
+        carried = carried[kept]
+        carried[:, 2:] = held
+        return [pairs[k] for k in kept], left_of, carried
 
     ends = {}
     for b, (gs, n, keys, values, _) in enumerate(problems):
@@ -280,30 +292,30 @@ def _prefixes(table, problems: Sequence) -> list:
             v_max = max(values)
             ends[b] = min(n, max(8, int(v_max / gs) + 1)
                           if v_max < n * gs else 8)
-    reads = []      # (lo, hi, open rows, their sums, their last levels)
+    reads = []      # (lo, hi, open rows), or the problems of a first read
     order = sorted(ends, key=ends.get, reverse=True)
     while order:    # first chunks, each read with those of at least half
         top = ends[order[0]]        # its end; every sum and level is 0
         part = [b for b in order if 2 * ends[b] >= top]
         order = order[len(part):]
-        reads.append((0, top, part, None, None))
+        reads.append((0, top, part))
     while reads:
-        later = {}          # lo -> the rows open there, sums, last levels
-        for lo, hi, rows, sums, lasts in reads:
-            if sums is None:
-                rows, at, block = first(lo, hi, rows)
-                sums = lasts = np.zeros(len(rows))
+        later = {}          # hi -> the rows open there
+        for lo, hi, rows in reads:
+            if lo:
+                at, block = table(lo, hi, rows[0])
             else:
-                at, block = table(lo, hi, [(b, key) for b, key, _ in rows])
-            still, sums, lasts = read(lo, hi, rows, at, block, sums, lasts)
-            if still:
-                held = later.setdefault(hi, ([], [], []))
-                held[0].extend(still)
-                held[1].extend(sums)
-                held[2].extend(lasts)
-        reads = [(lo, max(min(2 * lo, problems[b][1]) for b, _, _ in rows),
-                  rows, sums, lasts)
-                 for lo, (rows, sums, lasts) in later.items()]
+                rows, at, block = first(lo, hi, rows)
+            rows = read(lo, hi, rows, at, block)
+            if rows is None:
+                continue
+            if hi in later:
+                pairs, groups, carried = later[hi]
+                rows = (pairs + rows[0], groups + rows[1],
+                        np.concatenate([carried, rows[2]]))
+            later[hi] = rows
+        reads = [(lo, min(2 * lo, int(rows[2][:, 1].max())), rows)
+                 for lo, rows in later.items()]
     return out
 
 

@@ -21,7 +21,7 @@ from .core import (
     SensitivityFunction,
     read_utf8,
 )
-from .sensitivity import bound_sensitivity, level_table
+from .sensitivity import bound_sensitivity, table_sensitivity
 
 
 class NumericVector:
@@ -310,33 +310,30 @@ def percentile_sensitivity(x: NumericVector, q: PercentileQuery) -> SensitivityF
     float equal to the cap, and ``min(cap, .)`` of the maximum holding it
     is the cap.
 
-    The levels are one :func:`~dampen.sensitivity.level_table` per vector,
-    a row per record, filled in chunks by one masked numpy grid each; its
-    running maximum changes nothing, as the levels are nondecreasing.
+    Its ``table(db, lo, hi)`` computes exactly the columns ``[lo, hi)``, a
+    row per record: :func:`ls0_of_record` at t = 0, the capped window
+    bound of one masked numpy grid below ``t_cap`` and the cap from there
+    on.  Nothing is kept between reads; ``eval`` reads one column.
     """
     if len(x) != q.n:
         raise InvalidInputError(
             f"query is for {q.n} records, vector has {len(x)}"
         )
 
-    def open_table(db: NumericVector):
-        values, cap = np.array(db.values()), db.lambda_cap
-        t_cap = min(q.k + 1, len(values) - q.k + 2)
+    def table(db: NumericVector, lo: int, hi: int) -> tuple:
+        labels, values = zip(*db.records)
+        n, cap = len(labels), db.lambda_cap
+        t_cap = min(q.k + 1, n - q.k + 2)
+        block = np.full((n, max(hi - lo, 0)), cap)
+        start, stop = max(lo, 1), min(hi, t_cap)
+        if start < stop:
+            block[:, start - lo:stop - lo] = np.minimum(
+                _window_levels(np.array(values), q.k, cap, start, stop), cap)
+        if lo == 0 < hi:
+            block[:, 0] = [ls0_of_record(db, q, label) for label in labels]
+        return dict(zip(labels, range(n))), block
 
-        def fill(lo: int, hi: int) -> np.ndarray:
-            block = np.full((len(values), hi - lo), cap)
-            start, stop = max(lo, 1), min(hi, t_cap)
-            if start < stop:
-                block[:, start - lo:stop - lo] = np.minimum(
-                    _window_levels(values, q.k, cap, start, stop), cap)
-            if lo == 0:
-                block[:, 0] = [ls0_of_record(db, q, label)
-                               for label in db.labels()]
-            return block
-
-        return {label: row for row, label in enumerate(db.labels())}, fill
-
-    return level_table(open_table, "ls_percentile_windows")
+    return table_sensitivity(table, "ls_percentile_windows")
 
 
 def percentile_problem(x: NumericVector, q: PercentileQuery) -> SelectionProblem:

@@ -1,16 +1,15 @@
 """Construction of sensitivity functions: bounding by the global
-sensitivity, tables of levels and flattening.
+sensitivity, reading levels from a table and flattening.
 
-:func:`level_table` is the only one that keeps state (the levels of the
-last database seen); the wrappers derive their values and tables from the
-inner function on every read.  The brute-force references these are
-verified against live in :mod:`dampen.oracles`.
+None of them keeps state: every value and every table is derived from the
+database and the inner function on each read.  The brute-force references
+these are verified against live in :mod:`dampen.oracles`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -75,48 +74,18 @@ def bounded_levels(levels: np.ndarray, lo: int, gs, n) -> np.ndarray:
     return out
 
 
-def level_table(open_table: Callable[[Any], tuple], name: str
-                ) -> SensitivityFunction:
-    """Sensitivity function read from a table of levels (one row per
-    candidate, one column per t) kept for the last database seen.
+def table_sensitivity(table: Callable[[Any, int, int], tuple], name: str
+                      ) -> SensitivityFunction:
+    """Sensitivity function read from ``table``, which it also serves as
+    its ``table`` hook: ``table(db, lo, hi)`` returns ``(rows, block)``,
+    ``rows`` mapping each candidate to its row of the float64 array
+    ``block``, whose columns are the levels at t in ``[lo, hi)``.
 
-    ``open_table(db)`` returns ``(rows, fill)``: ``rows`` maps each
-    candidate to its row, and ``fill(lo, hi)`` returns the raw levels of
-    every row at t in ``[lo, hi)`` as a float64 array.  A read of columns
-    ``[lo, hi)`` past the ``filled`` ones fills ``[filled, max(hi,
-    min(2 filled, len(db)), 8))``: doubling chunks up to the database size,
-    or up to ``hi`` when that is larger.
-
-    A level is the running maximum of the raw levels along t, carried
-    across chunk ends; a maximum is exact, so a level is the same float in
-    whichever chunk it lands.  The running max is nondecreasing in t and
-    keeps admissibility: if ``f(y, s, r) <= f(x, s + 1, r)`` for every
-    neighbour y of x and every s, then ``max_{s <= t} f(y, s, r) <=
-    max_{s <= t} f(x, s + 1, r) <= max_{s <= t + 1} f(x, s, r)``, and
-    level 0 is ``f(x, 0, r)``.  The caller vouches for ``f``.
-
-    The levels are one float64 array per database; the ``table`` hook
-    returns a view of its columns ``[lo, hi)``, and ``eval`` reads
-    ``[t, t + 1)``.
+    ``eval`` reads the one column ``[t, t + 1)``.  Nothing is kept between
+    reads.  The caller vouches that the levels are admissible and
+    nondecreasing in t; the array pass and the walk refuse a level below
+    the one before it.
     """
-    last = None          # (database, rows, fill, levels array)
-
-    def table(db: Any, lo: int, hi: int) -> tuple:
-        nonlocal last
-        state = last
-        if state is None or (state[0] is not db and state[0] != db):
-            rows, fill = open_table(db)
-            state = last = (db, rows, fill, np.zeros((len(rows), 0)))
-        seen, rows, fill, levels = state
-        filled = levels.shape[1]
-        if hi > filled:
-            block = fill(filled, max(hi, min(2 * filled, len(db)), 8))
-            np.maximum.accumulate(block, axis=1, out=block)
-            if filled:
-                np.maximum(block, levels[:, -1:], out=block)
-            levels = np.hstack([levels, block])
-            last = (seen, rows, fill, levels)
-        return rows, levels[:, lo:hi]
 
     def eval_fn(db, t, r):
         if t < 0:
@@ -137,6 +106,21 @@ def level_table(open_table: Callable[[Any], tuple], name: str
     )
 
 
+def hull_levels(candidates: Sequence, rows: dict, levels: np.ndarray
+                ) -> np.ndarray:
+    """One row: the exact maximum along the candidate axis of the rows of
+    ``levels`` that ``rows`` maps ``candidates`` to.  It is NaN in a column
+    holding a level that ``eval`` refuses (not finite and >= 0), or
+    everywhere if ``rows`` lacks a candidate: the array pass leaves those
+    scores to the walk, which raises the inner message."""
+    at = [rows.get(r) for r in candidates]
+    if None in at:
+        return np.full((1, levels.shape[1]), math.nan)
+    block = levels[at]
+    fine = np.all((block >= 0) & (block < math.inf), axis=0)
+    return np.where(fine, block.max(axis=0), math.nan)[None]
+
+
 def flatten_sensitivity(
     delta: SensitivityFunction, problem: SelectionProblem
 ) -> SensitivityFunction:
@@ -147,24 +131,17 @@ def flatten_sensitivity(
     construction and pointwise at least the input.  Nothing is kept: each
     read evaluates ``delta`` at every candidate.
 
-    A ``table`` of ``delta`` maps to one row, the exact maximum along the
-    candidate axis of the columns read, on every read.  It is NaN in a
-    column holding a level that ``eval`` refuses (not finite and >= 0), or
-    everywhere if the inner table lacks a candidate: the array pass leaves
-    those scores to the walk, which raises the inner message.
+    A ``table`` of ``delta`` maps to one row, :func:`hull_levels` of the
+    columns read, on every read.
     """
     candidates = problem.candidates
 
     def eval_fn(db, t, r):
         return max(delta(db, t, rr) for rr in candidates)
 
-    def hull(rows, levels):
-        at = [rows.get(r) for r in candidates]
-        block = (levels[at] if None not in at
-                 else np.full((1, levels.shape[1]), math.nan))
-        fine = np.all((block >= 0) & (block < math.inf), axis=0)
+    def table(db, lo, hi):
         return (dict.fromkeys(candidates, 0),
-                np.where(fine, block.max(axis=0), math.nan)[None])
+                hull_levels(candidates, *delta.table(db, lo, hi)))
 
     return SensitivityFunction(
         eval=eval_fn,
@@ -173,6 +150,5 @@ def flatten_sensitivity(
         declared_nondecreasing_in_t=delta.declared_nondecreasing_in_t,
         monotonicity="flat",
         name=f"flat({delta.name})",
-        table=None if delta.table is None
-        else lambda db, lo, hi: hull(*delta.table(db, lo, hi)),
+        table=None if delta.table is None else table,
     )

@@ -30,7 +30,7 @@ from .core import (
     spawn_generators,
 )
 from . import mechanisms
-from .sensitivity import bound_sensitivity, bounded_levels, level_table
+from .sensitivity import bound_sensitivity, bounded_levels, table_sensitivity
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -430,10 +430,8 @@ def ls_t_ig(table: LabeledTable, t: int, attribute: str) -> float:
     The cell movement bound is maximized over every count pair reachable
     within t typed row edits, over all attribute values and classes, via the
     closed-form per-distance scan of :func:`_table_levels` over the
-    :func:`_frontier` cells.  Nondecreasing in t as a running maximum.
-
-    A one-shot read of a fresh :func:`ig_sensitivity`; a caller asking
-    for many levels of one table should keep one ``ig_sensitivity()``.
+    :func:`_frontier` cells.  Nondecreasing in t.  One read of
+    :func:`ig_sensitivity`.
     """
     table._contingency(attribute)          # unknown or continuous: raises
     return ig_sensitivity()(table, t, attribute)
@@ -441,32 +439,28 @@ def ls_t_ig(table: LabeledTable, t: int, attribute: str) -> float:
 
 def ig_sensitivity() -> SensitivityFunction:
     """Split-score local sensitivity as a sensitivity function over tables
-    (admissible, nondecreasing in t as a running maximum; bound with the
-    size-matched global sensitivity before use).
+    (admissible and nondecreasing in t; bound with the size-matched global
+    sensitivity before use).
 
-    The levels are one :func:`~dampen.sensitivity.level_table` per table,
-    a row per categorical attribute of the schema, filled for all of them
-    at once by :func:`_table_levels` over their frontiers, so a node's other
-    candidates find theirs filled.  An attribute the node already split on
-    is constant in its table and adds at most two frontier cells.  The
-    running maximum keeps the levels within-t bounds whatever the kernel
-    returns (its levels are nondecreasing already).  Tree induction reads
-    the same levels of only each node's candidates, for every splitting
-    node of a level at once, through :func:`_split_levels`; this function
-    serves single problems and the walks the array pass leaves to them.
+    Its ``table(tbl, lo, hi)`` computes exactly the columns ``[lo, hi)``, a
+    row per categorical attribute of the schema, by one
+    :func:`_table_levels` grid over their frontiers; nothing is kept
+    between reads, and ``eval`` reads one column.  An attribute the node
+    already split on is constant in its table and adds at most two frontier
+    cells.  Tree induction reads the same kernel over only each node's
+    candidates, for every splitting node of a level at once, through
+    :func:`_split_levels`; this function serves single problems and the
+    walks the array pass leaves to them.
     """
 
-    def open_table(table: LabeledTable):
-        frontiers = {
-            name: _frontier(table._contingency(name))
-            for name, spec in table.schema.attributes
-            if isinstance(spec, Categorical)
-        }
-        cells = list(frontiers.values())
-        return ({name: row for row, name in enumerate(frontiers)},
-                lambda lo, hi: _table_levels(cells, lo, hi))
+    def table(tbl: LabeledTable, lo: int, hi: int) -> tuple:
+        names = [name for name, spec in tbl.schema.attributes
+                 if isinstance(spec, Categorical)]
+        frontiers = [_frontier(tbl._contingency(name)) for name in names]
+        return ({name: row for row, name in enumerate(names)},
+                _table_levels(frontiers, lo, hi))
 
-    return level_table(open_table, "ls_ig")
+    return table_sensitivity(table, "ls_ig")
 
 
 def ig_problem(table: LabeledTable, attributes: Sequence[str]) -> SelectionProblem:
@@ -590,11 +584,9 @@ def _split_levels(problems: Sequence[SelectionProblem]):
     :func:`~dampen.sensitivity.bound_sensitivity` bounds them.
 
     One :func:`_table_levels` grid per read covers the frontiers of every
-    pair asked for, so only candidate attributes are counted and filled.
-    Its levels are nondecreasing in t as they come (see
-    :func:`_table_levels`), so the running maximum of
-    :func:`~dampen.sensitivity.level_table` would leave them as they are;
-    nothing is kept but each pair's frontier."""
+    pair asked for, so only candidate attributes are counted and read by
+    the kernel of :func:`ig_sensitivity`; nothing is kept but each pair's
+    frontier."""
     frontiers = {}
 
     def table(lo, hi, wanted):

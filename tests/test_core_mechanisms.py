@@ -59,7 +59,7 @@ from dampen.percentile import (
 from dampen.sensitivity import (
     bound_sensitivity,
     flatten_sensitivity,
-    level_table,
+    table_sensitivity,
 )
 from dampen.trees import ig_problem, ig_sensitivity
 
@@ -799,17 +799,16 @@ class TestArrayPrefix:
         assert asked == [(0, 8)]
 
     def test_reads_the_chunks_the_walks_read(self):
-        # rows reach GS at t = 39, 19, 13 and 9: the array pass fills the
-        # level table in the chunks a walk of a score in the tail reads,
-        # 8 levels and then twice as many, and stops where the walks stop
+        # rows reach GS at t = 39, 19, 13 and 9: the array pass reads the
+        # table in the chunks a walk of a score in the tail reaches, 8
+        # levels and then twice as many, and stops where the walks stop
         def bounded(fills):
-            def open_table(db):
-                def fill(lo, hi):
-                    fills.append((lo, hi))
-                    t = np.arange(lo, hi) + 1.0
-                    return np.minimum(np.outer([0.05, 0.1, 0.15, 0.2], t), 2.0)
-                return {r: r for r in range(4)}, fill
-            return bound_sensitivity(level_table(open_table, "toy"), 2.0, 100)
+            def table(db, lo, hi):
+                fills.append((lo, hi))
+                t = np.arange(lo, hi) + 1.0
+                return ({r: r for r in range(4)},
+                        np.minimum(np.outer([0.05, 0.1, 0.15, 0.2], t), 2.0))
+            return bound_sensitivity(table_sensitivity(table, "toy"), 2.0, 100)
 
         problem = make_abstract_problem([0.0, 1.0, 2.0, 3.0], gs=2.0, n=100)
         walked, tails = [], {}
@@ -823,7 +822,9 @@ class TestArrayPrefix:
             39, 19, 13, 9]
         assert got == [(*tails[r], 2.0) for r in problem.candidates]
         assert read == [(0, 8), (8, 16), (16, 32), (32, 64)]
-        assert walked[-1][1] == 40              # per step, to t = 39
+        # per step, one column a read, to t = 39
+        assert max(walked) == (39, 40)
+        assert all(hi == lo + 1 for lo, hi in walked)
 
     def test_ld_stops_at_the_bracketing_step(self):
         # the same rows at |u| = 1.5: every walk brackets it inside the
@@ -1471,7 +1472,8 @@ property_settings = settings(max_examples=15, deadline=None,
 
 class TestNondecreasingDeclarations:
     """Every constructor that declares ``declared_nondecreasing_in_t`` keeps
-    the promise for t <= 4, and the wrappers pass it on."""
+    the promise for t <= 4, the percentile and split-score functions past
+    ``t_cap`` and the database size, and the wrappers pass it on."""
 
     @property_settings
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5))
@@ -1494,8 +1496,8 @@ class TestNondecreasingDeclarations:
                                    cap=10.0, levels=4)
         q = PercentileQuery(p, n)
         labels = x.labels()
-        assert_nondecreasing(percentile_sensitivity(x, q), x, labels)
-        assert_nondecreasing(bounded_ls_percentile(x, q), x, labels)
+        assert_nondecreasing(percentile_sensitivity(x, q), x, labels, n + 2)
+        assert_nondecreasing(bounded_ls_percentile(x, q), x, labels, n + 2)
         assert_nondecreasing(ls_percentile_sensitivity(q), x, labels)
 
     @property_settings
@@ -1506,9 +1508,10 @@ class TestNondecreasingDeclarations:
         bounded = bound_sensitivity(ig_sensitivity(),
                                     problem.global_sensitivity,
                                     problem.database_size)
-        for delta in (ig_sensitivity(), bounded,
-                      constant_sensitivity(problem.global_sensitivity)):
-            assert_nondecreasing(delta, table, ("A",))
+        for delta in (ig_sensitivity(), bounded):
+            assert_nondecreasing(delta, table, ("A",), len(table) + 3)
+        assert_nondecreasing(constant_sensitivity(problem.global_sensitivity),
+                             table, ("A",))
 
     def test_undeclared_by_default(self):
         delta = SensitivityFunction(eval=lambda db, t, r: 1.0)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampen import cli, graphs, harness, mechanisms, oracles, trees
+from dampen import percentile as percentile_mod
 from dampen.checks import run_checks
 from dampen.core import (
     ContractViolationError,
@@ -39,7 +40,13 @@ from dampen.harness import (
     rows_to_text,
     run_experiment,
 )
-from dampen.percentile import NumericVector, PercentileQuery, percentile_problem
+from dampen.percentile import (
+    NumericVector,
+    PercentileQuery,
+    bounded_ls_percentile,
+    percentile_problem,
+)
+from dampen.sensitivity import flatten_sensitivity
 from dampen.trees import Categorical, Continuous, LabeledTable, TableSchema
 
 from conftest import scored_candidates
@@ -132,6 +139,41 @@ class TestRunExperiment:
                 mechanisms=("ld", "sld")), dataset)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_percentile_dampening_reads_each_range_once(self, monkeypatch):
+        # ld reads the hull of the block sld reads, in one pass: each column
+        # range of the window grid is computed once, [1, min(n, 8))
+        # included, and each record's level at t = 0 once
+        values = np.round(np.random.default_rng(5).uniform(0, 100, 60), 2)
+        dataset = NumericVector(values.tolist(), 100.0)
+        n = len(dataset)
+        ranges, at_zero = [], []
+        window, exact = percentile_mod._window_levels, percentile_mod.ls0_of_record
+
+        def counted_window(values, k, cap, lo, hi):
+            ranges.append((lo, hi))
+            return window(values, k, cap, lo, hi)
+
+        def counted_exact(x, q, label):
+            at_zero.append(label)
+            return exact(x, q, label)
+
+        monkeypatch.setattr(percentile_mod, "_window_levels", counted_window)
+        monkeypatch.setattr(percentile_mod, "ls0_of_record", counted_exact)
+        spec = ExperimentSpec("percentile", "values", epsilons=(0.1, 1.0, 10.0),
+                              mechanisms=("em", "pf", "ld", "sld"))
+        rows = run_experiment(spec, dataset)
+        assert ranges.count((1, min(n, 8))) == 1
+        assert len(ranges) == len(set(ranges)) > 1
+        assert sorted(at_zero) == sorted(dataset.labels())
+        # the same values as each mechanism's own distribution
+        problem = percentile_problem(dataset, PercentileQuery(50, n))
+        delta = bounded_ls_percentile(dataset, PercentileQuery(50, n))
+        deltas = {"ld": flatten_sensitivity(delta, problem), "sld": delta}
+        for row in rows:
+            dist = mechanisms.distribution(row.mechanism, problem, row.epsilon,
+                                           deltas.get(row.mechanism))
+            assert row.value == mechanisms.expected_error(dist, problem)
 
     def test_percentile_rows_and_ordering(self, vector_file):
         dataset = load_dataset(vector_file, "vector", lambda_cap=100.0)

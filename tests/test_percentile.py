@@ -253,7 +253,7 @@ admissibility_settings = settings(max_examples=15, deadline=None,
 
 class TestWindowBound:
     """The default sensitivity: the closed-form order-statistic window
-    bound, filled as one table per vector."""
+    bound, computed for the range of t each read asks for."""
 
     @pytest.mark.parametrize("grid_elements", [None, 7])
     def test_levels_equal_scalar_reference(self, grid_elements, monkeypatch):
@@ -357,16 +357,16 @@ class TestWindowBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the table holds 2000 x 64 levels (1 MB); one unsliced grid
-        # temporary of its last chunk would be 2000 x 32 x 64 x 8 B = 33 MB
+        # each read computes one column of 2000 levels; one unsliced grid
+        # temporary of 32 levels would be 2000 x 32 x 64 x 8 B = 33 MB
         assert peak < 8 * 2**20, peak
         for t in (0, 1, 7, 8, 31, 32, 63):
             assert levels[t] == window_bound_reference(x, q, t, label)
 
     def test_levels_equal_one_grid_at_chunk_ends(self):
-        # the table fills chunks [0, 8), [8, 16), [16, 32), ... up to n and
-        # keeps a running max; every level must be the float of one grid
-        # call over every t: the ls0 column, then the capped window bound
+        # eval reads one column and the table any range, with no running
+        # max; every level must be the float of one grid call over every
+        # t: the ls0 column, then the capped window bound
         rng = np.random.default_rng(46)
         for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40):
             cap = float(rng.choice([1.0, 10.0, 100.0]))
@@ -393,7 +393,7 @@ class TestWindowBound:
                 assert levels[row, :t_max + 1].tolist() == want[row].tolist()
 
     def test_levels_equal_the_unclamped_grid_at_t_cap(self):
-        # the fill evaluates the grid only below t_cap = min(k + 1,
+        # the kernel evaluates the grid only below t_cap = min(k + 1,
         # n - k + 2) and writes the cap from there on; the unclamped grid
         # is the cap there too, and every level equals it across the chunk
         # ends and t_cap, at both ends of p and at the median

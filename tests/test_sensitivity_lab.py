@@ -1,8 +1,12 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dampen.core import (
     ContractViolationError,
@@ -13,8 +17,12 @@ from dampen.core import (
     SensitivityFunction,
     constant_sensitivity,
 )
-from dampen.fixtures import random_graph_instance, random_vector_instance
-from dampen.graphs import delta_ebc, ebc_problem
+from dampen.fixtures import (
+    random_graph_instance,
+    random_induction_table,
+    random_vector_instance,
+)
+from dampen.graphs import EdgeGraph, delta_ebc, ebc_problem, flat_delta_ebc
 from dampen.mechanisms import distribution, expected_error, select_exponential
 from dampen.oracles import (
     BruteForceExplorer,
@@ -30,12 +38,18 @@ from dampen.oracles import (
     vector_enumerator,
 )
 from dampen.percentile import (
+    NumericVector,
     PercentileQuery,
     bounded_ls_percentile,
     percentile_problem,
     percentile_sensitivity,
 )
-from dampen.sensitivity import bound_sensitivity, flatten_sensitivity, level_table
+from dampen.sensitivity import (
+    bound_sensitivity,
+    flatten_sensitivity,
+    table_sensitivity,
+)
+from dampen.trees import LabeledTable, ig_problem, ig_sensitivity
 
 from conftest import make_abstract_problem
 
@@ -141,75 +155,34 @@ def toy_raw(db, rows, lo, hi):
     return np.array([(7 * t + 3 * row + len(db)) % 5 * 0.5 for row in rows])
 
 
+def toy_table(raw=toy_raw, fills=None):
+    """A ``table`` hook of rows a, b, c computing ``raw`` at every read;
+    each ``(lo, hi)`` read is appended to ``fills`` when given."""
+    rows = {"a": 0, "b": 1, "c": 2}
+
+    def table(db, lo, hi):
+        if fills is not None:
+            fills.append((lo, hi))
+        return rows, raw(db, rows.values(), lo, hi)
+
+    return table
+
+
+def toy_rising(db, rows, lo, hi):
+    """The running maximum of :func:`toy_raw` from t = 0, computed afresh
+    for each read: nondecreasing levels."""
+    return np.maximum.accumulate(toy_raw(db, rows, 0, hi), axis=1)[:, lo:]
+
+
 class TestLevelTable:
-    """One table of levels per database: a running maximum of the raw fill
-    along t, filled in chunks by the rule hi = max(t + 1, min(2 lo, N), 8)."""
+    """A sensitivity function read from a table of levels: ``eval`` reads
+    the one column ``[t, t + 1)``, and nothing is kept between reads."""
 
-    def make(self):
-        opened, fills = [], []
-
-        def open_table(db):
-            opened.append(db)
-            rows = {"a": 0, "b": 1, "c": 2}
-
-            def fill(lo, hi):
-                fills.append((lo, hi))
-                return toy_raw(db, rows.values(), lo, hi)
-
-            return rows, fill
-
-        return level_table(open_table, "toy"), opened, fills
-
-    @staticmethod
-    def want(db, t_max):
-        raw = toy_raw(db, range(3), 0, t_max + 1)
-        return np.maximum.accumulate(raw, axis=1)
-
-    def test_running_max_holds_across_chunk_ends(self):
-        db = tuple(range(20))
-        want = self.want(db, 40)
-        probes = [0, 7, 8, 15, 16, 19, 20, 21, 31, 32, 40]
-        for order in (probes, probes[::-1]):
-            delta, _, _ = self.make()
-            for t in order:
-                for row, r in enumerate("abc"):
-                    assert delta(db, t, r) == want[row, t], (r, t)
-        # the raw fill is not monotone, so the running max does move levels
-        assert not np.array_equal(want, toy_raw(db, range(3), 0, 41))
-
-    def test_chunk_rule(self):
-        delta, _, fills = self.make()
-        db = tuple(range(20))
-        for t in range(23):
-            delta(db, t, "a")
-        assert fills == [(0, 8), (8, 16), (16, 20), (20, 21), (21, 22),
-                         (22, 23)]
-        delta(db, 40, "b")
-        assert fills[-1] == (23, 41)
-
-    def test_same_database_reads_without_a_fill(self):
-        delta, opened, fills = self.make()
-        db = tuple(range(12))
-        delta(db, 5, "a")
-        assert len(opened) == 1 and len(fills) == 1
-        for r in "abc":
-            for t in range(8):
-                delta(db, t, r)
-            delta.table(db, 0, 8)
-        delta(tuple(range(12)), 3, "c")     # an equal database
-        assert len(opened) == 1 and len(fills) == 1
-
-    def test_new_database_refills(self):
-        delta, opened, fills = self.make()
-        first, second = tuple(range(12)), tuple(range(13))
-        assert delta(first, 3, "a") == self.want(first, 3)[0, 3]
-        assert delta(second, 3, "a") == self.want(second, 3)[0, 3]
-        assert delta(first, 3, "b") == self.want(first, 3)[1, 3]
-        assert opened == [first, second, first]
-        assert fills == [(0, 8)] * 3
+    def make(self, fills=None):
+        return table_sensitivity(toy_table(toy_rising, fills), "toy")
 
     def test_refusals(self):
-        delta, _, _ = self.make()
+        delta = self.make()
         db = tuple(range(5))
         with pytest.raises(InvalidInputError, match="t must be >= 0"):
             delta(db, -1, "a")
@@ -225,36 +198,127 @@ class TestLevelTable:
                 distribution(mechanism, problem, 1.0, bounded)
 
     def test_levels_hook_equals_eval(self):
-        # every prefix the table serves, and the range from its middle,
-        # read before or after a longer one
-        db = tuple(range(20))
-        for order in ((0, 1, 7, 8, 9, 20, 33), (33, 20, 9, 8, 7, 1, 0)):
-            delta, _, _ = self.make()
-            for upto in order:
-                for lo in (0, upto // 2, upto):
-                    rows, levels = delta.table(db, lo, upto)
-                    assert levels.dtype == np.float64
-                    assert levels.shape[1] == upto - lo
-                    for r, row in rows.items():
-                        assert levels[row].tolist() == [
-                            delta(db, t, r) for t in range(lo, upto)]
+        # every prefix the table serves, and the range from its middle;
+        # eval reads one column
+        db, fills = tuple(range(20)), []
+        delta = self.make(fills)
+        for upto in (0, 1, 7, 8, 9, 20, 33):
+            for lo in (0, upto // 2, upto):
+                rows, levels = delta.table(db, lo, upto)
+                assert levels.dtype == np.float64
+                assert levels.shape[1] == upto - lo
+                for r, row in rows.items():
+                    fills.clear()
+                    assert levels[row].tolist() == [
+                        delta(db, t, r) for t in range(lo, upto)]
+                    assert fills == [(t, t + 1) for t in range(lo, upto)]
 
     def test_declarations(self):
-        delta, _, _ = self.make()
+        delta = self.make()
         assert delta.declared_admissible and delta.declared_nondecreasing_in_t
         assert not delta.declared_bounded and delta.name == "toy"
 
-    def test_table_hook_is_the_levels_of_every_row(self):
-        delta, _, fills = self.make()
-        db = tuple(range(20))
-        rows, levels = delta.table(db, 0, 9)
-        assert fills == [(0, 9)] and levels.shape == (3, 9)
-        for lo, hi in ((0, 0), (0, 5), (2, 9), (9, 9)):
-            block = delta.table(db, lo, hi)[1]
-            assert block.tolist() == levels[:, lo:hi].tolist()
-        assert fills == [(0, 9)]                        # no new fill
-        for r, row in rows.items():
-            assert levels[row].tolist() == [delta(db, t, r) for t in range(9)]
+
+@st.composite
+def capped_vectors(draw):
+    """1 to 40 records with ties, values at both caps and anywhere between."""
+    cap = draw(st.sampled_from([1.0, 10.0, 100.0]))
+    shared = draw(st.lists(st.floats(0.0, cap), min_size=1, max_size=3))
+    value = st.one_of(st.just(0.0), st.just(cap), st.sampled_from(shared),
+                      st.floats(0.0, cap))
+    return NumericVector(draw(st.lists(value, min_size=1, max_size=40)), cap)
+
+
+def assert_splits_and_rises(delta, db, end, cuts):
+    """``delta.table(db, 0, end)`` equals the columns of the reads between
+    the ``cuts``, side by side, and is nondecreasing along t."""
+    rows, whole = delta.table(db, 0, end)
+    assert whole.shape == (len(rows), end)
+    edges = [0, *sorted(set(cuts)), end]
+    parts = [delta.table(db, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    assert all(part_rows == rows for part_rows, _ in parts)
+    assert np.hstack([block for _, block in parts]).tolist() == whole.tolist()
+    assert np.all(np.diff(whole, axis=1) >= 0), whole
+
+
+class TestRawKernels:
+    """The tables of the built-in percentile and split-score functions as
+    their kernels compute them, with no running maximum: any split of
+    ``[0, T)`` gives the same levels, and they never dip along t (from t = 0
+    to 1, at ``t_cap`` and past the database size)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=capped_vectors(), p=st.integers(1, 100), data=st.data())
+    def test_percentile(self, x, p, data):
+        q = PercentileQuery(p, len(x))
+        end = len(x) + 3        # past t_cap = min(k + 1, n - k + 2) and n
+        cuts = data.draw(st.lists(st.integers(1, end - 1), max_size=4))
+        assert_splits_and_rises(percentile_sensitivity(x, q), x, end, cuts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_tree(self, seed, data):
+        table = random_induction_table(np.random.default_rng(seed), max_rows=40)
+        first = table.schema.attribute_names()[0]
+        for tbl in (table, *table.partition(first).values()):
+            end = len(tbl) + 3
+            cuts = data.draw(st.lists(st.integers(1, end - 1), max_size=4))
+            assert_splits_and_rises(ig_sensitivity(), tbl, end, cuts)
+
+
+class TestNothingKept:
+    """No sensitivity function keeps a database alive once a read of it
+    returns."""
+
+    @staticmethod
+    def assert_released(make_db, make_deltas, candidate):
+        db = make_db()
+        gone = weakref.ref(db)
+        for delta in make_deltas(db):
+            delta.table(db, 0, 8)
+            delta(db, 3, candidate)
+        del db
+        gc.collect()
+        assert gone() is None
+
+    def test_percentile(self, rng):
+        class Vector(NumericVector):
+            __slots__ = ("__weakref__",)
+
+        values = random_vector_instance(rng, n=12, cap=10.0).values()
+
+        def deltas(x):
+            q = PercentileQuery(50, len(x))
+            bounded = bounded_ls_percentile(x, q)
+            return (percentile_sensitivity(x, q), bounded,
+                    flatten_sensitivity(bounded, percentile_problem(x, q)))
+
+        self.assert_released(lambda: Vector(values, 10.0), deltas, 1)
+
+    def test_tree(self, rng):
+        class Table(LabeledTable):
+            __slots__ = ("__weakref__",)
+
+        table = random_induction_table(rng, max_rows=30)
+        first = table.schema.attribute_names()[0]
+
+        def deltas(tbl):
+            problem = ig_problem(tbl, (first,))
+            return (ig_sensitivity(), bound_sensitivity(
+                ig_sensitivity(), problem.global_sensitivity,
+                problem.database_size))
+
+        self.assert_released(lambda: Table(table.schema, table.row_dicts()),
+                             deltas, first)
+
+    def test_graph(self, rng):
+        class Graph(EdgeGraph):
+            __slots__ = ("__weakref__",)
+
+        g = random_graph_instance(rng, n=6)
+        self.assert_released(lambda: Graph(g.nodes, g.edges()),
+                             lambda _: (delta_ebc(), flat_delta_ebc()),
+                             g.nodes[0])
 
 
 def bad_raw(db, rows, lo, hi):
@@ -268,22 +332,12 @@ def bad_raw(db, rows, lo, hi):
 
 
 class TestBoundTable:
-    """``bound_sensitivity`` clips the columns of a level table read on
-    every read; its table equals the clip of every range of the inner
+    """``bound_sensitivity`` clips the columns of a table read on every
+    read; its table equals the clip of every range of the inner
     levels, ``min(level, GS)`` for finite levels and GS from n on."""
 
-    def make(self, raw=toy_raw, fills=None):
-        def open_table(db):
-            rows = {"a": 0, "b": 1, "c": 2}
-
-            def fill(lo, hi):
-                if fills is not None:
-                    fills.append((lo, hi))
-                return raw(db, rows.values(), lo, hi)
-
-            return rows, fill
-
-        return level_table(open_table, "toy")
+    def make(self, raw=toy_raw):
+        return table_sensitivity(toy_table(raw), "toy")
 
     @pytest.mark.parametrize("raw", [toy_raw, bad_raw])
     @pytest.mark.parametrize("n", [1, 5, 8, 9, 20])
@@ -312,23 +366,6 @@ class TestBoundTable:
                     else:
                         with pytest.raises(ContractViolationError):
                             per_step(db, t, r)
-
-    def test_one_clip_per_fill(self):
-        # reads within one fill of the inner table clip the same levels;
-        # a read past it fills a doubled chunk
-        db, fills = tuple(range(20)), []
-        bounded = bound_sensitivity(self.make(fills=fills), 1.5, 20)
-        _, first = bounded.table(db, 0, 8)
-        for lo, hi in ((0, 0), (0, 1), (1, 4), (4, 8), (0, 8)):
-            assert bounded.table(db, lo, hi)[1].tolist() == (
-                first[:, lo:hi].tolist())
-        assert fills == [(0, 8)]
-        _, second = bounded.table(db, 8, 9)             # a new fill
-        assert fills == [(0, 8), (8, 16)] and second.shape[1] == 1
-        whole = bounded.table(db, 0, 16)[1]
-        assert whole[:, :8].tolist() == first.tolist()
-        assert whole[:, 8:9].tolist() == second.tolist()
-        assert fills == [(0, 8), (8, 16)]
 
     def test_unknown_candidate(self):
         bounded = bound_sensitivity(self.make(), 1.5, 20)

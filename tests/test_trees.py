@@ -268,9 +268,9 @@ class TestDistanceT:
             assert got == scalar_levels(table, "A", 11)
 
     def test_long_walk_memory_is_bounded(self, rng):
-        # a full walk up a 2,000-row table fills its levels in array chunks
-        # whose temporaries stay small; a cache of every count pair seen, or
-        # one array padded over all cells, would not
+        # a full walk up a 2,000-row table computes its levels in array
+        # reads whose temporaries stay small; a cache of every count pair
+        # seen, or one array padded over all cells, would not
         schema = TableSchema(
             attributes=(("A", Categorical((0, 1, 2))),),
             class_attribute="y",
@@ -546,31 +546,17 @@ def batched_test_tables(rng):
 
 
 class TestBatchedLevels:
-    """ig_sensitivity fills the levels of every categorical attribute of a
-    table in one kernel call per chunk; each level is the float the scalar
+    """ig_sensitivity computes the levels of every categorical attribute of a
+    table in one kernel call per read; each level is the float the scalar
     scans give for that attribute alone."""
 
-    def test_every_attribute_equals_the_scalar_oracles(self, rng, monkeypatch):
-        kernel = trees._table_levels
-        chunks = []
-
-        def counted(frontiers, lo, hi):
-            chunks.append((lo, hi))
-            return kernel(frontiers, lo, hi)
-
+    def test_every_attribute_equals_the_scalar_oracles(self, rng):
         for table in batched_test_tables(rng):
             t_max = len(table) + 3
             delta = ig_sensitivity()
-            monkeypatch.setattr(trees, "_table_levels", counted)
             gots = {}
             for name in FIVE_NAMES:
                 gots[name] = [delta(table, t, name) for t in range(t_max + 1)]
-                if name == FIVE_NAMES[0]:
-                    first_walk = len(chunks)
-            # the first attribute's walk filled every other attribute too
-            assert len(chunks) == first_walk
-            monkeypatch.setattr(trees, "_table_levels", kernel)
-            chunks.clear()
             for name, got in gots.items():
                 assert got == scalar_levels(table, name, t_max), (name, len(table))
                 assert got == levels_over_all_cells(table, name, t_max)
@@ -680,28 +666,6 @@ class TestCountsMemo:
 
 
 class TestIgSensitivityCache:
-    def test_keeps_the_last_table_only(self, rng, monkeypatch):
-        kernel = trees._table_levels
-        fills = []
-
-        def counted(frontiers, lo, hi):
-            fills.append((lo, hi))
-            return kernel(frontiers, lo, hi)
-
-        monkeypatch.setattr(trees, "_table_levels", counted)
-        delta = ig_sensitivity()
-        first, second = cell_table(rng, 10), cell_table(rng, 12)
-        rows, levels = delta.table(first, 0, 8)
-        assert levels.shape[1] == 8 and len(fills) == 1
-        assert delta.table(first, 0, 4)[1].tolist() == levels[:, :4].tolist()
-        assert delta(first, 3, "A") == levels[rows["A"], 3]
-        assert len(fills) == 1              # held: no second fill
-        delta.table(second, 0, 8)
-        assert len(fills) == 2
-        _, again = delta.table(first, 0, 8)
-        assert len(fills) == 3              # refilled: the table was replaced
-        assert again[:, :8].tolist() == levels[:, :8].tolist()
-
     def test_levels_hook_equals_per_level_calls(self, rng):
         delta = ig_sensitivity()
         table = cell_table(rng, 30)
